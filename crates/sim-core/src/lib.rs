@@ -56,6 +56,7 @@ pub mod faultinject;
 pub mod gmres;
 pub mod ilu;
 pub mod linalg;
+mod lu_replay;
 pub mod perf;
 pub mod rescue;
 pub mod sparse;
@@ -68,7 +69,7 @@ pub use diag::{Severity, SourceSpan};
 pub use faultinject::{waveform_checksum, FaultKind, FaultSchedule, FaultSpec};
 pub use gmres::{gmres_solve, GmresOptions, GmresOutcome, KrylovScalar};
 pub use ilu::{Ilu0, IluPattern, PrecondKind};
-pub use linalg::{CMatrix, DMatrix, LuFactors, Matrix, NumericFault, SingularMatrixError};
+pub use linalg::{CMatrix, DMatrix, LuFactors, LuStats, Matrix, NumericFault, SingularMatrixError};
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};

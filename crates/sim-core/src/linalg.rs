@@ -12,10 +12,17 @@
 // (the golden-vector tests pin the exact bits).
 #![allow(clippy::needless_range_loop)]
 
+use crate::lu_replay::{words, Replay, ReplayPlan, MAX_ORDER};
 use num_complex::Complex64;
 
 /// Pivot magnitude below which elimination reports a singular matrix.
-const PIVOT_MIN: f64 = 1e-300;
+pub(crate) const PIVOT_MIN: f64 = 1e-300;
+
+/// Smallest order [`LuFactors`] replays a pattern plan for. Below it the
+/// dense sweep takes fewer operations than a replay's loads and checks
+/// (the behavioural solver's order-2 and order-3 Jacobians), and the
+/// plan's buffers would outweigh the matrix.
+pub(crate) const REPLAY_MIN_ORDER: usize = 8;
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -323,22 +330,106 @@ pub fn solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
 /// paths build on it: whenever an assembled Jacobian is bit-identical to
 /// the one last factored, the cached factors are reused and the solution
 /// is — by construction — identical to a fresh factorization.
+///
+/// From order 8 up, the workspace also learns the structural pattern of
+/// the matrices it factors: every position that has held a nonzero. Once
+/// two consecutive dense sweeps choose the same pivot sequence, it derives
+/// a replay plan and from then on eliminates only the pattern's entries,
+/// checking at every column that the dense sweep would pick the same
+/// pivot. A matrix with a nonzero off the pattern, a different pivot
+/// order, a non-finite pivot or a `-0.0` entry goes through the dense
+/// sweep instead. Factors and solutions are bit-identical either way (see
+/// `lu_replay`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LuFactors {
     n: usize,
-    /// Packed L (unit diagonal, below) and U (on/above diagonal).
+    /// Packed L (unit diagonal, below) and U (on/above diagonal) of the
+    /// last dense sweep, or the replay plan's compact factors.
     lu: Vec<f64>,
-    /// Row swap applied at each elimination column.
+    /// Row swap applied at each elimination column by the last dense sweep.
     piv: Vec<usize>,
+    /// The matrix last handed to a factorization (the reuse test).
+    cached: Vec<f64>,
+    /// The current factors are those of `cached`.
+    valid: bool,
+    /// The current factors are the plan's compact ones (stored in `lu`).
+    replayed: bool,
+    dense_only: bool,
+    stats: LuStats,
+    /// Pattern learning and replay, kept from order
+    /// [`REPLAY_MIN_ORDER`] up (boxed: small solvers stay small).
+    replay: Option<Box<ReplayState>>,
+}
+
+/// The replay half of an [`LuFactors`].
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ReplayState {
+    /// `LuFactors::piv` holds the sequence of a dense sweep that completed.
+    piv_complete: bool,
+    /// Pivot sequence of the dense sweep before the last one.
+    prev_piv: Vec<usize>,
+    /// The learned pattern, one row bitset per row: every position where
+    /// a matrix has held anything but `+0.0` when a plan was derived or
+    /// missed on it.
+    pattern: Vec<u64>,
+    plan: ReplayPlan,
+    has_plan: bool,
+}
+
+impl ReplayState {
+    /// Adds every entry of the order-`n` matrix `a` that is not +0.0 to
+    /// the pattern.
+    fn learn_pattern(&mut self, a: &[f64], n: usize) {
+        let w = words(n);
+        for (row, pattern) in a.chunks(n).zip(self.pattern.chunks_mut(w)) {
+            for (c, v) in row.iter().enumerate() {
+                if v.to_bits() != 0 {
+                    pattern[c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+    }
+}
+
+/// Work counts of one [`LuFactors`] workspace.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LuStats {
+    /// Factorizations done by the full dense sweep.
+    pub dense_sweeps: u64,
+    /// Factorizations done by replaying the pattern plan.
+    pub replays: u64,
+    /// Replays abandoned for the dense sweep (pivot order changed, a
+    /// non-finite pivot, a `-0.0` entry, or a nonzero off the pattern).
+    pub replay_misses: u64,
+    /// Replay plans derived.
+    pub plans: u64,
 }
 
 impl LuFactors {
     /// Empty factorization workspace for order-`n` systems.
     pub fn new(n: usize) -> Self {
+        if !(REPLAY_MIN_ORDER..=MAX_ORDER).contains(&n) {
+            // The reuse cache is allocated by the first reusing call.
+            return LuFactors {
+                n,
+                lu: vec![0.0; n * n],
+                piv: vec![0; n],
+                ..Default::default()
+            };
+        }
         LuFactors {
             n,
             lu: vec![0.0; n * n],
             piv: vec![0; n],
+            cached: vec![0.0; n * n],
+            replay: Some(Box::new(ReplayState {
+                piv_complete: false,
+                prev_piv: vec![0; n],
+                pattern: vec![0; n * words(n)],
+                plan: ReplayPlan::for_order(n),
+                has_plan: false,
+            })),
+            ..Default::default()
         }
     }
 
@@ -353,19 +444,113 @@ impl LuFactors {
     ///
     /// Panics if `a` is not square.
     pub fn factorize(&mut self, a: &DMatrix) -> Result<(), SingularMatrixError> {
+        self.refactor(a, false).map(|_| ())
+    }
+
+    /// Like [`factorize`](Self::factorize), but keeps the current factors
+    /// when `a` equals (entry by entry, as `f64`) the matrix they were
+    /// computed from. Returns `Ok(true)` when the factors were reused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] when `a` is numerically singular.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not square.
+    pub fn factorize_or_reuse(&mut self, a: &DMatrix) -> Result<bool, SingularMatrixError> {
+        self.refactor(a, true)
+    }
+
+    /// Work counts since this workspace was created.
+    pub fn stats(&self) -> LuStats {
+        self.stats
+    }
+
+    /// Test hook: routes every later factorization through the dense
+    /// sweep. Results are bit-identical either way; this exists so tests
+    /// can compare the two paths.
+    #[doc(hidden)]
+    pub fn force_dense_sweep(&mut self) {
+        self.dense_only = true;
+    }
+
+    fn refactor(&mut self, a: &DMatrix, reuse: bool) -> Result<bool, SingularMatrixError> {
         let n = a.order();
         if self.n != n {
-            self.n = n;
-            self.lu = vec![0.0; n * n];
-            self.piv = vec![0; n];
+            *self = LuFactors {
+                dense_only: self.dense_only,
+                stats: self.stats,
+                ..LuFactors::new(n)
+            };
         }
-        self.lu.copy_from_slice(&a.data);
+        if self.replay.is_none() && !reuse {
+            // Nothing to compare or replay: sweep the input directly.
+            self.valid = false;
+            self.lu.copy_from_slice(&a.data);
+            return self.dense_sweep().map(|()| false);
+        }
+        self.cached.resize(n * n, 0.0);
+        // One pass: the reuse compare, the cache copy, and the count of
+        // entries that are not +0.0 (the replay's proof that none lies
+        // off its pattern).
+        let mut changed = false;
+        let mut nonzero = 0;
+        for (&v, c) in a.data.iter().zip(&mut self.cached) {
+            changed |= v != *c;
+            *c = v;
+            nonzero += usize::from(v.to_bits() != 0);
+        }
+        if reuse && self.valid && !changed {
+            return Ok(true);
+        }
+        self.valid = false;
+        if let Some(rs) = self.replay.as_deref_mut().filter(|rs| rs.has_plan) {
+            if !self.dense_only {
+                match rs.plan.factor(&self.cached, nonzero, &mut self.lu) {
+                    Replay::Done => {
+                        self.stats.replays += 1;
+                        self.replayed = true;
+                        self.valid = true;
+                        return Ok(false);
+                    }
+                    Replay::Singular(pivot) => {
+                        self.stats.replays += 1;
+                        return Err(SingularMatrixError { order: n, pivot });
+                    }
+                    Replay::Miss => self.stats.replay_misses += 1,
+                    Replay::OffPattern => {
+                        self.stats.replay_misses += 1;
+                        rs.learn_pattern(&self.cached, n);
+                        rs.has_plan = false;
+                    }
+                }
+            }
+        }
+        self.lu.copy_from_slice(&self.cached);
+        self.dense_sweep()?;
+        self.valid = true;
+        Ok(false)
+    }
+
+    /// Factors `lu` in place by the full dense partial-pivot sweep, and
+    /// derives a replay plan when it picked the same pivots as the sweep
+    /// before.
+    fn dense_sweep(&mut self) -> Result<(), SingularMatrixError> {
+        let n = self.n;
+        self.stats.dense_sweeps += 1;
+        self.replayed = false;
+        let mut prev_complete = false;
+        if let Some(rs) = self.replay.as_deref_mut() {
+            std::mem::swap(&mut self.piv, &mut rs.prev_piv);
+            prev_complete = std::mem::replace(&mut rs.piv_complete, false);
+        }
         let lu = &mut self.lu;
         for col in 0..n {
             let mut piv = col;
             let mut mag = lu[col * n + col].abs();
-            for r in (col + 1)..n {
-                let m = lu[r * n + col].abs();
+            for (r, row) in lu.chunks_exact(n).enumerate().skip(col + 1) {
+                let m = row[col].abs();
                 if m > mag {
                     mag = m;
                     piv = r;
@@ -379,24 +564,46 @@ impl LuFactors {
             }
             self.piv[col] = piv;
             if piv != col {
-                for c in 0..n {
-                    lu.swap(col * n + c, piv * n + c);
-                }
+                let (top, bottom) = lu.split_at_mut(piv * n);
+                top[col * n..(col + 1) * n].swap_with_slice(&mut bottom[..n]);
             }
-            let pivot = lu[col * n + col];
-            for r in (col + 1)..n {
-                let f = lu[r * n + col] / pivot;
-                lu[r * n + col] = f;
+            let (upper, lower) = lu.split_at_mut((col + 1) * n);
+            let pivot_row = &upper[col * n..];
+            let pivot = pivot_row[col];
+            for row in lower.chunks_exact_mut(n) {
+                let f = row[col] / pivot;
+                row[col] = f;
                 if f == 0.0 {
                     continue;
                 }
-                for c in (col + 1)..n {
-                    let v = lu[col * n + c];
-                    lu[r * n + c] -= f * v;
+                for (x, &v) in row[col + 1..].iter_mut().zip(&pivot_row[col + 1..]) {
+                    *x -= f * v;
                 }
             }
         }
+        if let Some(rs) = self.replay.as_deref_mut() {
+            rs.piv_complete = true;
+            let planned = rs.has_plan && rs.plan.piv() == &self.piv[..];
+            let agreed = prev_complete && self.piv == rs.prev_piv;
+            if agreed && !planned && !self.dense_only {
+                rs.learn_pattern(&self.cached, n);
+                rs.plan.derive(n, &rs.pattern, &self.piv);
+                rs.has_plan = true;
+                self.stats.plans += 1;
+            }
+        }
         Ok(())
+    }
+
+    /// Bits of the current factors in the dense sweep's layout, and the
+    /// row swaps.
+    #[cfg(test)]
+    fn factor_bits(&self) -> (Vec<u64>, Vec<usize>) {
+        let (lu, piv) = match self.replay.as_deref().filter(|_| self.replayed) {
+            Some(rs) => (rs.plan.dense_layout(&self.lu), rs.plan.piv()),
+            None => (self.lu.clone(), &self.piv[..]),
+        };
+        (lu.iter().map(|v| v.to_bits()).collect(), piv.to_vec())
     }
 
     /// Solves `A·x = b` with the stored factors, overwriting `b` with `x`.
@@ -405,11 +612,14 @@ impl LuFactors {
     ///
     /// Panics if `b.len()` disagrees with the factored order.
     pub fn solve(&self, b: &mut [f64]) {
+        if let Some(rs) = self.replay.as_deref().filter(|_| self.replayed) {
+            rs.plan.solve(&self.lu, b);
+            return;
+        }
         let n = self.n;
         assert_eq!(b.len(), n);
         // Apply the recorded row swaps, then forward/back substitution.
-        for col in 0..n {
-            let piv = self.piv[col];
+        for (col, &piv) in self.piv.iter().enumerate() {
             if piv != col {
                 b.swap(col, piv);
             }
@@ -417,17 +627,18 @@ impl LuFactors {
         for col in 0..n {
             let bc = b[col];
             if bc != 0.0 {
-                for r in (col + 1)..n {
-                    b[r] -= self.lu[r * n + col] * bc;
+                let rows = self.lu[(col + 1) * n..].chunks_exact(n);
+                for (x, row) in b[col + 1..].iter_mut().zip(rows) {
+                    *x -= row[col] * bc;
                 }
             }
         }
-        for col in (0..n).rev() {
+        for (col, row) in self.lu.chunks_exact(n).enumerate().rev() {
             let mut acc = b[col];
-            for c in (col + 1)..n {
-                acc -= self.lu[col * n + c] * b[c];
+            for (&u, &x) in row[col + 1..].iter().zip(&b[col + 1..]) {
+                acc -= u * x;
             }
-            b[col] = acc / self.lu[col * n + col];
+            b[col] = acc / row[col];
         }
     }
 }
@@ -684,6 +895,309 @@ mod tests {
         let mut b = vec![1.0, 2.0, 3.0];
         lu.solve(&mut b);
         assert_eq!(b, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// Factors every matrix of `mats` in turn with a replaying workspace
+    /// and a dense-only one, solving each right-hand side after every
+    /// factorization; errors, factors and solutions must agree bit for
+    /// bit. Returns the replaying workspace's counts.
+    fn replay_agrees_with_dense(mats: &[DMatrix], rhs: &[Vec<f64>]) -> LuStats {
+        let mut replay = LuFactors::default();
+        let mut dense = LuFactors::default();
+        dense.force_dense_sweep();
+        for (i, m) in mats.iter().enumerate() {
+            let got = replay.factorize(m);
+            assert_eq!(got, dense.factorize(m), "matrix {i}: factorization outcome");
+            if got.is_err() {
+                continue;
+            }
+            assert_eq!(
+                replay.factor_bits(),
+                dense.factor_bits(),
+                "matrix {i}: factors"
+            );
+            for b in rhs {
+                let mut b = b.clone();
+                b.resize(m.order(), 1.0);
+                let (mut x, mut y) = (b.clone(), b);
+                replay.solve(&mut x);
+                dense.solve(&mut y);
+                let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                let yb: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(xb, yb, "matrix {i}: solution bits for rhs {y:?}");
+            }
+        }
+        assert_eq!(dense.stats().replays, 0);
+        replay.stats()
+    }
+
+    fn from_rows(rows: &[&[f64]]) -> DMatrix {
+        let n = rows.len();
+        let mut m = DMatrix::square(n);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
+    /// `rows` in the top-left corner of an identity of the smallest order
+    /// that replays; the identity rows never compete for a pivot.
+    fn padded(rows: &[&[f64]]) -> DMatrix {
+        let mut m = DMatrix::identity(REPLAY_MIN_ORDER);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
+    /// An arrow-plus-band pattern of order `n` with values drawn from
+    /// `next`, so that fill, swaps and skipped zeros all occur.
+    fn patterned(n: usize, next: &mut impl FnMut() -> f64) -> DMatrix {
+        let mut m = DMatrix::square(n);
+        for r in 0..n {
+            for c in 0..n {
+                if r == c || r.abs_diff(c) == 2 || c == n - 1 || (r + 3 * c) % 7 == 0 {
+                    m[(r, c)] = next();
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn replay_engages_and_matches_the_dense_sweep() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let n = 9;
+        let base = patterned(n, &mut next);
+        // Small perturbations keep the pivot order; the plan must engage.
+        let mats: Vec<DMatrix> = (0..12)
+            .map(|_| {
+                let mut m = base.clone();
+                for v in &mut m.data {
+                    if *v != 0.0 {
+                        *v *= 1.0 + 1e-3 * next();
+                    }
+                }
+                m
+            })
+            .collect();
+        let rhs = vec![
+            (0..n).map(|i| i as f64 - 4.0).collect::<Vec<_>>(),
+            vec![0.0; n],
+        ];
+        let stats = replay_agrees_with_dense(&mats, &rhs);
+        assert_eq!(stats.plans, 1, "{stats:?}");
+        assert_eq!(stats.dense_sweeps, 2, "{stats:?}");
+        assert_eq!(stats.replays, 10, "{stats:?}");
+    }
+
+    #[test]
+    fn replay_factors_match_the_dense_sweep_on_random_sequences() {
+        let mut state = 0x5DEECE66Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Mostly generic values, with ties, zeros and signed zeros.
+        let value = |r: u64, u: u64| match r % 12 {
+            0 => 0.0,
+            1 => -0.0,
+            2..=4 => [1.0, -1.0, 2.0, -2.0][(u % 4) as usize],
+            _ => (u >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        };
+        let mut stats = LuStats::default();
+        for _ in 0..200 {
+            let n = REPLAY_MIN_ORDER + (next() % 8) as usize;
+            let pattern: Vec<bool> = (0..n * n)
+                .map(|i| i % (n + 1) == 0 || next() % 3 == 0)
+                .collect();
+            let structural: Vec<usize> = (0..n * n).filter(|&i| pattern[i]).collect();
+            let mut m = DMatrix::square(n);
+            let mut mats = Vec::new();
+            for step in 0..10 {
+                if step == 0 || next() % 5 == 0 {
+                    // A fresh draw with a dominant diagonal, so pivots
+                    // mostly hold until an entry jumps.
+                    for &i in &structural {
+                        let v = (next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                        m.data[i] = if i % (n + 1) == 0 {
+                            4.0 * v.signum() + v
+                        } else {
+                            v
+                        };
+                    }
+                } else {
+                    // One entry jumps (to a tie value, a zero or anything).
+                    let i = structural[(next() % structural.len() as u64) as usize];
+                    m.data[i] = value(next(), next());
+                }
+                mats.push(m.clone());
+            }
+            let rhs = vec![(0..n).map(|_| value(next(), next())).collect()];
+            let s = replay_agrees_with_dense(&mats, &rhs);
+            stats.replays += s.replays;
+            stats.replay_misses += s.replay_misses;
+        }
+        assert!(stats.replays > 300 && stats.replay_misses > 30, "{stats:?}");
+    }
+
+    #[test]
+    fn replay_falls_back_when_the_pivot_order_changes() {
+        // Column 0 pivots on row 0, then on row 2, then on row 0 again.
+        let a = padded(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[2.0, 0.0, 5.0]]);
+        let b = padded(&[&[1.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[2.0, 0.0, 5.0]]);
+        let mats = [a.clone(), a.clone(), b.clone(), a.clone(), b.clone(), b];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, -2.0, 3.0]]);
+        assert!(stats.replay_misses >= 1, "{stats:?}");
+        assert!(stats.replays >= 1, "{stats:?}");
+        assert_eq!(stats.plans, 2, "a second plan after two agreeing sweeps");
+    }
+
+    #[test]
+    fn replay_breaks_pivot_ties_like_the_dense_sweep() {
+        // Equal magnitudes in the pivot column: the first row in the
+        // current order wins; flipping which entry is larger must miss.
+        let tie = padded(&[&[0.0, 1.0, 2.0], &[-3.0, 1.0, 0.0], &[3.0, 0.0, 1.0]]);
+        let later = padded(&[&[0.0, 1.0, 2.0], &[-3.0, 1.0, 0.0], &[3.5, 0.0, 1.0]]);
+        let earlier = padded(&[&[0.0, 1.0, 2.0], &[-3.5, 1.0, 0.0], &[3.0, 0.0, 1.0]]);
+        let mats = [
+            tie.clone(),
+            tie.clone(),
+            tie.clone(),
+            later.clone(),
+            tie.clone(),
+            earlier,
+            tie.clone(),
+            // A plan that pivots on the later row must miss when the
+            // earlier row ties it.
+            later.clone(),
+            later,
+            tie,
+        ];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, 2.0, 3.0]]);
+        assert!(stats.replays >= 3 && stats.replay_misses >= 2, "{stats:?}");
+    }
+
+    #[test]
+    fn replay_reports_singular_matrices_at_the_same_column() {
+        let good = padded(&[&[2.0, 1.0, 0.0], &[1.0, 2.0, 1.0], &[0.0, 1.0, 2.0]]);
+        // Rank-deficient with the same pattern, then a structurally empty
+        // row (a new, smaller pattern), then back.
+        let rank2 = padded(&[&[1.0, 1.0, 0.0], &[1.0, 2.0, 1.0], &[0.0, 1.0, 1.0]]);
+        let empty_row = padded(&[&[2.0, 1.0, 0.0], &[0.0, 0.0, 0.0], &[0.0, 1.0, 2.0]]);
+        let mats = [
+            good.clone(),
+            good.clone(),
+            good.clone(),
+            rank2.clone(),
+            good.clone(),
+            empty_row,
+            good,
+            rank2.clone(),
+        ];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, 0.0, -1.0]]);
+        assert!(stats.replays >= 2, "{stats:?}");
+        let mut lu = LuFactors::default();
+        let err = lu.factorize(&rank2).unwrap_err();
+        assert_eq!(
+            err,
+            SingularMatrixError {
+                order: REPLAY_MIN_ORDER,
+                pivot: 2
+            }
+        );
+    }
+
+    #[test]
+    fn replay_keeps_signed_zeros_and_non_finite_values_exact() {
+        let a = padded(&[&[-2.0, 1.0, 0.0], &[1.0, -3.0, 1.0], &[0.0, 1.0, 4.0]]);
+        let mut neg_zero = a.clone();
+        neg_zero[(1, 0)] = -0.0;
+        let mut nan = a.clone();
+        nan[(0, 1)] = f64::NAN;
+        let mut inf = a.clone();
+        inf[(2, 2)] = f64::INFINITY;
+        // A plan pivoting column 0 on row 1; a NaN there must not be taken
+        // as the pivot (the dense sweep finds column 0 singular).
+        let swapped = padded(&[&[0.0, 1.0], &[5.0, 2.0]]);
+        let mut nan_pivot = swapped.clone();
+        nan_pivot[(1, 0)] = f64::NAN;
+        let mats = [swapped.clone(), swapped.clone(), swapped, nan_pivot];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, 2.0]]);
+        assert_eq!(stats.replays, 1, "{stats:?}");
+        // A zero multiplier skips its row update, so an infinite U entry
+        // above it must not turn the row into NaN.
+        let learn = padded(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let zero_l = padded(&[&[2.0, f64::INFINITY], &[0.0, 3.0]]);
+        let mats = [learn.clone(), learn, zero_l];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, 2.0]]);
+        assert_eq!(stats.replays, 1, "{stats:?}");
+        let mats = [
+            a.clone(),
+            a.clone(),
+            a.clone(),
+            neg_zero,
+            a.clone(),
+            nan,
+            inf,
+            a,
+        ];
+        let rhs = [
+            vec![1.0, 2.0, 3.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![0.0, -0.0, 1.0],
+            vec![f64::INFINITY, 1.0, 0.0],
+            vec![1e308, -1e308, 1e308],
+            vec![f64::NAN, 0.0, 0.0],
+        ];
+        let stats = replay_agrees_with_dense(&mats, &rhs);
+        assert!(stats.replays >= 2, "{stats:?}");
+    }
+
+    #[test]
+    fn a_nonzero_off_the_pattern_grows_it() {
+        let a = padded(&[&[2.0, 0.0, 1.0], &[0.0, 2.0, 0.0], &[1.0, 0.0, 2.0]]);
+        let mut b = a.clone();
+        b[(1, 2)] = 0.5;
+        let mats = [a.clone(), a.clone(), a.clone(), b.clone(), b.clone(), b, a];
+        let stats = replay_agrees_with_dense(&mats, &[vec![1.0, 2.0, 3.0]]);
+        // The sweep that learns the new entry agrees with the sweep before
+        // it on the pivots, so the grown plan is derived at once.
+        assert_eq!(stats.dense_sweeps, 3, "{stats:?}");
+        assert_eq!(stats.plans, 2, "{stats:?}");
+        assert_eq!(stats.replays, 4, "{stats:?}");
+    }
+
+    #[test]
+    fn reuse_keeps_factors_only_for_an_equal_matrix() {
+        let a = from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let mut b = a.clone();
+        b[(1, 1)] = 4.0;
+        let mut lu = LuFactors::new(2);
+        assert_eq!(lu.factorize_or_reuse(&a), Ok(false));
+        assert_eq!(lu.factorize_or_reuse(&a), Ok(true));
+        assert_eq!(lu.factorize_or_reuse(&b), Ok(false));
+        let mut x = vec![1.0, 1.0];
+        lu.solve(&mut x);
+        let mut y = vec![1.0, 1.0];
+        b.clone().solve_in_place(&mut y).unwrap();
+        assert_eq!(x, y);
+        // A failed factorization is never reused.
+        let singular = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(lu.factorize_or_reuse(&singular).is_err());
+        assert!(lu.factorize_or_reuse(&singular).is_err());
     }
 
     #[test]

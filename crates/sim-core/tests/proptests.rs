@@ -9,7 +9,7 @@
 #![cfg(feature = "proptests")]
 
 use sim_core::batched::{BatchedLu, LaneOutcome};
-use sim_core::linalg::DMatrix;
+use sim_core::linalg::{DMatrix, LuFactors};
 use sim_core::sparse::{min_degree_order, RefactorOutcome, SparseMatrix, SymbolicLu};
 
 struct XorShift(u64);
@@ -449,4 +449,111 @@ fn gmres_exhausted_budget_reports_for_fallback() {
         let x_dense = sim_core::linalg::solve(&dense_of(&triplets, n, 1.0), &b).expect("solvable");
         assert_close(&x_direct, &x_dense, 1e-10, "fallback direct vs dense", seed);
     }
+}
+
+/// A value for the replay property: mostly generic, sometimes drawn from a
+/// tiny set so pivot magnitudes tie, sometimes exactly zero inside the
+/// pattern.
+fn replay_value(rng: &mut XorShift) -> f64 {
+    match rng.below(10) {
+        0 => 0.0,
+        1..=3 => [1.0, -1.0, 2.0, -2.0][rng.below(4) as usize],
+        _ => rng.range(-2.0, 2.0),
+    }
+}
+
+/// Replaying the learned pattern must match the full dense sweep bit for
+/// bit: factorization outcome (including the singular column) and every
+/// solution. Each case factors a sequence over one random pattern (with
+/// structurally empty rows in some cases), mixing small perturbations that
+/// keep the pivot order, single entries jumping to a tie value or zero, and
+/// fresh draws that change the order.
+#[test]
+fn lu_replay_matches_the_dense_sweep_bit_for_bit() {
+    let mut rng = XorShift(0x5eed_0000_0000_0015);
+    let mut replays = 0;
+    let mut misses = 0;
+    let mut singular = 0;
+    for _case in 0..300 {
+        let seed = rng.0;
+        // From order 8 up: smaller systems always take the dense sweep.
+        let n = 8 + rng.below(10) as usize;
+        let density = rng.range(0.1, 0.6);
+        let empty_row = if rng.below(8) == 0 {
+            Some(rng.below(n as u64) as usize)
+        } else {
+            None
+        };
+        let pattern: Vec<bool> = (0..n * n)
+            .map(|i| {
+                let (r, c) = (i / n, i % n);
+                empty_row != Some(r) && (r == c && rng.below(5) != 0 || rng.unit() < density)
+            })
+            .collect();
+        let draw = |rng: &mut XorShift| {
+            let mut m = DMatrix::square(n);
+            for (i, &p) in pattern.iter().enumerate() {
+                if p {
+                    m[(i / n, i % n)] = replay_value(rng);
+                }
+            }
+            m
+        };
+        let mut current = draw(&mut rng);
+        let mut replay = LuFactors::default();
+        let mut dense = LuFactors::default();
+        dense.force_dense_sweep();
+        for step in 0..12 {
+            match rng.below(4) {
+                0 => current = draw(&mut rng),
+                // One entry jumps to a tie value or zero under the plan.
+                1 => {
+                    let structural: Vec<usize> = (0..n * n).filter(|&i| pattern[i]).collect();
+                    if !structural.is_empty() {
+                        let i = structural[rng.below(structural.len() as u64) as usize];
+                        current[(i / n, i % n)] = replay_value(&mut rng);
+                    }
+                }
+                _ => {
+                    let scale = 1.0 + 1e-6 * rng.range(-1.0, 1.0);
+                    for r in 0..n {
+                        for c in 0..n {
+                            current[(r, c)] *= scale;
+                        }
+                    }
+                }
+            }
+            let got = replay.factorize(&current);
+            assert_eq!(got, dense.factorize(&current), "seed {seed:#x} step {step}");
+            if got.is_err() {
+                singular += 1;
+                continue;
+            }
+            let mut b: Vec<f64> = (0..n).map(|_| replay_value(&mut rng)).collect();
+            if rng.below(6) == 0 {
+                b[rng.below(n as u64) as usize] = -0.0;
+            }
+            let (mut x, mut y) = (b.clone(), b);
+            replay.solve(&mut x);
+            dense.solve(&mut y);
+            for i in 0..n {
+                assert_eq!(
+                    x[i].to_bits(),
+                    y[i].to_bits(),
+                    "seed {seed:#x} step {step}: x[{i}]"
+                );
+            }
+        }
+        replays += replay.stats().replays;
+        misses += replay.stats().replay_misses;
+    }
+    assert!(replays > 500, "replay engaged only {replays} times");
+    assert!(
+        misses > 20,
+        "pivot-order changes exercised only {misses} times"
+    );
+    assert!(
+        singular > 20,
+        "singular matrices exercised only {singular} times"
+    );
 }

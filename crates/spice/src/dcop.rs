@@ -1,9 +1,12 @@
 //! DC operating point: damped Newton-Raphson with gmin and source stepping.
 
-use crate::circuit::{Circuit, NodeId};
+use crate::circuit::{Circuit, Element, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::{LuFactors, Matrix};
-use crate::mna::{assemble, estimate_nnz, AssembleMode, AssembleParams, MnaLayout};
+use crate::mna::{
+    assemble, assemble_with_caps, estimate_nnz, mosfet_caps, AssembleMode, AssembleParams,
+    MnaLayout,
+};
 use crate::perf::PerfCounters;
 use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::gmres::{gmres_solve, GmresOptions};
@@ -85,6 +88,14 @@ impl Default for NewtonOptions {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: dense workspaces built on this thread factor every
+    /// matrix by the full dense sweep, never by pattern replay.
+    pub(crate) static FORCE_DENSE_SWEEP: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
 /// Preallocated per-layout solve buffers and the LU factorization cache.
 ///
 /// One instance lives inside each [`crate::tran::TransientSimulator`] (and
@@ -94,6 +105,10 @@ impl Default for NewtonOptions {
 pub(crate) struct NewtonWorkspace {
     rhs: Vec<f64>,
     x_new: Vec<f64>,
+    /// Whether the circuit is linear (one solve instead of Newton).
+    linear: bool,
+    /// MOSFET capacitances at the current transient step's `x_prev`.
+    caps: Vec<[f64; 3]>,
     backend: Backend,
 }
 
@@ -104,10 +119,8 @@ pub(crate) struct NewtonWorkspace {
 enum Backend {
     Dense {
         mat: Matrix,
+        /// Factors of the last factored matrix, with the reuse test.
         lu: LuFactors,
-        /// Raw copy of the matrix the cached `lu` factors.
-        a_cached: Vec<f64>,
-        lu_valid: bool,
     },
     Sparse {
         mat: SparseMatrix<f64>,
@@ -148,63 +161,67 @@ enum Backend {
 }
 
 impl NewtonWorkspace {
-    /// Dense-backend workspace (the legacy constructor; rescue rungs and
-    /// small circuits use it directly).
-    pub(crate) fn new(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Dense {
-                mat: Matrix::square(n),
-                lu: LuFactors::new(n),
-                a_cached: vec![0.0; n * n],
-                lu_valid: false,
-            },
-        }
-    }
-
-    /// Sparse-backend workspace.
-    pub(crate) fn sparse(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Sparse {
+    /// Workspace for `circuit`, with the backend picked from `kind` and
+    /// the stamp-footprint density estimate.
+    pub(crate) fn for_circuit(circuit: &Circuit, layout: &MnaLayout, kind: SolverKind) -> Self {
+        let n = layout.size();
+        let nnz = estimate_nnz(circuit, layout);
+        let (rhs, x_new) = (vec![0.0; n], vec![0.0; n]);
+        let backend = if kind.picks_krylov(n, nnz) {
+            Backend::Krylov {
+                mat: SparseMatrix::new(n),
+                ilu_pattern: None,
+                precond: None,
+                precond_vals: Vec::new(),
+                factors: None,
+            }
+        } else if kind.picks_sparse(n, nnz) {
+            Backend::Sparse {
                 mat: SparseMatrix::new(n),
                 factors: None,
                 btf: None,
                 btf_unavailable: false,
                 vals_cached: Vec::new(),
                 cache_valid: false,
-            },
-        }
-    }
-
-    /// Krylov-backend workspace (GMRES + ILU(0) over the sparse assembly,
-    /// with a counted fallback to the direct sparse LU).
-    pub(crate) fn krylov(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Krylov {
-                mat: SparseMatrix::new(n),
-                ilu_pattern: None,
-                precond: None,
-                precond_vals: Vec::new(),
-                factors: None,
-            },
-        }
-    }
-
-    /// Picks the backend for `circuit` from `kind` and the stamp-footprint
-    /// density estimate.
-    pub(crate) fn for_circuit(circuit: &Circuit, layout: &MnaLayout, kind: SolverKind) -> Self {
-        let nnz = estimate_nnz(circuit, layout);
-        if kind.picks_krylov(layout.size(), nnz) {
-            Self::krylov(layout.size())
-        } else if kind.picks_sparse(layout.size(), nnz) {
-            Self::sparse(layout.size())
+            }
         } else {
-            Self::new(layout.size())
+            let mat = Matrix::square(n);
+            #[allow(unused_mut)]
+            let mut lu = LuFactors::new(n);
+            #[cfg(test)]
+            if FORCE_DENSE_SWEEP.get() {
+                lu.force_dense_sweep();
+            }
+            Backend::Dense { mat, lu }
+        };
+        NewtonWorkspace {
+            rhs,
+            x_new,
+            linear: circuit.is_linear(),
+            caps: Vec::new(),
+            backend,
+        }
+    }
+
+    /// Sizes the MOSFET capacitance buffer for `circuit`'s transient
+    /// steps now rather than at the first step, so stepping allocates
+    /// nothing.
+    pub(crate) fn for_transient(mut self, circuit: &Circuit) -> Self {
+        let mosfets = circuit
+            .elements()
+            .iter()
+            .filter(|(_, e)| matches!(e, Element::Mosfet { .. }))
+            .count();
+        self.caps.reserve_exact(mosfets);
+        self
+    }
+
+    /// Work counts of the dense backend's LU.
+    #[cfg(test)]
+    pub(crate) fn lu_stats(&self) -> Option<sim_core::LuStats> {
+        match &self.backend {
+            Backend::Dense { lu, .. } => Some(lu.stats()),
+            _ => None,
         }
     }
 
@@ -251,22 +268,26 @@ pub(crate) fn newton_solve(
     };
     let n_volt = layout.n_nodes() - 1;
     let mut last_delta = f64::INFINITY;
-    let linear = circuit.is_linear();
     let NewtonWorkspace {
         rhs,
         x_new,
+        linear,
+        caps,
         backend,
     } = ws;
+    let linear = *linear;
+    let caps = match mode {
+        AssembleMode::Transient { x_prev, .. } => {
+            mosfet_caps(circuit, layout, x_prev, caps);
+            Some(&caps[..])
+        }
+        AssembleMode::Dc => None,
+    };
     for _ in 0..opts.max_iter {
         counters.newton_iterations += 1;
         match backend {
-            Backend::Dense {
-                mat,
-                lu,
-                a_cached,
-                lu_valid,
-            } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
+            Backend::Dense { mat, lu } => {
+                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
                 if opts.numeric_guard {
                     if let Err(fault) = sim_core::linalg::check_finite_matrix(mat)
                         .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
@@ -277,21 +298,21 @@ pub(crate) fn newton_solve(
                         });
                     }
                 }
-                if opts.reuse_lu && *lu_valid && mat.data() == &a_cached[..] {
-                    counters.lu_reuses += 1;
+                let outcome = if opts.reuse_lu {
+                    lu.factorize_or_reuse(mat)
                 } else {
-                    a_cached.copy_from_slice(mat.data());
-                    counters.lu_factorizations += 1;
-                    match lu.factorize(mat) {
-                        Ok(()) => *lu_valid = true,
-                        Err(e) => {
-                            *lu_valid = false;
-                            return Err(SpiceError::Singular {
-                                analysis: "dcop",
-                                order: e.order,
-                                pivot: e.pivot,
-                            });
-                        }
+                    lu.factorize(mat).map(|()| false)
+                };
+                match outcome {
+                    Ok(true) => counters.lu_reuses += 1,
+                    Ok(false) => counters.lu_factorizations += 1,
+                    Err(e) => {
+                        counters.lu_factorizations += 1;
+                        return Err(SpiceError::Singular {
+                            analysis: "dcop",
+                            order: e.order,
+                            pivot: e.pivot,
+                        });
                     }
                 }
                 x_new.copy_from_slice(rhs);
@@ -305,7 +326,7 @@ pub(crate) fn newton_solve(
                 vals_cached,
                 cache_valid,
             } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
+                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
                 if mat.finish_assembly() {
                     // Stamp sequence diverged: the CSC structure was
                     // recompiled, so the pinned pattern, block structure
@@ -421,7 +442,7 @@ pub(crate) fn newton_solve(
                 precond_vals,
                 factors,
             } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
+                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
                 if mat.finish_assembly() {
                     // Structural recompile: pattern-derived state is stale.
                     *ilu_pattern = None;

@@ -8,9 +8,8 @@
 use crate::circuit::{Circuit, Element, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::Matrix;
-use crate::mosfet::eval_mosfet;
+use crate::mosfet::{eval_mosfet, IdsStencil, MosParams};
 use sim_core::sparse::SparseMatrix;
-use std::collections::HashMap;
 
 /// Finite-difference step for device linearisation, volts.
 const FD_STEP: f64 = 1e-6;
@@ -19,7 +18,8 @@ const FD_STEP: f64 = 1e-6;
 #[derive(Debug, Clone)]
 pub struct MnaLayout {
     n_nodes: usize,
-    branch_index: HashMap<usize, usize>,
+    /// Branch unknown of each element, by element index.
+    branch_index: Vec<Option<usize>>,
     size: usize,
 }
 
@@ -27,19 +27,18 @@ impl MnaLayout {
     /// Computes the layout for `circuit`.
     pub fn new(circuit: &Circuit) -> Self {
         let n_nodes = circuit.num_nodes();
-        let mut branch_index = HashMap::new();
         let mut next = n_nodes - 1;
-        for (idx, (_, e)) in circuit.elements().iter().enumerate() {
-            if matches!(
+        let mut branch_index = Vec::with_capacity(circuit.elements().len());
+        for (_, e) in circuit.elements() {
+            let has_branch = matches!(
                 e,
                 Element::Vsource { .. }
                     | Element::Vcvs { .. }
                     | Element::Ccvs { .. }
                     | Element::Inductor { .. }
-            ) {
-                branch_index.insert(idx, next);
-                next += 1;
-            }
+            );
+            branch_index.push(has_branch.then_some(next));
+            next += usize::from(has_branch);
         }
         MnaLayout {
             n_nodes,
@@ -64,7 +63,7 @@ impl MnaLayout {
 
     /// Unknown index of an element's branch current, if it has one.
     pub fn branch_unknown(&self, element_idx: usize) -> Option<usize> {
-        self.branch_index.get(&element_idx).copied()
+        self.branch_index.get(element_idx).copied().flatten()
     }
 
     /// Voltage of `node` in solution vector `x` (0 for ground).
@@ -218,8 +217,8 @@ impl MnaLayout {
         }
         self.branch_index
             .iter()
-            .find(|&(_, &u)| u == k)
-            .map(|(&elem, _)| MnaUnknown::BranchCurrent(elem))
+            .position(|&u| u == Some(k))
+            .map(MnaUnknown::BranchCurrent)
     }
 }
 
@@ -475,13 +474,63 @@ fn stamp_capacitor_be<M: Stamp>(
 /// # Panics
 ///
 /// Panics if `mat`/`rhs` dimensions disagree with `layout`.
-#[allow(clippy::too_many_lines)]
 pub fn assemble<M: Stamp>(
     circuit: &Circuit,
     layout: &MnaLayout,
     x: &[f64],
     mode: AssembleMode<'_>,
     params: &AssembleParams<'_>,
+    mat: &mut M,
+    rhs: &mut [f64],
+) -> Result<(), SpiceError> {
+    assemble_with_caps(circuit, layout, x, mode, params, None, mat, rhs)
+}
+
+/// Meyer gate capacitances `[cgs, cgd, cgb]` of every MOSFET in element
+/// order, at the previous transient solution `x_prev`. A transient
+/// step's Newton iterations all stamp these same values, so one
+/// evaluation per step serves every iteration.
+pub(crate) fn mosfet_caps(
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    x_prev: &[f64],
+    out: &mut Vec<[f64; 3]>,
+) {
+    out.clear();
+    for (_, e) in circuit.elements() {
+        if let Element::Mosfet {
+            d,
+            g,
+            s,
+            b,
+            model,
+            w,
+            l,
+        } = e
+        {
+            let v = |node: NodeId| layout.voltage(x_prev, node);
+            let pm = &circuit.models[*model].1;
+            out.push(meyer_caps(pm, *w, *l, v(*g), v(*d), v(*s), v(*b)));
+        }
+    }
+}
+
+/// `[cgs, cgd, cgb]` of one device at terminal voltages `(vg, vd, vs, vb)`.
+fn meyer_caps(pm: &MosParams, w: f64, l: f64, vg: f64, vd: f64, vs: f64, vb: f64) -> [f64; 3] {
+    let (ev, _) = eval_mosfet(pm, w, l, vg, vd, vs, vb);
+    [ev.cgs, ev.cgd, ev.cgb]
+}
+
+/// [`assemble`] with the transient MOSFET capacitances precomputed by
+/// [`mosfet_caps`] at this step's `x_prev` (`None` evaluates them here).
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+pub(crate) fn assemble_with_caps<M: Stamp>(
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    x: &[f64],
+    mode: AssembleMode<'_>,
+    params: &AssembleParams<'_>,
+    caps: Option<&[[f64; 3]]>,
     mat: &mut M,
     rhs: &mut [f64],
 ) -> Result<(), SpiceError> {
@@ -504,6 +553,7 @@ pub fn assemble<M: Stamp>(
     };
 
     let mut cap_index = 0usize;
+    let mut mos_index = 0usize;
     for (idx, (name, e)) in circuit.elements().iter().enumerate() {
         match e {
             Element::Resistor { p, n, r } => {
@@ -679,23 +729,13 @@ pub fn assemble<M: Stamp>(
             } => {
                 let pm = &circuit.models[*model].1;
                 let (vg, vd, vs_, vb) = (v_at(*g), v_at(*d), v_at(*s), v_at(*b));
-                let (ev, _sw) = eval_mosfet(pm, *w, *l, vg, vd, vs_, vb);
                 // Finite-difference partials on physical terminal voltages:
                 // immune to the polarity/swap sign pitfalls of analytic
                 // transformations.
-                let ids = |vg: f64, vd: f64, vs: f64, vb: f64| {
-                    eval_mosfet(pm, *w, *l, vg, vd, vs, vb).0.ids
-                };
-                let ggd = (ids(vg, vd + FD_STEP, vs_, vb) - ids(vg, vd - FD_STEP, vs_, vb))
-                    / (2.0 * FD_STEP);
-                let ggg = (ids(vg + FD_STEP, vd, vs_, vb) - ids(vg - FD_STEP, vd, vs_, vb))
-                    / (2.0 * FD_STEP);
-                let ggs = (ids(vg, vd, vs_ + FD_STEP, vb) - ids(vg, vd, vs_ - FD_STEP, vb))
-                    / (2.0 * FD_STEP);
-                let ggb = (ids(vg, vd, vs_, vb + FD_STEP) - ids(vg, vd, vs_, vb - FD_STEP))
-                    / (2.0 * FD_STEP);
+                let (ids, [ggg, ggd, ggs, ggb]) =
+                    IdsStencil::new(pm, *w, *l).eval(vg, vd, vs_, vb, FD_STEP);
                 let deps = [(*g, ggg), (*d, ggd), (*s, ggs), (*b, ggb)];
-                stamp_linearized_current(layout, mat, rhs, *d, *s, &deps, ev.ids, v_at);
+                stamp_linearized_current(layout, mat, rhs, *d, *s, &deps, ids, v_at);
                 // Conductance floor keeps nodes from floating.
                 stamp_conductance(layout, mat, *d, *b, params.gmin);
                 stamp_conductance(layout, mat, *s, *b, params.gmin);
@@ -708,15 +748,19 @@ pub fn assemble<M: Stamp>(
                     let vdp = layout.voltage(x_prev, *d);
                     let vsp = layout.voltage(x_prev, *s);
                     let vbp = layout.voltage(x_prev, *b);
-                    let (evp, _) = eval_mosfet(pm, *w, *l, vgp, vdp, vsp, vbp);
-                    stamp_capacitor_be(layout, mat, rhs, *g, *s, evp.cgs, vgp - vsp, h);
-                    stamp_capacitor_be(layout, mat, rhs, *g, *d, evp.cgd, vgp - vdp, h);
-                    stamp_capacitor_be(layout, mat, rhs, *g, *b, evp.cgb, vgp - vbp, h);
+                    let [cgs, cgd, cgb] = match caps {
+                        Some(caps) => caps[mos_index],
+                        None => meyer_caps(pm, *w, *l, vgp, vdp, vsp, vbp),
+                    };
+                    stamp_capacitor_be(layout, mat, rhs, *g, *s, cgs, vgp - vsp, h);
+                    stamp_capacitor_be(layout, mat, rhs, *g, *d, cgd, vgp - vdp, h);
+                    stamp_capacitor_be(layout, mat, rhs, *g, *b, cgb, vgp - vbp, h);
                     // Junction capacitances (fixed area approximation).
                     let cj = pm.cj * w * 0.5e-6;
                     stamp_capacitor_be(layout, mat, rhs, *d, *b, cj, vdp - vbp, h);
                     stamp_capacitor_be(layout, mat, rhs, *s, *b, cj, vsp - vbp, h);
                 }
+                mos_index += 1;
             }
         }
     }

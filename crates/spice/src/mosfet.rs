@@ -135,6 +135,18 @@ pub enum MosRegion {
     Saturation,
 }
 
+/// Level-1 drain current in canonical NMOS convention (`vds ≥ 0`), with
+/// `lambda` already scaled to the channel length.
+fn channel_current(beta: f64, lambda: f64, vgst: f64, vds: f64) -> f64 {
+    if vgst <= 0.0 {
+        0.0
+    } else if vds < vgst {
+        beta * (vgst * vds - 0.5 * vds * vds) * (1.0 + lambda * vds)
+    } else {
+        0.5 * beta * vgst * vgst * (1.0 + lambda * vds)
+    }
+}
+
 /// Evaluates the level-1 equations in *canonical* NMOS convention:
 /// the caller is responsible for polarity mapping and source/drain
 /// swapping (see [`eval_mosfet`]).
@@ -157,21 +169,20 @@ fn eval_canonical(p: &MosParams, w: f64, l: f64, vgs: f64, vds: f64, vbs: f64) -
         0.0
     };
 
-    let (ids, gm, gds, region) = if vgst <= 0.0 {
-        (0.0, 0.0, 0.0, MosRegion::Cutoff)
+    let ids = channel_current(beta, p.lambda, vgst, vds);
+    let (gm, gds, region) = if vgst <= 0.0 {
+        (0.0, 0.0, MosRegion::Cutoff)
     } else if vds < vgst {
         // Triode.
-        let ids = beta * (vgst * vds - 0.5 * vds * vds) * (1.0 + p.lambda * vds);
         let gm = beta * vds * (1.0 + p.lambda * vds);
         let gds = beta
             * ((vgst - vds) * (1.0 + p.lambda * vds) + (vgst * vds - 0.5 * vds * vds) * p.lambda);
-        (ids, gm, gds, MosRegion::Triode)
+        (gm, gds, MosRegion::Triode)
     } else {
         // Saturation.
-        let ids = 0.5 * beta * vgst * vgst * (1.0 + p.lambda * vds);
         let gm = beta * vgst * (1.0 + p.lambda * vds);
         let gds = 0.5 * beta * vgst * vgst * p.lambda;
-        (ids, gm, gds, MosRegion::Saturation)
+        (gm, gds, MosRegion::Saturation)
     };
     let gmbs = -gm * dvth_dvbs; // ∂Ids/∂Vbs = gm · (−∂Vth/∂Vbs)
 
@@ -239,6 +250,103 @@ pub fn eval_mosfet(
     // sign() to restore polarity.
     ev.ids *= sgn;
     (ev, swapped)
+}
+
+/// The bias-independent factors of one device's drain current, for the
+/// Newton stamp's finite-difference stencil: `ids` alone, nine times per
+/// device, with no capacitances or analytic partials. Every value is
+/// bit-identical to `eval_mosfet(..).0.ids` at the same bias.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdsStencil {
+    sgn: f64,
+    beta: f64,
+    lambda: f64,
+    vt0: f64,
+    gamma: f64,
+    phi: f64,
+    sqrt_phi: f64,
+}
+
+/// A terminal bias mapped to the canonical frame of [`eval_mosfet`].
+#[derive(Debug, Clone, Copy)]
+struct CanonicalBias {
+    vgs: f64,
+    vds: f64,
+    /// `vbs` clamped to ≤ 0, as the threshold sees it.
+    vbs: f64,
+    swapped: bool,
+}
+
+impl IdsStencil {
+    /// Precomputes the factors of a device of size `w`×`l`.
+    pub(crate) fn new(p: &MosParams, w: f64, l: f64) -> Self {
+        let phi = p.phi.max(0.1);
+        IdsStencil {
+            sgn: match p.ty {
+                MosType::Nmos => 1.0,
+                MosType::Pmos => -1.0,
+            },
+            beta: p.kp * w / l,
+            lambda: p.lambda * (1e-6 / l),
+            vt0: p.vt0.abs(),
+            gamma: p.gamma,
+            phi,
+            sqrt_phi: phi.sqrt(),
+        }
+    }
+
+    /// [`MosParams::vth`] with `phi.sqrt()` precomputed.
+    fn vth(&self, vbs: f64) -> f64 {
+        let arg = (self.phi - vbs).max(1e-3);
+        self.vt0 + self.gamma * (arg.sqrt() - self.sqrt_phi)
+    }
+
+    fn bias(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> CanonicalBias {
+        let sgn = self.sgn;
+        let (vg, vd, vs, vb) = (sgn * vg, sgn * vd, sgn * vs, sgn * vb);
+        let swapped = vd < vs;
+        let (d, s) = if swapped { (vs, vd) } else { (vd, vs) };
+        CanonicalBias {
+            vgs: vg - s,
+            vds: d - s,
+            vbs: (vb - s).min(0.0),
+            swapped,
+        }
+    }
+
+    fn ids(&self, b: CanonicalBias, vth: f64) -> f64 {
+        let ids = channel_current(self.beta, self.lambda, b.vgs - vth, b.vds);
+        let ids = if b.swapped { -ids } else { ids };
+        ids * self.sgn
+    }
+
+    /// Drain current at `(vg, vd, vs, vb)` and its central-difference
+    /// partials with step `h`, in terminal order (g, d, s, b).
+    pub(crate) fn eval(&self, vg: f64, vd: f64, vs: f64, vb: f64, h: f64) -> (f64, [f64; 4]) {
+        let centre = self.bias(vg, vd, vs, vb);
+        let vth0 = self.vth(centre.vbs);
+        // Perturbing the gate (or the drain, short of a swap) leaves the
+        // body bias, and so the threshold, unchanged.
+        let ids = |vg, vd, vs, vb| {
+            let b = self.bias(vg, vd, vs, vb);
+            let vth = if b.vbs.to_bits() == centre.vbs.to_bits() {
+                vth0
+            } else {
+                self.vth(b.vbs)
+            };
+            self.ids(b, vth)
+        };
+        let slope = |plus: f64, minus: f64| (plus - minus) / (2.0 * h);
+        (
+            self.ids(centre, vth0),
+            [
+                slope(ids(vg + h, vd, vs, vb), ids(vg - h, vd, vs, vb)),
+                slope(ids(vg, vd + h, vs, vb), ids(vg, vd - h, vs, vb)),
+                slope(ids(vg, vd, vs + h, vb), ids(vg, vd, vs - h, vb)),
+                slope(ids(vg, vd, vs, vb + h), ids(vg, vd, vs, vb - h)),
+            ],
+        )
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +446,60 @@ mod tests {
         assert!((sat.cgd - p.cgso * w).abs() < 1e-18);
         let off = eval_mosfet(&p, w, l, 0.0, 1.5, 0.0, 0.0).0;
         assert!(off.cgb > sat.cgb, "gate-bulk cap dominates in cutoff");
+    }
+
+    #[test]
+    fn ids_stencil_is_bit_identical_to_full_evaluation() {
+        let h = 1e-6;
+        let grid = [-0.9, -0.3, -1e-6, 0.0, 1e-6, 0.2, 0.45, 0.7, 1.1, 1.8];
+        let devices = [
+            (MosParams::nmos_018(), 10e-6, 1e-6),
+            (MosParams::pmos_018(), 20e-6, 0.5e-6),
+            (MosParams::nmos_lv_018(), 2e-6, 0.18e-6),
+            (MosParams::pmos_lv_018(), 5e-6, 2e-6),
+        ];
+        let mut regions = [0usize; 3];
+        let mut swaps = 0;
+        let mut forward_body = 0;
+        for (p, w, l) in &devices {
+            let st = IdsStencil::new(p, *w, *l);
+            let ids = |vg, vd, vs, vb| eval_mosfet(p, *w, *l, vg, vd, vs, vb).0.ids;
+            for &vg in &grid {
+                for &vd in &grid {
+                    for &vs in &grid {
+                        for &vb in &[-0.5, 0.0, 0.3, 1.8] {
+                            let (ev, swapped) = eval_mosfet(p, *w, *l, vg, vd, vs, vb);
+                            regions[ev.region as usize] += 1;
+                            swaps += usize::from(swapped);
+                            let s = if swapped { vd } else { vs };
+                            let sgn = if p.ty == MosType::Nmos { 1.0 } else { -1.0 };
+                            forward_body += usize::from(sgn * (vb - s) > 0.0);
+                            let (i0, g) = st.eval(vg, vd, vs, vb, h);
+                            let fd = |a: f64, b: f64| (a - b) / (2.0 * h);
+                            let expect = [
+                                fd(ids(vg + h, vd, vs, vb), ids(vg - h, vd, vs, vb)),
+                                fd(ids(vg, vd + h, vs, vb), ids(vg, vd - h, vs, vb)),
+                                fd(ids(vg, vd, vs + h, vb), ids(vg, vd, vs - h, vb)),
+                                fd(ids(vg, vd, vs, vb + h), ids(vg, vd, vs, vb - h)),
+                            ];
+                            let at = (vg, vd, vs, vb);
+                            assert_eq!(i0.to_bits(), ev.ids.to_bits(), "{:?} at {at:?}", p.ty);
+                            for (k, (a, b)) in g.iter().zip(&expect).enumerate() {
+                                assert_eq!(a.to_bits(), b.to_bits(), "partial {k} at {at:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            regions.iter().all(|&c| c > 100),
+            "regions covered: {regions:?}"
+        );
+        assert!(
+            swaps > 100 && forward_body > 100,
+            "{swaps} swaps, {forward_body} vbs > 0"
+        );
     }
 
     #[test]

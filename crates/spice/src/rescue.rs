@@ -29,6 +29,7 @@ use crate::mna::{AssembleMode, CompanionModel, MnaLayout};
 use crate::perf::PerfCounters;
 use sim_core::faultinject::{FaultKind, FaultSchedule};
 use sim_core::rescue::{RescueReport, RescueRung};
+use sim_core::sparse::SolverKind;
 
 /// Legacy timestep-halving recursion depth (pre-rescue behaviour).
 pub(crate) const LEGACY_CUT_DEPTH: usize = 4;
@@ -297,7 +298,7 @@ pub fn dcop_rescue_injected(
 
     let layout = MnaLayout::new(circuit);
     let opts = rescue_opts(policy);
-    let mut ws = NewtonWorkspace::new(layout.size());
+    let mut ws = NewtonWorkspace::for_circuit(circuit, &layout, SolverKind::Dense);
     let mut counters = PerfCounters::new();
     let rungs: [(bool, RescueRung, u64); 3] = [
         (policy.dc_gmin_ladder, RescueRung::GminStep, 1),

@@ -405,7 +405,8 @@ impl TransientSimulator {
             .iter()
             .any(|(_, e)| matches!(e, Element::Mosfet { .. } | Element::Inductor { .. }));
         let linear = circuit.is_linear();
-        let ws = NewtonWorkspace::for_circuit(&circuit, &layout, opts.newton.solver);
+        let ws = NewtonWorkspace::for_circuit(&circuit, &layout, opts.newton.solver)
+            .for_transient(&circuit);
         let mut sim = TransientSimulator {
             circuit,
             layout,
@@ -1381,6 +1382,61 @@ mod tests {
         );
         // Linear circuit: exactly one Newton iteration per step.
         assert_eq!(cf.newton_iterations, 100);
+    }
+
+    /// The paper's integrate/dump cycle on the 31-transistor I&D, 5,000
+    /// steps: pattern replay must give the dense sweep's bits, counts and
+    /// work, and must actually carry the run.
+    #[test]
+    fn integrate_dump_replay_is_bit_identical_to_the_dense_sweep() {
+        use crate::dcop::FORCE_DENSE_SWEEP;
+        use crate::library::{integrate_dump_testbench, IntegrateDumpParams};
+        let run = |dense_only: bool| {
+            FORCE_DENSE_SWEEP.set(dense_only);
+            let tb = integrate_dump_testbench(&IntegrateDumpParams::default()).unwrap();
+            let mut ext = vec![0.0; tb.circuit.num_externals];
+            ext[tb.slot_inp] = tb.input_cm;
+            ext[tb.slot_inm] = tb.input_cm;
+            ext[tb.slot_controlp] = 1.8;
+            let mut sim =
+                TransientSimulator::with_externals(tb.circuit, TranOptions::default(), ext)
+                    .unwrap();
+            FORCE_DENSE_SWEEP.set(false);
+            let (p, m) = (tb.ports.out_intp, tb.ports.out_intm);
+            let mut out = Vec::with_capacity(5000);
+            for i in 0..5000 {
+                // Integrate for 400 steps of 50 ps, then dump for 100.
+                let integrate = i % 500 < 400;
+                let (cp, cm) = if integrate { (1.8, 0.0) } else { (0.0, 1.8) };
+                let vin = 0.04 * (i as f64 * 0.05).sin();
+                for (slot, v) in [
+                    (tb.slot_controlp, cp),
+                    (tb.slot_controlm, cm),
+                    (tb.slot_inp, tb.input_cm + 0.5 * vin),
+                    (tb.slot_inm, tb.input_cm - 0.5 * vin),
+                ] {
+                    sim.set_external(slot, v).unwrap();
+                }
+                sim.step(50e-12).unwrap();
+                out.push(sim.voltage_diff(p, m).to_bits());
+            }
+            let stats = sim
+                .ws
+                .lu_stats()
+                .expect("the I&D runs on the dense backend");
+            (out, *sim.counters(), stats)
+        };
+        let (replayed, c_replay, s_replay) = run(false);
+        let (dense, c_dense, s_dense) = run(true);
+        assert!(replayed == dense, "replay changed the output bits");
+        assert_eq!(c_replay.newton_iterations, c_dense.newton_iterations);
+        assert_eq!(c_replay.lu_factorizations, c_dense.lu_factorizations);
+        assert_eq!(c_replay.lu_reuses, c_dense.lu_reuses);
+        assert_eq!(s_dense.replays, 0, "{s_dense:?}");
+        assert!(
+            s_replay.replays > 9 * s_replay.dense_sweeps,
+            "replay must carry the run: {s_replay:?}"
+        );
     }
 
     #[test]
