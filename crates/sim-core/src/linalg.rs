@@ -103,6 +103,12 @@ impl DMatrix {
         }
     }
 
+    /// Raw row-major storage, writable: entry `(r, c)` is at
+    /// `r · cols + c`.
+    pub fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Raw row-major storage (for factorization caching / comparison).
     pub fn data(&self) -> &[f64] {
         &self.data
@@ -149,6 +155,15 @@ impl std::ops::IndexMut<(usize, usize)> for DMatrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         &mut self.data[r * self.cols + c]
     }
+}
+
+/// `true` when every entry of `data` off the indices `slots` (sorted
+/// ascending) is `+0.0`.
+fn zero_off(data: &[f64], slots: &[u32]) -> bool {
+    let mut on = slots.iter().peekable();
+    data.iter()
+        .enumerate()
+        .all(|(i, v)| on.next_if(|&&s| s as usize == i).is_some() || v.to_bits() == 0)
 }
 
 /// Error raised when a linear system cannot be solved: records which
@@ -444,7 +459,7 @@ impl LuFactors {
     ///
     /// Panics if `a` is not square.
     pub fn factorize(&mut self, a: &DMatrix) -> Result<(), SingularMatrixError> {
-        self.refactor(a, false).map(|_| ())
+        self.refactor(a, false, None).map(|_| ())
     }
 
     /// Like [`factorize`](Self::factorize), but keeps the current factors
@@ -459,7 +474,35 @@ impl LuFactors {
     ///
     /// Panics if `a` is not square.
     pub fn factorize_or_reuse(&mut self, a: &DMatrix) -> Result<bool, SingularMatrixError> {
-        self.refactor(a, true)
+        self.refactor(a, true, None)
+    }
+
+    /// [`factorize`](Self::factorize) (`reuse` false) or
+    /// [`factorize_or_reuse`](Self::factorize_or_reuse) (`reuse` true) for
+    /// a matrix whose entries off the row-major indices `footprint`
+    /// (sorted ascending) are `+0.0`, as are those of every matrix this
+    /// workspace factored before. The reuse compare, the cache copy and
+    /// the replay's nonzero count then read the footprint alone; the
+    /// result is the same.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] when `a` is numerically singular.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not square or a footprint index is out of range.
+    pub fn factorize_within(
+        &mut self,
+        a: &DMatrix,
+        footprint: &[u32],
+        reuse: bool,
+    ) -> Result<bool, SingularMatrixError> {
+        debug_assert!(
+            zero_off(&a.data, footprint),
+            "matrix entry off the footprint"
+        );
+        self.refactor(a, reuse, Some(footprint))
     }
 
     /// Work counts since this workspace was created.
@@ -475,7 +518,12 @@ impl LuFactors {
         self.dense_only = true;
     }
 
-    fn refactor(&mut self, a: &DMatrix, reuse: bool) -> Result<bool, SingularMatrixError> {
+    fn refactor(
+        &mut self,
+        a: &DMatrix,
+        reuse: bool,
+        footprint: Option<&[u32]>,
+    ) -> Result<bool, SingularMatrixError> {
         let n = a.order();
         if self.n != n {
             *self = LuFactors {
@@ -493,13 +541,29 @@ impl LuFactors {
         self.cached.resize(n * n, 0.0);
         // One pass: the reuse compare, the cache copy, and the count of
         // entries that are not +0.0 (the replay's proof that none lies
-        // off its pattern).
+        // off its pattern). Off a footprint both matrices hold +0.0.
         let mut changed = false;
         let mut nonzero = 0;
-        for (&v, c) in a.data.iter().zip(&mut self.cached) {
+        let mut visit = |v: f64, c: &mut f64| {
             changed |= v != *c;
             *c = v;
             nonzero += usize::from(v.to_bits() != 0);
+        };
+        match footprint {
+            Some(slots) => {
+                debug_assert!(
+                    zero_off(&self.cached, slots),
+                    "cached entry off the footprint"
+                );
+                for &s in slots {
+                    visit(a.data[s as usize], &mut self.cached[s as usize]);
+                }
+            }
+            None => {
+                for (&v, c) in a.data.iter().zip(&mut self.cached) {
+                    visit(v, c);
+                }
+            }
         }
         if reuse && self.valid && !changed {
             return Ok(true);

@@ -125,21 +125,40 @@ pub(crate) struct ReplayPlan {
     /// [`for_order`](Self::for_order)).
     col: Vec<u16>,
     diag: Vec<u32>,
-    /// Bitset over slots, set at L slot `(i, k)` when row `i` came before
-    /// the pivot row of column `k` in the row order current at that
-    /// column, so it must be strictly smaller there.
-    before: Vec<u64>,
-    /// Input pattern entries by final row: row `i` reads input row
-    /// `load_base[i] / n` at the columns `load_col[load_ptr[i]..load_ptr[i + 1]]`.
-    load_ptr: Vec<u32>,
-    load_base: Vec<u32>,
-    load_col: Vec<u16>,
-    /// The row being eliminated, scattered by column.
-    work: Vec<f64>,
+    /// One step per L slot, in slot order: row `i`'s are
+    /// `steps[lstart[i]..lstart[i + 1]]`.
+    steps: Vec<Step>,
+    lstart: Vec<u32>,
+    /// Input pattern entries: entry `j` is read from index `load_src[j]`
+    /// of the row-major input into slot `load_dst[j]`.
+    load_src: Vec<u32>,
+    load_dst: Vec<u32>,
+    /// Slots no input entry loads (fill-in), zeroed before the loads.
+    fill: Vec<u32>,
+    /// The elimination tape: for every L slot `(i, k)`, in slot order, the
+    /// slot of row `i` that each U entry of pivot row `k` updates, as an
+    /// offset from the start of row `i`.
+    tape: Vec<u16>,
+    /// Start of each row's stretch of the tape.
+    tape_ptr: Vec<u32>,
     /// Derivation scratch: row bitsets, row order, final positions.
     bits: Vec<u64>,
     at: Vec<usize>,
     pos: Vec<usize>,
+}
+
+/// One multiplier of the elimination, at L slot `(i, k)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Step {
+    /// The pivot column `k`.
+    k: u32,
+    /// The slot of pivot `(k, k)`; row `k`'s U part follows it up to
+    /// `end`.
+    pivot: u32,
+    end: u32,
+    /// Row `i` came before the pivot row of column `k` in the row order
+    /// current at that column, so it must be strictly smaller there.
+    earlier: bool,
 }
 
 impl Drop for ReplayPlan {
@@ -171,16 +190,18 @@ impl ReplayPlan {
         for (v, len) in [
             (&mut plan.row_ptr, n + 1),
             (&mut plan.diag, n),
-            (&mut plan.load_ptr, n + 1),
-            (&mut plan.load_base, n),
+            (&mut plan.tape_ptr, n + 1),
+            (&mut plan.lstart, n + 1),
+            (&mut plan.load_src, half / 2),
+            (&mut plan.load_dst, half / 2),
+            (&mut plan.fill, half),
         ] {
             reset(v, len);
         }
         reset(&mut plan.piv, n);
         reset(&mut plan.col, half);
-        reset(&mut plan.before, words(half));
-        reset(&mut plan.load_col, half / 2);
-        reset(&mut plan.work, n);
+        reset(&mut plan.steps, half / 2);
+        reset(&mut plan.tape, n * n);
         reset(&mut plan.bits, n * words(n));
         reset(&mut plan.at, n);
         reset(&mut plan.pos, n);
@@ -249,28 +270,67 @@ impl ReplayPlan {
             }
         }
         self.row_ptr.push(self.col.len() as u32);
-        reset(&mut self.work, n);
-        self.work.resize(n, 0.0);
 
-        // Input entries by final row.
+        // Input entries and fill slots. A row's input columns are a subset
+        // of its slot columns, both ascending.
         let loads = pattern.iter().map(|b| b.count_ones() as usize).sum();
-        reset(&mut self.load_ptr, n + 1);
-        reset(&mut self.load_base, n);
-        reset(&mut self.load_col, loads);
-        for &r in &self.at {
-            self.load_ptr.push(self.load_col.len() as u32);
-            self.load_base.push((r * n) as u32);
-            for c in columns(&pattern[r * w..(r + 1) * w]) {
-                self.load_col.push(c as u16);
+        reset(&mut self.load_src, loads);
+        reset(&mut self.load_dst, loads);
+        reset(&mut self.fill, nnz - loads);
+        for (i, &r) in self.at.iter().enumerate() {
+            let mut inputs = columns(&pattern[r * w..(r + 1) * w]).peekable();
+            for s in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let c = usize::from(self.col[s as usize]);
+                if inputs.next_if_eq(&c).is_some() {
+                    self.load_src.push((r * n + c) as u32);
+                    self.load_dst.push(s);
+                } else {
+                    self.fill.push(s);
+                }
             }
         }
-        self.load_ptr.push(self.load_col.len() as u32);
 
-        // The pivot candidates again, now that their slots exist. A bit in
-        // column k only appears by fill at a step ≤ k, so the final pattern
-        // shows each step's candidates.
-        reset(&mut self.before, words(nnz));
-        self.before.resize(words(nnz), 0);
+        // The tape. Fill gives row i every column of pivot row k past k,
+        // so each U column of row k has a slot in row i after (i, k).
+        reset(&mut self.tape_ptr, n + 1);
+        self.tape.clear();
+        for i in 0..n {
+            self.tape_ptr.push(self.tape.len() as u32);
+            let start = self.row_ptr[i] as usize;
+            let row = &self.col[start..self.row_ptr[i + 1] as usize];
+            for s in start..self.diag[i] as usize {
+                let k = usize::from(self.col[s]);
+                let mut q = s - start;
+                for &c in &self.col[self.diag[k] as usize + 1..self.row_ptr[k + 1] as usize] {
+                    while row[q] != c {
+                        q += 1;
+                    }
+                    self.tape.push(q as u16);
+                }
+            }
+        }
+        self.tape_ptr.push(self.tape.len() as u32);
+
+        // The steps, then the pivot candidates again, now that their slots
+        // exist. A bit in column k only appears by fill at a step ≤ k, so
+        // the final pattern shows each step's candidates.
+        reset(&mut self.lstart, n + 1);
+        self.steps.clear();
+        for i in 0..n {
+            self.lstart.push(self.steps.len() as u32);
+            for s in self.row_ptr[i]..self.diag[i] {
+                let k = u32::from(self.col[s as usize]);
+                let pivot = self.diag[k as usize];
+                let end = self.row_ptr[k as usize + 1];
+                self.steps.push(Step {
+                    k,
+                    pivot,
+                    end,
+                    earlier: false,
+                });
+            }
+        }
+        self.lstart.push(self.steps.len() as u32);
         self.at.clear();
         self.at.extend(0..n);
         for (k, &p) in piv.iter().enumerate() {
@@ -278,8 +338,10 @@ impl ReplayPlan {
             let (wk, bk) = (k / 64, 1u64 << (k % 64));
             for (q, &r) in self.at.iter().enumerate().skip(k) {
                 if r != chosen && self.bits[r * w + wk] & bk != 0 {
-                    let s = self.slot(self.pos[r], k).expect("candidate is an L entry");
-                    self.before[s / 64] |= u64::from(q < p) << (s % 64);
+                    let i = self.pos[r];
+                    let s = self.slot(i, k).expect("candidate is an L entry");
+                    let step = self.lstart[i] as usize + s - self.row_ptr[i] as usize;
+                    self.steps[step].earlier = q < p;
                 }
             }
             self.at.swap(k, p);
@@ -290,72 +352,70 @@ impl ReplayPlan {
     /// which `nonzero` entries are not `+0.0`. When the plan's input
     /// pattern holds all of them, every entry off it is `+0.0`.
     ///
-    /// Rows are eliminated one at a time in final order, each loaded
-    /// into a dense work row: for every L entry `(i, k)`, ascending, the
-    /// candidate check against pivot `k`, then `row_i −= f · U_k`.
-    pub(crate) fn factor(&mut self, a: &[f64], nonzero: usize, vals: &mut [f64]) -> Replay {
-        let ReplayPlan {
-            n,
-            row_ptr,
-            col,
-            diag,
-            before,
-            load_ptr,
-            load_base,
-            load_col,
-            work,
-            ..
-        } = self;
+    /// The factors are eliminated in place in `vals`, rows in final order:
+    /// for every L entry `(i, k)`, ascending, the candidate check against
+    /// pivot `k`, then `row_i −= f · U_k` through the tape.
+    pub(crate) fn factor(&self, a: &[f64], nonzero: usize, vals: &mut [f64]) -> Replay {
+        for &s in &self.fill {
+            vals[s as usize] = 0.0;
+        }
         let mut loaded = 0;
-        for (i, &base) in load_base.iter().enumerate() {
-            let row = &a[base as usize..];
-            for &c in &load_col[load_ptr[i] as usize..load_ptr[i + 1] as usize] {
-                let bits = row[c as usize].to_bits();
-                if bits == NEG_ZERO {
-                    return Replay::Miss;
-                }
-                loaded += usize::from(bits != 0);
+        for (&src, &dst) in self.load_src.iter().zip(&self.load_dst) {
+            let v = a[src as usize];
+            let bits = v.to_bits();
+            if bits == NEG_ZERO {
+                return Replay::Miss;
             }
+            loaded += usize::from(bits != 0);
+            vals[dst as usize] = v;
         }
         if loaded != nonzero {
             return Replay::OffPattern;
         }
+        let ReplayPlan {
+            n,
+            row_ptr,
+            steps,
+            lstart,
+            tape,
+            tape_ptr,
+            ..
+        } = self;
         // The column at which the dense sweep stops as singular. Later rows
         // still run the candidate checks up to it; what they compute past
         // it is never used.
         let mut singular = None;
         for i in 0..*n {
-            let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
-            for &c in &col[row.clone()] {
-                work[c as usize] = 0.0;
-            }
-            let input = &a[load_base[i] as usize..];
-            for &c in &load_col[load_ptr[i] as usize..load_ptr[i + 1] as usize] {
-                work[c as usize] = input[c as usize];
-            }
-            for s in row.start..diag[i] as usize {
-                let k = col[s] as usize;
-                if singular.is_some_and(|z| k > z) {
+            let start = row_ptr[i] as usize;
+            let (done, rest) = vals.split_at_mut(start);
+            let row = &mut rest[..row_ptr[i + 1] as usize - start];
+            let steps = &steps[lstart[i] as usize..lstart[i + 1] as usize];
+            let mut t = tape_ptr[i] as usize;
+            // Row i's L slots lead it, one per step.
+            for (j, step) in steps.iter().enumerate() {
+                if singular.is_some_and(|z| step.k as usize > z) {
                     break;
                 }
-                let d = diag[k] as usize;
-                let pivot = vals[d];
-                let (m, mag) = (work[k].abs(), pivot.abs());
-                let earlier = before[s / 64] >> (s % 64) & 1 != 0;
-                if !(if earlier { m < mag } else { m <= mag }) {
+                let pivot = done[step.pivot as usize];
+                let upper = &done[step.pivot as usize + 1..step.end as usize];
+                let targets = &tape[t..t + upper.len()];
+                t += upper.len();
+                let x = row[j];
+                let (m, mag) = (x.abs(), pivot.abs());
+                if !(if step.earlier { m < mag } else { m <= mag }) {
                     return Replay::Miss;
                 }
-                let f = work[k] / pivot;
-                work[k] = f;
+                let f = x / pivot;
+                row[j] = f;
                 if f == 0.0 {
                     continue;
                 }
-                for u in d + 1..row_ptr[k + 1] as usize {
-                    work[col[u] as usize] -= f * vals[u];
+                for (&q, &u) in targets.iter().zip(upper) {
+                    row[q as usize] -= f * u;
                 }
             }
             if singular.is_none() {
-                let mag = work[i].abs();
+                let mag = row[steps.len()].abs();
                 // NaN or ±∞: the dense sweep's comparisons decide differently.
                 if !mag.is_finite() {
                     return Replay::Miss;
@@ -363,9 +423,6 @@ impl ReplayPlan {
                 if mag < PIVOT_MIN {
                     singular = Some(i);
                 }
-            }
-            for s in row {
-                vals[s] = work[col[s] as usize];
             }
         }
         match singular {

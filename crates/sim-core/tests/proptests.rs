@@ -557,3 +557,94 @@ fn lu_replay_matches_the_dense_sweep_bit_for_bit() {
         "singular matrices exercised only {singular} times"
     );
 }
+
+/// The elimination tape on the shapes that stress it: an arrow pattern (a
+/// dense first row and column, so the first pivot row spans every column
+/// and fills every row after it), a dense last row (multipliers in every
+/// column, past any singular one) and two rows `p`, `q` sharing one
+/// pattern. Most steps keep `q` a noisy half of `p`; some make it exactly
+/// half, so `q` cancels to `+0` when `p` pivots and the matrix turns
+/// singular at a column reached only through fill. The replayed
+/// factorization must report that column, and agree with the dense sweep
+/// bit for bit everywhere else.
+#[test]
+fn lu_replay_tape_matches_the_dense_sweep_on_long_rows_and_late_singularities() {
+    let mut rng = XorShift(0x5eed_0000_0000_0016);
+    let mut replayed_singular = 0;
+    let mut replays = 0;
+    for _case in 0..200 {
+        let seed = rng.0;
+        let n = 8 + rng.below(17) as usize;
+        let p = 1 + rng.below(n as u64 - 3) as usize;
+        let q = p + 1 + rng.below((n - p - 2) as u64) as usize;
+        let density = rng.range(0.05, 0.3);
+        let mut pattern: Vec<bool> = (0..n * n)
+            .map(|i| {
+                let (r, c) = (i / n, i % n);
+                r == 0 || c == 0 || r == n - 1 || r == c || rng.unit() < density
+            })
+            .collect();
+        for c in 0..n {
+            pattern[q * n + c] = pattern[p * n + c];
+        }
+        let base: Vec<f64> = (0..n * n)
+            .map(|i| {
+                let (r, c) = (i / n, i % n);
+                match (pattern[i], r == c) {
+                    (false, _) => 0.0,
+                    (true, true) => rng.range(4.0, 8.0),
+                    (true, false) => rng.range(-1.0, 1.0),
+                }
+            })
+            .collect();
+        let noise: Vec<f64> = (0..n).map(|_| rng.range(-1e-3, 1e-3)).collect();
+        let mut replay = LuFactors::default();
+        let mut dense = LuFactors::default();
+        dense.force_dense_sweep();
+        for step in 0..10 {
+            let scale = 1.0 + 1e-6 * rng.range(-1.0, 1.0);
+            let exact = step >= 4 && rng.below(3) == 0;
+            let mut m = DMatrix::square(n);
+            for r in 0..n {
+                for c in 0..n {
+                    let v = if r == q {
+                        let half = 0.5 * base[p * n + c] * scale;
+                        if exact {
+                            half
+                        } else {
+                            half * (1.0 + noise[c])
+                        }
+                    } else {
+                        base[r * n + c] * scale
+                    };
+                    m[(r, c)] = v;
+                }
+            }
+            let before = replay.stats().replays;
+            let got = replay.factorize(&m);
+            assert_eq!(got, dense.factorize(&m), "seed {seed:#x} step {step}");
+            let was_replayed = replay.stats().replays > before;
+            if got.is_err() {
+                replayed_singular += usize::from(was_replayed);
+                continue;
+            }
+            let b: Vec<f64> = (0..n).map(|_| replay_value(&mut rng)).collect();
+            let (mut x, mut y) = (b.clone(), b);
+            replay.solve(&mut x);
+            dense.solve(&mut y);
+            for i in 0..n {
+                assert_eq!(
+                    x[i].to_bits(),
+                    y[i].to_bits(),
+                    "seed {seed:#x} step {step}: x[{i}]"
+                );
+            }
+        }
+        replays += replay.stats().replays;
+    }
+    assert!(replays > 600, "replay engaged only {replays} times");
+    assert!(
+        replayed_singular > 50,
+        "replayed singular factorizations: {replayed_singular}"
+    );
+}

@@ -1,12 +1,9 @@
 //! DC operating point: damped Newton-Raphson with gmin and source stepping.
 
-use crate::circuit::{Circuit, Element, NodeId};
+use crate::circuit::{Circuit, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::{LuFactors, Matrix};
-use crate::mna::{
-    assemble, assemble_with_caps, estimate_nnz, mosfet_caps, AssembleMode, AssembleParams,
-    MnaLayout,
-};
+use crate::mna::{assemble, estimate_nnz, AssembleMode, AssembleParams, MnaLayout, StampProgram};
 use crate::perf::PerfCounters;
 use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::gmres::{gmres_solve, GmresOptions};
@@ -96,31 +93,35 @@ thread_local! {
         const { std::cell::Cell::new(false) };
 }
 
-/// Preallocated per-layout solve buffers and the LU factorization cache.
+/// Preallocated per-layout solve buffers, the compiled Newton step and
+/// the LU factorization cache.
 ///
 /// One instance lives inside each [`crate::tran::TransientSimulator`] (and
 /// each `dcop` call), so the hot path allocates nothing per Newton
 /// iteration and can carry a factorization across iterations and steps.
 #[derive(Debug, Clone)]
 pub(crate) struct NewtonWorkspace {
+    /// The Newton iterate: the solution after a successful solve.
+    x: Vec<f64>,
     rhs: Vec<f64>,
     x_new: Vec<f64>,
     /// Whether the circuit is linear (one solve instead of Newton).
     linear: bool,
-    /// MOSFET capacitances at the current transient step's `x_prev`.
-    caps: Vec<[f64; 3]>,
     backend: Backend,
 }
 
 /// The linear-solver half of a [`NewtonWorkspace`]: dense matrix + cached
 /// partial-pivot LU (the legacy path, bit-exact vs history) or triplet
-/// sparse matrix + split symbolic/numeric LU.
+/// sparse matrix + split symbolic/numeric LU. The dense backend assembles
+/// through the compiled Newton step; the sparse ones through the one-shot
+/// [`assemble`], which gives them the same stamp sequence.
 #[derive(Debug, Clone)]
 enum Backend {
     Dense {
         mat: Matrix,
         /// Factors of the last factored matrix, with the reuse test.
         lu: LuFactors,
+        program: StampProgram,
     },
     Sparse {
         mat: SparseMatrix<f64>,
@@ -166,7 +167,7 @@ impl NewtonWorkspace {
     pub(crate) fn for_circuit(circuit: &Circuit, layout: &MnaLayout, kind: SolverKind) -> Self {
         let n = layout.size();
         let nnz = estimate_nnz(circuit, layout);
-        let (rhs, x_new) = (vec![0.0; n], vec![0.0; n]);
+        let (x, rhs, x_new) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let backend = if kind.picks_krylov(n, nnz) {
             Backend::Krylov {
                 mat: SparseMatrix::new(n),
@@ -192,32 +193,39 @@ impl NewtonWorkspace {
             if FORCE_DENSE_SWEEP.get() {
                 lu.force_dense_sweep();
             }
-            Backend::Dense { mat, lu }
+            let program = StampProgram::compile(circuit, layout);
+            Backend::Dense { mat, lu, program }
         };
         NewtonWorkspace {
+            x,
             rhs,
             x_new,
             linear: circuit.is_linear(),
-            caps: Vec::new(),
             backend,
         }
     }
 
-    /// Sizes the MOSFET capacitance buffer for `circuit`'s transient
-    /// steps now rather than at the first step, so stepping allocates
-    /// nothing.
-    pub(crate) fn for_transient(mut self, circuit: &Circuit) -> Self {
-        let mosfets = circuit
-            .elements()
-            .iter()
-            .filter(|(_, e)| matches!(e, Element::Mosfet { .. }))
-            .count();
-        self.caps.reserve_exact(mosfets);
-        self
+    /// The solution of the last successful [`newton_solve`].
+    pub(crate) fn solution(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// The solution buffer, for a caller that swaps it out.
+    pub(crate) fn solution_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.x
+    }
+
+    /// The dense entries the compiled Newton step writes (empty off the
+    /// dense backend).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> &[u32] {
+        match &self.backend {
+            Backend::Dense { program, .. } => program.footprint(),
+            _ => &[],
+        }
     }
 
     /// Work counts of the dense backend's LU.
-    #[cfg(test)]
     pub(crate) fn lu_stats(&self) -> Option<sim_core::LuStats> {
         match &self.backend {
             Backend::Dense { lu, .. } => Some(lu.stats()),
@@ -238,9 +246,10 @@ impl NewtonWorkspace {
     }
 }
 
-/// One damped Newton solve at fixed `gmin`/`source_scale`.
+/// One damped Newton solve at fixed `gmin`/`source_scale`, from `x0`.
 ///
-/// Returns the converged solution or the last iterate with an error.
+/// Leaves the converged solution in the workspace
+/// ([`NewtonWorkspace::solution`]), or returns an error.
 /// Circuits without nonlinear devices take the fast path: a single
 /// assemble + solve is exact, so the damping/confirmation loop is skipped
 /// entirely ("linear circuits fall out of Newton").
@@ -257,9 +266,8 @@ pub(crate) fn newton_solve(
     opts: &NewtonOptions,
     ws: &mut NewtonWorkspace,
     counters: &mut PerfCounters,
-) -> Result<Vec<f64>, SpiceError> {
+) -> Result<(), SpiceError> {
     let n = layout.size();
-    let mut x = x0.to_vec();
     let params = AssembleParams {
         t,
         externals,
@@ -269,25 +277,22 @@ pub(crate) fn newton_solve(
     let n_volt = layout.n_nodes() - 1;
     let mut last_delta = f64::INFINITY;
     let NewtonWorkspace {
+        x,
         rhs,
         x_new,
         linear,
-        caps,
         backend,
     } = ws;
     let linear = *linear;
-    let caps = match mode {
-        AssembleMode::Transient { x_prev, .. } => {
-            mosfet_caps(circuit, layout, x_prev, caps);
-            Some(&caps[..])
-        }
-        AssembleMode::Dc => None,
-    };
+    x.copy_from_slice(x0);
+    if let Backend::Dense { program, .. } = backend {
+        program.prepare(circuit, mode, &params);
+    }
     for _ in 0..opts.max_iter {
         counters.newton_iterations += 1;
         match backend {
-            Backend::Dense { mat, lu } => {
-                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
+            Backend::Dense { mat, lu, program } => {
+                program.assemble(x, mat, rhs)?;
                 if opts.numeric_guard {
                     if let Err(fault) = sim_core::linalg::check_finite_matrix(mat)
                         .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
@@ -298,12 +303,7 @@ pub(crate) fn newton_solve(
                         });
                     }
                 }
-                let outcome = if opts.reuse_lu {
-                    lu.factorize_or_reuse(mat)
-                } else {
-                    lu.factorize(mat).map(|()| false)
-                };
-                match outcome {
+                match lu.factorize_within(mat, program.footprint(), opts.reuse_lu) {
                     Ok(true) => counters.lu_reuses += 1,
                     Ok(false) => counters.lu_factorizations += 1,
                     Err(e) => {
@@ -326,7 +326,7 @@ pub(crate) fn newton_solve(
                 vals_cached,
                 cache_valid,
             } => {
-                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
+                assemble(circuit, layout, x, mode, &params, mat, rhs)?;
                 if mat.finish_assembly() {
                     // Stamp sequence diverged: the CSC structure was
                     // recompiled, so the pinned pattern, block structure
@@ -442,7 +442,7 @@ pub(crate) fn newton_solve(
                 precond_vals,
                 factors,
             } => {
-                assemble_with_caps(circuit, layout, &x, mode, &params, caps, mat, rhs)?;
+                assemble(circuit, layout, x, mode, &params, mat, rhs)?;
                 if mat.finish_assembly() {
                     // Structural recompile: pattern-derived state is stale.
                     *ilu_pattern = None;
@@ -477,7 +477,7 @@ pub(crate) fn newton_solve(
                 // Newton convergence) update with almost no relative
                 // accuracy and let the iterate drift off the direct
                 // backends' trajectory.
-                let ax = mat.mul_vec(&x);
+                let ax = mat.mul_vec(x);
                 let residual: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
                 let mut delta = vec![0.0; n];
                 let mut out = gmres_solve(
@@ -562,8 +562,8 @@ pub(crate) fn newton_solve(
                     pivot: n,
                 });
             }
-            x.copy_from_slice(x_new);
-            return Ok(x);
+            std::mem::swap(x, x_new);
+            return Ok(());
         }
         // Damping: clamp the largest node-voltage update.
         let mut max_dv = 0.0f64;
@@ -592,7 +592,7 @@ pub(crate) fn newton_solve(
                     pivot: n,
                 });
             }
-            return Ok(x);
+            return Ok(());
         }
     }
     Err(SpiceError::DcopDiverged {
@@ -614,6 +614,16 @@ pub struct DcSolution {
 }
 
 impl DcSolution {
+    /// The solution `x` with the work that found it.
+    pub(crate) fn of(x: &[f64], layout: MnaLayout, counters: PerfCounters) -> Self {
+        DcSolution {
+            x: x.to_vec(),
+            layout,
+            iterations: counters.newton_iterations as usize,
+            counters,
+        }
+    }
+
     /// Voltage of `node`.
     pub fn voltage(&self, node: NodeId) -> f64 {
         self.layout.voltage(&self.x, node)
@@ -759,52 +769,35 @@ pub(crate) fn dcop_impl(
     let mut counters = PerfCounters::new();
 
     // Stage 0: warm start from the caller's guess (Monte-Carlo chains).
+    let solve = |x0: &[f64],
+                 gmin: f64,
+                 scale: f64,
+                 ws: &mut NewtonWorkspace,
+                 counters: &mut PerfCounters| {
+        newton_solve(
+            circuit,
+            &layout,
+            x0,
+            AssembleMode::Dc,
+            0.0,
+            externals,
+            gmin,
+            scale,
+            opts,
+            ws,
+            counters,
+        )
+    };
     if let Some(g) = guess {
-        if g.len() == layout.size() {
-            if let Ok(x) = newton_solve(
-                circuit,
-                &layout,
-                g,
-                AssembleMode::Dc,
-                0.0,
-                externals,
-                GMIN_FINAL,
-                1.0,
-                opts,
-                &mut ws,
-                &mut counters,
-            ) {
-                counters.warm_start_hits += 1;
-                return Ok(DcSolution {
-                    x,
-                    layout,
-                    iterations: counters.newton_iterations as usize,
-                    counters,
-                });
-            }
+        if g.len() == layout.size() && solve(g, GMIN_FINAL, 1.0, &mut ws, &mut counters).is_ok() {
+            counters.warm_start_hits += 1;
+            return Ok(DcSolution::of(ws.solution(), layout, counters));
         }
     }
 
     // Stage 1: direct.
-    if let Ok(x) = newton_solve(
-        circuit,
-        &layout,
-        &x0,
-        AssembleMode::Dc,
-        0.0,
-        externals,
-        GMIN_FINAL,
-        1.0,
-        opts,
-        &mut ws,
-        &mut counters,
-    ) {
-        return Ok(DcSolution {
-            x,
-            layout,
-            iterations: counters.newton_iterations as usize,
-            counters,
-        });
+    if solve(&x0, GMIN_FINAL, 1.0, &mut ws, &mut counters).is_ok() {
+        return Ok(DcSolution::of(ws.solution(), layout, counters));
     }
 
     // Stage 2: gmin stepping.
@@ -812,76 +805,28 @@ pub(crate) fn dcop_impl(
     let mut ok = true;
     for exp in [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] {
         let gmin = 10f64.powi(-exp);
-        match newton_solve(
-            circuit,
-            &layout,
-            &x,
-            AssembleMode::Dc,
-            0.0,
-            externals,
-            gmin,
-            1.0,
-            opts,
-            &mut ws,
-            &mut counters,
-        ) {
-            Ok(sol) => x = sol,
-            Err(_) => {
-                ok = false;
-                break;
-            }
+        if solve(&x, gmin, 1.0, &mut ws, &mut counters).is_err() {
+            ok = false;
+            break;
         }
+        x.copy_from_slice(ws.solution());
     }
     if ok {
-        return Ok(DcSolution {
-            x,
-            layout,
-            iterations: counters.newton_iterations as usize,
-            counters,
-        });
+        return Ok(DcSolution::of(&x, layout, counters));
     }
 
     // Stage 3: source stepping (at modest gmin, then tighten).
     let mut x = x0;
     for step in 1..=10 {
         let scale = step as f64 / 10.0;
-        x = newton_solve(
-            circuit,
-            &layout,
-            &x,
-            AssembleMode::Dc,
-            0.0,
-            externals,
-            1e-9,
-            scale,
-            opts,
-            &mut ws,
-            &mut counters,
-        )
-        .map_err(|_| SpiceError::DcopDiverged {
+        solve(&x, 1e-9, scale, &mut ws, &mut counters).map_err(|_| SpiceError::DcopDiverged {
             iterations: counters.newton_iterations as usize,
             delta: f64::NAN,
         })?;
+        x.copy_from_slice(ws.solution());
     }
-    let x = newton_solve(
-        circuit,
-        &layout,
-        &x,
-        AssembleMode::Dc,
-        0.0,
-        externals,
-        GMIN_FINAL,
-        1.0,
-        opts,
-        &mut ws,
-        &mut counters,
-    )?;
-    Ok(DcSolution {
-        x,
-        layout,
-        iterations: counters.newton_iterations as usize,
-        counters,
-    })
+    solve(&x, GMIN_FINAL, 1.0, &mut ws, &mut counters)?;
+    Ok(DcSolution::of(ws.solution(), layout, counters))
 }
 
 /// [`dcop_with`] for circuits without external inputs.

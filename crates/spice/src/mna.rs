@@ -8,7 +8,7 @@
 use crate::circuit::{Circuit, Element, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::Matrix;
-use crate::mosfet::{eval_mosfet, IdsStencil, MosParams};
+use crate::mosfet::IdsStencil;
 use sim_core::sparse::SparseMatrix;
 
 /// Finite-difference step for device linearisation, volts.
@@ -387,83 +387,805 @@ pub(crate) fn diode_iv(is: f64, nf: f64, v: f64) -> (f64, f64) {
     }
 }
 
-/// Stamps a conductance `g` between nodes `p` and `n`.
-fn stamp_conductance<M: Stamp>(layout: &MnaLayout, mat: &mut M, p: NodeId, n: NodeId, g: f64) {
-    let up = layout.node_unknown(p);
-    let un = layout.node_unknown(n);
-    if let Some(i) = up {
-        mat.add(i, i, g);
+/// Unknown index of a grounded terminal: no row, no column.
+const GROUND: u32 = u32::MAX;
+
+/// Where a compiled element's stamps go, as (row, column, value index)
+/// and (right-hand-side row, value index): recorded into a
+/// [`StampProgram`]'s tapes, or stamped on the spot by [`assemble`].
+trait Sink {
+    /// `mat[row, col] += vals[v]`.
+    fn mat(&mut self, row: u32, col: u32, v: usize);
+    /// `rhs[row] += vals[v]`. A `−=` of `y` is the same IEEE operation
+    /// as a `+=` of `−y`.
+    fn rhs(&mut self, row: u32, v: usize);
+    /// The stamps that follow are transient companions: whether to emit
+    /// them.
+    fn transient(&mut self) -> bool;
+}
+
+/// The unknowns of an element's `K` terminals (node voltages or branch
+/// currents), [`GROUND`] for ground.
+#[derive(Debug, Clone, Copy)]
+struct Terms<const K: usize>([u32; K]);
+
+impl<const K: usize> Terms<K> {
+    #[inline]
+    fn new(unknowns: [Option<usize>; K]) -> Self {
+        Terms(unknowns.map(|u| u.map_or(GROUND, |u| u as u32)))
     }
-    if let Some(j) = un {
-        mat.add(j, j, g);
+
+    /// Whether terminal `a` has an unknown (is not ground).
+    #[inline]
+    fn has(&self, a: usize) -> bool {
+        self.0[a] != GROUND
     }
-    if let (Some(i), Some(j)) = (up, un) {
-        mat.add(i, j, -g);
-        mat.add(j, i, -g);
+
+    /// Value of terminal `a` in `x` (0 for ground).
+    #[inline]
+    fn v(&self, x: &[f64], a: usize) -> f64 {
+        if self.has(a) {
+            x[self.0[a] as usize]
+        } else {
+            0.0
+        }
+    }
+
+    /// Value `v` at row `a`, column `b`, when both are present.
+    #[inline]
+    fn add(&self, sink: &mut impl Sink, a: usize, b: usize, v: usize) {
+        if self.has(a) && self.has(b) {
+            sink.mat(self.0[a], self.0[b], v);
+        }
+    }
+
+    /// Value `v` into right-hand-side row `a`, when present.
+    #[inline]
+    fn rhs(&self, sink: &mut impl Sink, a: usize, v: usize) {
+        if self.has(a) {
+            sink.rhs(self.0[a], v);
+        }
+    }
+
+    /// A conductance between terminals `a` and `b`: value `g` on their
+    /// diagonals, then `neg` (its negation) between them.
+    #[inline(always)]
+    fn conductance(&self, sink: &mut impl Sink, (a, b): (usize, usize), g: usize, neg: usize) {
+        self.add(sink, a, a, g);
+        self.add(sink, b, b, g);
+        self.add(sink, a, b, neg);
+        self.add(sink, b, a, neg);
+    }
+
+    /// A current injected into `a` (value `i`) and drawn from `b` (value
+    /// `neg`).
+    #[inline]
+    fn inject(&self, sink: &mut impl Sink, (a, b): (usize, usize), i: usize, neg: usize) {
+        self.rhs(sink, a, i);
+        self.rhs(sink, b, neg);
+    }
+
+    /// A linearised current `I(a→b) ≈ i0 + Σ g_k (v[k] − x[k])` over
+    /// terminals `0..d`: row `a` takes the partials `0..d`, row `b` their
+    /// negations `d..2d`, the right-hand side the equivalent current `2d`
+    /// and its negation `2d + 1` (see [`linearized`]).
+    #[inline(always)]
+    fn linearized(&self, sink: &mut impl Sink, (a, b): (usize, usize), d: usize) {
+        for k in 0..d {
+            self.add(sink, a, k, k);
+            self.add(sink, b, k, d + k);
+        }
+        self.inject(sink, (a, b), 2 * d, 2 * d + 1);
+    }
+
+    /// The couplings of a voltage-defined branch with terminals `p = 0`
+    /// and `n = 1` and branch unknown `ib = 2`; values `1.0` at `0`,
+    /// `−1.0` at `1`.
+    #[inline]
+    fn branch(&self, sink: &mut impl Sink) {
+        self.add(sink, 0, 2, 0);
+        self.add(sink, 2, 0, 0);
+        self.add(sink, 1, 2, 1);
+        self.add(sink, 2, 1, 1);
     }
 }
 
-/// Stamps a linearised current `I(p→n) ≈ i0 + Σ gk (v[dep_k] − v0[dep_k])`.
-///
-/// `deps` pairs each dependency node with ∂I/∂V of that node.
-#[allow(clippy::too_many_arguments)]
-fn stamp_linearized_current<M: Stamp>(
-    layout: &MnaLayout,
-    mat: &mut M,
-    rhs: &mut [f64],
-    p: NodeId,
-    n: NodeId,
-    deps: &[(NodeId, f64)],
-    i0: f64,
-    v0: impl Fn(NodeId) -> f64,
-) {
-    let up = layout.node_unknown(p);
-    let un = layout.node_unknown(n);
-    let mut ieq = -i0;
-    for &(dep, g) in deps {
-        ieq += g * v0(dep);
-        if let Some(col) = layout.node_unknown(dep) {
-            if let Some(i) = up {
-                mat.add(i, col, g);
+/// One compiled element: its terminals and constants, and the layout of
+/// its values — set when compiled, per Newton solve, or per iteration.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `[g, −g]`, `g = 1/r`.
+    Resistor { t: Terms<2>, g: f64 },
+    /// `[geq, −geq, ieq, −ieq]` per transient solve; `index` counts
+    /// linear capacitors in element order.
+    Capacitor { t: Terms<2>, c: f64, index: usize },
+    /// `[p, n, ib]`: `[1, −1, v]`, `v` per solve.
+    Vsource { t: Terms<3> },
+    /// `[−i, i]` per solve.
+    Isource { t: Terms<2> },
+    /// `[p, n, ib, cp, cn]`: `[1, −1, −gain, gain]`.
+    Vcvs { t: Terms<5>, gain: f64 },
+    /// `[p, n, cp, cn]`: `[gm, −gm]` for row `p`, `[−gm, gm]` for row
+    /// `n`.
+    Vccs { t: Terms<4>, gm: f64 },
+    /// `[p, n, ib_ctrl]`: `[gain, −gain]`.
+    Cccs { t: Terms<3>, gain: f64 },
+    /// `[p, n, ib, ib_ctrl]`: `[1, −1, −rm]`.
+    Ccvs { t: Terms<4>, rm: f64 },
+    /// `[p, n, cp, cn]`: `[∂I/∂v ×4, negated ×4, ieq, −ieq]` per
+    /// iteration.
+    Switch {
+        t: Terms<4>,
+        ron: f64,
+        roff: f64,
+        vt: f64,
+        vs: f64,
+    },
+    /// `[∂I/∂v ×2, negated ×2, ieq, −ieq]` per iteration, then
+    /// `[gmin, −gmin]` per solve.
+    Diode { t: Terms<2>, is: f64, nf: f64 },
+    /// `[p, n, ib]`: `[1, −1, −L/h, −(L/h)·i_prev]`, the last two per
+    /// transient solve.
+    Inductor { t: Terms<3>, l: f64 },
+    /// `[g, d, s, b]`: `[∂Ids/∂v ×4, negated ×4, ieq, −ieq]` per
+    /// iteration, then per solve `[gmin, −gmin]` and the five BE
+    /// companions (the gate-source, gate-drain and gate-bulk Meyer caps,
+    /// the drain and source junctions) as `geq ×5, −geq ×5, ieq ×5,
+    /// −ieq ×5`.
+    Mosfet {
+        t: Terms<4>,
+        stencil: IdsStencil,
+        cj: f64,
+    },
+}
+
+/// Terminal pairs of the MOSFET companions, in stamp order.
+const MOS_CAPS: [(usize, usize); 5] = [(0, 2), (0, 1), (0, 3), (1, 3), (2, 3)];
+
+/// Most values of one element (a MOSFET's).
+const MAX_VALS: usize = 32;
+
+impl Op {
+    /// Compiles element `idx` (`name`, `e`) of `circuit` against
+    /// `layout`. `caps` counts the linear capacitors compiled so far.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidParameter`] when a voltage-defined element
+    /// has no branch unknown in `layout`.
+    #[inline]
+    fn new(
+        circuit: &Circuit,
+        layout: &MnaLayout,
+        (idx, name, e): (usize, &str, &Element),
+        caps: &mut usize,
+    ) -> Result<Self, SpiceError> {
+        Op::compile(circuit, layout, (idx, e), caps).ok_or_else(|| SpiceError::InvalidParameter {
+            element: name.to_string(),
+            message: "voltage-defined element has no branch unknown in the MNA layout \
+                      (layout computed for a different circuit?)"
+                .to_string(),
+        })
+    }
+
+    /// [`new`](Self::new), `None` for a missing branch unknown.
+    #[inline(always)]
+    fn compile(
+        circuit: &Circuit,
+        layout: &MnaLayout,
+        (idx, e): (usize, &Element),
+        caps: &mut usize,
+    ) -> Option<Self> {
+        let node = |n: NodeId| layout.node_unknown(n);
+        let branch = |idx: usize| layout.branch_unknown(idx).map(Some);
+        Some(match e {
+            Element::Resistor { p, n, r } => Op::Resistor {
+                t: Terms::new([node(*p), node(*n)]),
+                g: 1.0 / r,
+            },
+            Element::Capacitor { p, n, c, ic: _ } => {
+                *caps += 1;
+                Op::Capacitor {
+                    t: Terms::new([node(*p), node(*n)]),
+                    c: *c,
+                    index: *caps - 1,
+                }
             }
-            if let Some(j) = un {
-                mat.add(j, col, -g);
+            Element::Vsource { p, n, .. } => Op::Vsource {
+                t: Terms::new([node(*p), node(*n), branch(idx)?]),
+            },
+            Element::Isource { p, n, .. } => Op::Isource {
+                t: Terms::new([node(*p), node(*n)]),
+            },
+            Element::Vcvs { p, n, cp, cn, gain } => Op::Vcvs {
+                t: Terms::new([node(*p), node(*n), branch(idx)?, node(*cp), node(*cn)]),
+                gain: *gain,
+            },
+            Element::Vccs { p, n, cp, cn, gm } => Op::Vccs {
+                t: Terms::new([node(*p), node(*n), node(*cp), node(*cn)]),
+                gm: *gm,
+            },
+            Element::Cccs { p, n, ctrl, gain } => Op::Cccs {
+                t: Terms::new([node(*p), node(*n), branch(*ctrl)?]),
+                gain: *gain,
+            },
+            Element::Ccvs { p, n, ctrl, rm } => {
+                let ib = branch(idx)?;
+                Op::Ccvs {
+                    t: Terms::new([node(*p), node(*n), ib, branch(*ctrl)?]),
+                    rm: *rm,
+                }
+            }
+            Element::Switch {
+                p,
+                n,
+                cp,
+                cn,
+                ron,
+                roff,
+                vt,
+                vs,
+            } => Op::Switch {
+                t: Terms::new([node(*p), node(*n), node(*cp), node(*cn)]),
+                ron: *ron,
+                roff: *roff,
+                vt: *vt,
+                vs: *vs,
+            },
+            Element::Diode { p, n, is, nf } => Op::Diode {
+                t: Terms::new([node(*p), node(*n)]),
+                is: *is,
+                nf: *nf,
+            },
+            Element::Inductor { p, n, l } => Op::Inductor {
+                t: Terms::new([node(*p), node(*n), branch(idx)?]),
+                l: *l,
+            },
+            Element::Mosfet {
+                d,
+                g,
+                s,
+                b,
+                model,
+                w,
+                l,
+            } => {
+                let pm = &circuit.models[*model].1;
+                Op::Mosfet {
+                    t: Terms::new([node(*g), node(*d), node(*s), node(*b)]),
+                    stencil: IdsStencil::new(pm, *w, *l),
+                    // Junction capacitances (fixed area approximation).
+                    cj: pm.cj * w * 0.5e-6,
+                }
+            }
+        })
+    }
+
+    /// How many values this element has.
+    fn n_vals(&self) -> usize {
+        match self {
+            Op::Resistor { .. } | Op::Isource { .. } | Op::Cccs { .. } => 2,
+            Op::Vsource { .. } | Op::Ccvs { .. } => 3,
+            Op::Capacitor { .. } | Op::Vcvs { .. } | Op::Vccs { .. } | Op::Inductor { .. } => 4,
+            Op::Diode { .. } => 8,
+            Op::Switch { .. } => 10,
+            Op::Mosfet { .. } => MAX_VALS,
+        }
+    }
+
+    /// Emits this element's stamps in the order it accumulates them,
+    /// grounded entries left out: those of every mode, then the transient
+    /// companions.
+    #[inline]
+    fn emit(&self, sink: &mut impl Sink) {
+        match self {
+            Op::Resistor { t, .. } => t.conductance(sink, (0, 1), 0, 1),
+            Op::Capacitor { t, .. } => {
+                // DC: open circuit.
+                if !sink.transient() {
+                    return;
+                }
+                t.conductance(sink, (0, 1), 0, 1);
+                t.inject(sink, (0, 1), 2, 3);
+            }
+            Op::Vsource { t } => {
+                t.branch(sink);
+                t.rhs(sink, 2, 2);
+            }
+            Op::Isource { t } => t.inject(sink, (0, 1), 0, 1),
+            Op::Vcvs { t, .. } => {
+                t.branch(sink);
+                t.add(sink, 2, 3, 2);
+                t.add(sink, 2, 4, 3);
+            }
+            Op::Vccs { t, .. } => {
+                for row in [0, 1] {
+                    t.add(sink, row, 2, 2 * row);
+                    t.add(sink, row, 3, 2 * row + 1);
+                }
+            }
+            // I(p→n) = gain · i_ctrl: KCL contributions into the
+            // controlling source's branch-current column.
+            Op::Cccs { t, .. } => {
+                t.add(sink, 0, 2, 0);
+                t.add(sink, 1, 2, 1);
+            }
+            // Own branch current plus V(p) − V(n) − rm · i_ctrl = 0.
+            Op::Ccvs { t, .. } => {
+                t.branch(sink);
+                t.add(sink, 2, 3, 2);
+            }
+            Op::Switch { t, .. } => t.linearized(sink, (0, 1), 4),
+            Op::Diode { t, .. } => {
+                t.linearized(sink, (0, 1), 2);
+                t.conductance(sink, (0, 1), 6, 7);
+            }
+            Op::Inductor { t, .. } => {
+                t.branch(sink);
+                // DC: short circuit, v_p − v_n = 0 (row already stamped).
+                if !sink.transient() {
+                    return;
+                }
+                t.add(sink, 2, 2, 2);
+                t.rhs(sink, 2, 3);
+            }
+            Op::Mosfet { t, .. } => {
+                // The drain current from d to s, linearised over g, d, s, b.
+                t.linearized(sink, (1, 2), 4);
+                // Conductance floor keeps nodes from floating.
+                for pair in [(1, 3), (2, 3), (1, 2)] {
+                    t.conductance(sink, pair, 10, 11);
+                }
+                if !sink.transient() {
+                    return;
+                }
+                for (k, pair) in MOS_CAPS.into_iter().enumerate() {
+                    t.conductance(sink, pair, 12 + k, 17 + k);
+                    t.inject(sink, pair, 22 + k, 27 + k);
+                }
             }
         }
     }
-    if let Some(i) = up {
-        rhs[i] += ieq;
+
+    /// Sets the values that hold for one Newton solve in `mode`; `e` is
+    /// the element this was compiled from.
+    #[inline(always)]
+    fn prepare(
+        &self,
+        e: &Element,
+        mode: AssembleMode<'_>,
+        params: &AssembleParams<'_>,
+        vals: &mut [f64],
+    ) {
+        let step = match mode {
+            AssembleMode::Transient {
+                x_prev,
+                h,
+                companion,
+            } => Some((x_prev, h, companion)),
+            AssembleMode::Dc => None,
+        };
+        match (self, e) {
+            (Op::Resistor { g, .. }, _) => vals[..2].copy_from_slice(&[*g, -g]),
+            (Op::Vcvs { gain, .. }, _) => vals[..4].copy_from_slice(&[1.0, -1.0, -gain, *gain]),
+            (Op::Vccs { gm, .. }, _) => {
+                vals[..4].copy_from_slice(&[1.0 * gm, -1.0 * gm, -1.0 * gm, -(-1.0) * gm]);
+            }
+            (Op::Cccs { gain, .. }, _) => vals[..2].copy_from_slice(&[*gain, -gain]),
+            (Op::Ccvs { rm, .. }, _) => vals[..3].copy_from_slice(&[1.0, -1.0, -rm]),
+            (Op::Vsource { .. }, Element::Vsource { wave, .. }) => {
+                let v = wave.value_at(params.t, params.externals) * params.source_scale;
+                vals[..3].copy_from_slice(&[1.0, -1.0, v]);
+            }
+            (Op::Isource { .. }, Element::Isource { wave, .. }) => {
+                let cur = wave.value_at(params.t, params.externals) * params.source_scale;
+                vals[..2].copy_from_slice(&[-cur, cur]);
+            }
+            (Op::Capacitor { t, c, index }, _) => {
+                if let Some((x_prev, h, companion)) = step {
+                    let vp = t.v(x_prev, 0) - t.v(x_prev, 1);
+                    let i_prev = match companion {
+                        CompanionModel::Trapezoidal { cap_currents } => {
+                            cap_currents.get(*index).copied()
+                        }
+                        CompanionModel::BackwardEuler => None,
+                    };
+                    let (geq, ieq) = match i_prev {
+                        // Trapezoidal: i = (2C/h)(v − v_prev) − i_prev.
+                        Some(i_prev) => {
+                            let geq = 2.0 * c / h;
+                            (geq, geq * vp + i_prev)
+                        }
+                        None => {
+                            let geq = c / h;
+                            (geq, geq * vp)
+                        }
+                    };
+                    vals[..4].copy_from_slice(&[geq, -geq, ieq, -ieq]);
+                }
+            }
+            (Op::Inductor { t, l }, _) => {
+                vals[..2].copy_from_slice(&[1.0, -1.0]);
+                if let Some((x_prev, h, _)) = step {
+                    // BE companion: v = (L/h)(i − i_prev).
+                    let i_prev = x_prev[t.0[2] as usize];
+                    vals[2] = -l / h;
+                    vals[3] = -(l / h * i_prev);
+                }
+            }
+            (Op::Diode { .. }, _) => {
+                vals[6..8].copy_from_slice(&[params.gmin, -params.gmin]);
+            }
+            (Op::Mosfet { t, stencil, cj }, _) => {
+                vals[10..12].copy_from_slice(&[params.gmin, -params.gmin]);
+                if let Some((x_prev, h, _)) = step {
+                    // Meyer caps evaluated at the previous time point (held
+                    // constant over the step, SPICE2-style) as BE companions.
+                    let v = [0, 1, 2, 3].map(|k| t.v(x_prev, k));
+                    let [cgs, cgd, cgb] = stencil.caps(v[0], v[1], v[2], v[3]);
+                    let caps = [cgs, cgd, cgb, *cj, *cj];
+                    for (k, (c, (a, b))) in caps.into_iter().zip(MOS_CAPS).enumerate() {
+                        let geq = c / h;
+                        let ieq = geq * (v[a] - v[b]);
+                        vals[12 + k] = geq;
+                        vals[17 + k] = -geq;
+                        vals[22 + k] = ieq;
+                        vals[27 + k] = -ieq;
+                    }
+                }
+            }
+            _ => {}
+        }
     }
-    if let Some(j) = un {
-        rhs[j] -= ieq;
+
+    /// Sets the values of a nonlinear device linearised around `x`.
+    #[inline(always)]
+    fn eval(&self, x: &[f64], vals: &mut [f64]) {
+        match self {
+            Op::Switch {
+                t,
+                ron,
+                roff,
+                vt,
+                vs,
+            } => {
+                let v = [0, 1, 2, 3].map(|k| t.v(x, k));
+                let vc = v[2] - v[3];
+                let vd = v[0] - v[1];
+                let g = switch_conductance(vc, *ron, *roff, *vt, *vs);
+                let dg = d_switch_conductance(vc, *ron, *roff, *vt, *vs);
+                linearized(v, g * vd, [g, -g, dg * vd, -dg * vd], vals);
+            }
+            Op::Diode { t, is, nf } => {
+                let v = [0, 1].map(|k| t.v(x, k));
+                let (i0, g) = diode_iv(*is, *nf, v[0] - v[1]);
+                linearized(v, i0, [g, -g], vals);
+            }
+            Op::Mosfet { t, stencil, .. } => {
+                let v = [0, 1, 2, 3].map(|k| t.v(x, k));
+                // Finite-difference partials on physical terminal voltages:
+                // immune to the polarity/swap sign pitfalls of analytic
+                // transformations.
+                let (ids, gs) = stencil.eval(v[0], v[1], v[2], v[3], FD_STEP);
+                linearized(v, ids, gs, vals);
+            }
+            _ => {}
+        }
     }
 }
 
-/// Stamps a BE companion for a capacitor `c` between `p` and `n`.
-#[allow(clippy::too_many_arguments)]
-fn stamp_capacitor_be<M: Stamp>(
-    layout: &MnaLayout,
+/// The values of a current `i0` linearised over terminals at voltages
+/// `v` with partials `deps` (see [`Terms::linearized`]): the equivalent
+/// current `ieq = −i0 + Σ g_k v_k`, accumulated in terminal order.
+#[inline]
+fn linearized<const D: usize>(v: [f64; D], i0: f64, deps: [f64; D], vals: &mut [f64]) {
+    let mut ieq = -i0;
+    for (k, g) in deps.into_iter().enumerate() {
+        ieq += g * v[k];
+        vals[k] = g;
+        vals[D + k] = -g;
+    }
+    vals[2 * D] = ieq;
+    vals[2 * D + 1] = -ieq;
+}
+
+/// One recorded matrix stamp: `mat[row, col] += vals[v]`.
+#[derive(Debug, Clone, Copy)]
+struct MatAdd {
+    row: u32,
+    col: u32,
+    v: u32,
+}
+
+/// One recorded right-hand-side stamp: `rhs[row] += vals[v]`.
+#[derive(Debug, Clone, Copy)]
+struct RhsAdd {
+    row: u32,
+    v: u32,
+}
+
+/// Where one element's values and stamps sit in a [`StampProgram`].
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    op: Op,
+    /// First value.
+    base: u32,
+    /// Matrix stamps: start, end of those of every mode, end.
+    mat: [u32; 3],
+    /// Right-hand-side stamps, likewise.
+    rhs: [u32; 3],
+}
+
+/// A [`Sink`] that records onto a [`StampProgram`]'s tapes.
+struct Recorder<'a> {
+    mat: &'a mut Vec<MatAdd>,
+    rhs: &'a mut Vec<RhsAdd>,
+    /// The element's first value.
+    base: u32,
+    /// Tape lengths where its transient companions start.
+    dc: Option<(usize, usize)>,
+}
+
+impl Sink for Recorder<'_> {
+    fn mat(&mut self, row: u32, col: u32, v: usize) {
+        let v = self.base + v as u32;
+        self.mat.push(MatAdd { row, col, v });
+    }
+    fn rhs(&mut self, row: u32, v: usize) {
+        let v = self.base + v as u32;
+        self.rhs.push(RhsAdd { row, v });
+    }
+    fn transient(&mut self) -> bool {
+        self.dc = Some((self.mat.len(), self.rhs.len()));
+        true
+    }
+}
+
+/// A [`Sink`] that stamps on the spot, with one element's values.
+struct Direct<'a, M> {
+    mat: &'a mut M,
+    rhs: &'a mut [f64],
+    vals: &'a [f64],
+    /// Whether companions are stamped (transient mode).
+    transient: bool,
+}
+
+impl<M: Stamp> Sink for Direct<'_, M> {
+    fn mat(&mut self, row: u32, col: u32, v: usize) {
+        self.mat.add(row as usize, col as usize, self.vals[v]);
+    }
+    fn rhs(&mut self, row: u32, v: usize) {
+        self.rhs[row as usize] += self.vals[v];
+    }
+    fn transient(&mut self) -> bool {
+        self.transient
+    }
+}
+
+/// Accumulates the recorded stamps `mat_tape` and `rhs_tape`, in order,
+/// with the values `vals`.
+fn run<M: Stamp>(
+    (mat_tape, rhs_tape): (&[MatAdd], &[RhsAdd]),
+    vals: &[f64],
     mat: &mut M,
     rhs: &mut [f64],
-    p: NodeId,
-    n: NodeId,
-    c: f64,
-    v_prev_across: f64,
-    h: f64,
 ) {
-    let geq = c / h;
-    stamp_conductance(layout, mat, p, n, geq);
-    let ieq = geq * v_prev_across;
-    if let Some(i) = layout.node_unknown(p) {
-        rhs[i] += ieq;
+    for a in mat_tape {
+        mat.add(a.row as usize, a.col as usize, vals[a.v as usize]);
     }
-    if let Some(j) = layout.node_unknown(n) {
-        rhs[j] -= ieq;
+    for a in rhs_tape {
+        rhs[a.row as usize] += vals[a.v as usize];
+    }
+}
+
+/// The dense Newton step of one circuit, compiled: per element, in
+/// element order, a record of its terminals and constants, its values in
+/// one flat array, and its stamps on two flat tapes of (matrix entry or
+/// right-hand-side row, value index). A Newton solve calls
+/// [`prepare`](Self::prepare) once, which sets the source values and the
+/// capacitor, inductor and MOSFET companions for the call, then
+/// [`assemble`](Self::assemble) per iteration, which only evaluates the
+/// nonlinear devices and runs the tapes.
+///
+/// The tapes hold the element walk's `+=`s in its order, so every matrix
+/// and right-hand-side entry receives the same sequence of the same
+/// values as from the one-shot [`assemble`], which the sparse backends
+/// use.
+#[derive(Debug, Clone)]
+pub(crate) struct StampProgram {
+    ops: Vec<Placed>,
+    vals: Vec<f64>,
+    mat: Vec<MatAdd>,
+    rhs: Vec<RhsAdd>,
+    order: usize,
+    /// Node-voltage unknowns, each with a gmin floor to ground.
+    n_volt: usize,
+    /// Sorted row-major entries the tapes and the gmin floor write: every
+    /// other entry of the matrix stays `+0.0`.
+    footprint: Vec<u32>,
+    /// The compile error, reported by every assembly.
+    error: Option<SpiceError>,
+    transient: bool,
+    gmin: f64,
+}
+
+/// Upper bounds on the matrix stamps and right-hand-side stamps of
+/// element `e`.
+fn bounds(e: &Element) -> (usize, usize) {
+    match e {
+        // 8 channel, 12 gmin floor and 20 companion entries.
+        Element::Mosfet { .. } => (40, 12),
+        Element::Switch { .. } | Element::Diode { .. } => (8, 2),
+        Element::Vcvs { .. } => (6, 0),
+        Element::Vsource { .. } | Element::Inductor { .. } => (5, 1),
+        Element::Ccvs { .. } => (5, 0),
+        Element::Vccs { .. } | Element::Resistor { .. } | Element::Capacitor { .. } => (4, 2),
+        Element::Cccs { .. } | Element::Isource { .. } => (2, 2),
+    }
+}
+
+impl StampProgram {
+    /// Compiles `circuit` against `layout`.
+    pub(crate) fn compile(circuit: &Circuit, layout: &MnaLayout) -> Self {
+        let elements = circuit.elements();
+        let (m, r) = elements
+            .iter()
+            .map(|(_, e)| bounds(e))
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        let mut program = StampProgram {
+            ops: Vec::with_capacity(elements.len()),
+            vals: Vec::with_capacity(elements.len() * MAX_VALS),
+            mat: Vec::with_capacity(m),
+            rhs: Vec::with_capacity(r),
+            order: layout.size(),
+            n_volt: layout.n_nodes() - 1,
+            footprint: Vec::new(),
+            error: None,
+            transient: false,
+            gmin: 0.0,
+        };
+        let mut caps = 0;
+        for (idx, (name, e)) in elements.iter().enumerate() {
+            match Op::new(circuit, layout, (idx, name, e), &mut caps) {
+                Ok(op) => program.push(op),
+                Err(e) => {
+                    program.error = Some(e);
+                    return program;
+                }
+            }
+        }
+        // The bounds overestimate; a long-lived workspace keeps only what
+        // it uses.
+        program.vals.shrink_to_fit();
+        program.mat.shrink_to_fit();
+        program.rhs.shrink_to_fit();
+        program.mark_footprint();
+        program
+    }
+
+    /// Appends one compiled element.
+    fn push(&mut self, op: Op) {
+        let base = self.vals.len();
+        self.vals.resize(base + op.n_vals(), 0.0);
+        let (m0, r0) = (self.mat.len(), self.rhs.len());
+        let mut sink = Recorder {
+            mat: &mut self.mat,
+            rhs: &mut self.rhs,
+            base: base as u32,
+            dc: None,
+        };
+        op.emit(&mut sink);
+        let dc = sink.dc;
+        let (m1, r1) = (self.mat.len(), self.rhs.len());
+        let (m_dc, r_dc) = dc.unwrap_or((m1, r1));
+        let u = |v: usize| v as u32;
+        self.ops.push(Placed {
+            op,
+            base: u(base),
+            mat: [u(m0), u(m_dc), u(m1)],
+            rhs: [u(r0), u(r_dc), u(r1)],
+        });
+    }
+
+    /// Collects the sorted row-major entries of the matrix tape and the
+    /// gmin floor.
+    fn mark_footprint(&mut self) {
+        let order = self.order;
+        let mut marked = vec![0u64; (order * order).div_ceil(64)];
+        let tape = self
+            .mat
+            .iter()
+            .map(|a| a.row as usize * order + a.col as usize);
+        for s in tape.chain((0..self.n_volt).map(|i| i * order + i)) {
+            marked[s / 64] |= 1 << (s % 64);
+        }
+        let count = marked.iter().map(|w| w.count_ones() as usize).sum();
+        self.footprint.reserve_exact(count);
+        for (wi, &word) in marked.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                self.footprint
+                    .push((wi * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    }
+
+    /// The row-major entries the program writes, sorted.
+    pub(crate) fn footprint(&self) -> &[u32] {
+        &self.footprint
+    }
+
+    /// Sets the values that hold for one Newton solve of `circuit` (the
+    /// circuit compiled) in `mode`.
+    pub(crate) fn prepare(
+        &mut self,
+        circuit: &Circuit,
+        mode: AssembleMode<'_>,
+        params: &AssembleParams<'_>,
+    ) {
+        self.transient = matches!(mode, AssembleMode::Transient { .. });
+        self.gmin = params.gmin;
+        for (p, (_, e)) in self.ops.iter().zip(circuit.elements()) {
+            p.op.prepare(e, mode, params, &mut self.vals[p.base as usize..]);
+        }
+    }
+
+    /// Assembles the linearised MNA system `mat · x_new = rhs` around the
+    /// Newton candidate `x`, as last [`prepare`](Self::prepare)d. The
+    /// matrix is cleared over the footprint alone.
+    ///
+    /// # Errors
+    ///
+    /// The compile error (see [`assemble`]).
+    pub(crate) fn assemble(
+        &mut self,
+        x: &[f64],
+        mat: &mut Matrix,
+        rhs: &mut [f64],
+    ) -> Result<(), SpiceError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        assert_eq!(mat.order(), self.order);
+        assert_eq!(rhs.len(), self.order);
+        for p in &self.ops {
+            p.op.eval(x, &mut self.vals[p.base as usize..]);
+        }
+        let data = mat.data_mut();
+        for &s in &self.footprint {
+            data[s as usize] = 0.0;
+        }
+        rhs.fill(0.0);
+        if self.transient {
+            // Every element's companions follow its other stamps: the
+            // whole tapes, in order.
+            run((&self.mat, &self.rhs), &self.vals, mat, rhs);
+        } else {
+            for p in &self.ops {
+                let tapes = (
+                    &self.mat[p.mat[0] as usize..p.mat[1] as usize],
+                    &self.rhs[p.rhs[0] as usize..p.rhs[1] as usize],
+                );
+                run(tapes, &self.vals, mat, rhs);
+            }
+        }
+        gmin_floor(self.n_volt, self.gmin, mat);
+        Ok(())
+    }
+}
+
+/// Global gmin from every node to ground: guarantees a DC path.
+fn gmin_floor<M: Stamp>(n_volt: usize, gmin: f64, mat: &mut M) {
+    for i in 0..n_volt {
+        mat.add(i, i, gmin);
     }
 }
 
 /// Assembles the linearised MNA system `mat · x_new = rhs` around the
-/// Newton candidate `x`, into any [`Stamp`] backend.
+/// Newton candidate `x`, into any [`Stamp`] backend: each element is
+/// compiled and stamped on the fly, with the stamps of a compiled Newton
+/// step.
 ///
 /// # Errors
 ///
@@ -483,293 +1205,25 @@ pub fn assemble<M: Stamp>(
     mat: &mut M,
     rhs: &mut [f64],
 ) -> Result<(), SpiceError> {
-    assemble_with_caps(circuit, layout, x, mode, params, None, mat, rhs)
-}
-
-/// Meyer gate capacitances `[cgs, cgd, cgb]` of every MOSFET in element
-/// order, at the previous transient solution `x_prev`. A transient
-/// step's Newton iterations all stamp these same values, so one
-/// evaluation per step serves every iteration.
-pub(crate) fn mosfet_caps(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x_prev: &[f64],
-    out: &mut Vec<[f64; 3]>,
-) {
-    out.clear();
-    for (_, e) in circuit.elements() {
-        if let Element::Mosfet {
-            d,
-            g,
-            s,
-            b,
-            model,
-            w,
-            l,
-        } = e
-        {
-            let v = |node: NodeId| layout.voltage(x_prev, node);
-            let pm = &circuit.models[*model].1;
-            out.push(meyer_caps(pm, *w, *l, v(*g), v(*d), v(*s), v(*b)));
-        }
-    }
-}
-
-/// `[cgs, cgd, cgb]` of one device at terminal voltages `(vg, vd, vs, vb)`.
-fn meyer_caps(pm: &MosParams, w: f64, l: f64, vg: f64, vd: f64, vs: f64, vb: f64) -> [f64; 3] {
-    let (ev, _) = eval_mosfet(pm, w, l, vg, vd, vs, vb);
-    [ev.cgs, ev.cgd, ev.cgb]
-}
-
-/// [`assemble`] with the transient MOSFET capacitances precomputed by
-/// [`mosfet_caps`] at this step's `x_prev` (`None` evaluates them here).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn assemble_with_caps<M: Stamp>(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x: &[f64],
-    mode: AssembleMode<'_>,
-    params: &AssembleParams<'_>,
-    caps: Option<&[[f64; 3]]>,
-    mat: &mut M,
-    rhs: &mut [f64],
-) -> Result<(), SpiceError> {
     assert_eq!(mat.order(), layout.size());
     assert_eq!(rhs.len(), layout.size());
     mat.reset();
-    for v in rhs.iter_mut() {
-        *v = 0.0;
-    }
-    let v_at = |node: NodeId| layout.voltage(x, node);
-    let branch = |idx: usize, name: &str| {
-        layout
-            .branch_unknown(idx)
-            .ok_or_else(|| SpiceError::InvalidParameter {
-                element: name.to_string(),
-                message: "voltage-defined element has no branch unknown in the MNA layout \
-                          (layout computed for a different circuit?)"
-                    .to_string(),
-            })
-    };
-
-    let mut cap_index = 0usize;
-    let mut mos_index = 0usize;
+    rhs.fill(0.0);
+    let transient = matches!(mode, AssembleMode::Transient { .. });
+    let mut caps = 0;
+    let mut vals = [0.0; MAX_VALS];
     for (idx, (name, e)) in circuit.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { p, n, r } => {
-                stamp_conductance(layout, mat, *p, *n, 1.0 / r);
-            }
-            Element::Capacitor { p, n, c, ic: _ } => {
-                if let AssembleMode::Transient {
-                    x_prev,
-                    h,
-                    companion,
-                } = mode
-                {
-                    let vp = layout.voltage(x_prev, *p) - layout.voltage(x_prev, *n);
-                    let i_prev = match companion {
-                        CompanionModel::Trapezoidal { cap_currents } => {
-                            cap_currents.get(cap_index).copied()
-                        }
-                        CompanionModel::BackwardEuler => None,
-                    };
-                    match i_prev {
-                        Some(i_prev) => {
-                            // Trapezoidal companion:
-                            // i = (2C/h)(v − v_prev) − i_prev.
-                            let geq = 2.0 * c / h;
-                            stamp_conductance(layout, mat, *p, *n, geq);
-                            let ieq = geq * vp + i_prev;
-                            if let Some(i) = layout.node_unknown(*p) {
-                                rhs[i] += ieq;
-                            }
-                            if let Some(j) = layout.node_unknown(*n) {
-                                rhs[j] -= ieq;
-                            }
-                        }
-                        None => {
-                            stamp_capacitor_be(layout, mat, rhs, *p, *n, *c, vp, h);
-                        }
-                    }
-                }
-                // DC: open circuit.
-                cap_index += 1;
-            }
-            Element::Vsource { p, n, wave, .. } => {
-                let ib = branch(idx, name)?;
-                let v = wave.value_at(params.t, params.externals) * params.source_scale;
-                if let Some(i) = layout.node_unknown(*p) {
-                    mat.add(i, ib, 1.0);
-                    mat.add(ib, i, 1.0);
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    mat.add(j, ib, -1.0);
-                    mat.add(ib, j, -1.0);
-                }
-                rhs[ib] += v;
-            }
-            Element::Isource { p, n, wave, .. } => {
-                let cur = wave.value_at(params.t, params.externals) * params.source_scale;
-                if let Some(i) = layout.node_unknown(*p) {
-                    rhs[i] -= cur;
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    rhs[j] += cur;
-                }
-            }
-            Element::Vcvs { p, n, cp, cn, gain } => {
-                let ib = branch(idx, name)?;
-                if let Some(i) = layout.node_unknown(*p) {
-                    mat.add(i, ib, 1.0);
-                    mat.add(ib, i, 1.0);
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    mat.add(j, ib, -1.0);
-                    mat.add(ib, j, -1.0);
-                }
-                if let Some(k) = layout.node_unknown(*cp) {
-                    mat.add(ib, k, -gain);
-                }
-                if let Some(k) = layout.node_unknown(*cn) {
-                    mat.add(ib, k, *gain);
-                }
-            }
-            Element::Vccs { p, n, cp, cn, gm } => {
-                for (node, sign) in [(*p, 1.0), (*n, -1.0)] {
-                    if let Some(row) = layout.node_unknown(node) {
-                        if let Some(k) = layout.node_unknown(*cp) {
-                            mat.add(row, k, sign * gm);
-                        }
-                        if let Some(k) = layout.node_unknown(*cn) {
-                            mat.add(row, k, -sign * gm);
-                        }
-                    }
-                }
-            }
-            Element::Cccs { p, n, ctrl, gain } => {
-                // I(p→n) = gain · i_ctrl: KCL contributions into the
-                // controlling source's branch-current column.
-                let ib_ctrl = branch(*ctrl, name)?;
-                if let Some(i) = layout.node_unknown(*p) {
-                    mat.add(i, ib_ctrl, *gain);
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    mat.add(j, ib_ctrl, -*gain);
-                }
-            }
-            Element::Ccvs { p, n, ctrl, rm } => {
-                // Own branch current plus V(p) − V(n) − rm · i_ctrl = 0.
-                let ib = branch(idx, name)?;
-                let ib_ctrl = branch(*ctrl, name)?;
-                if let Some(i) = layout.node_unknown(*p) {
-                    mat.add(i, ib, 1.0);
-                    mat.add(ib, i, 1.0);
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    mat.add(j, ib, -1.0);
-                    mat.add(ib, j, -1.0);
-                }
-                mat.add(ib, ib_ctrl, -*rm);
-            }
-            Element::Switch {
-                p,
-                n,
-                cp,
-                cn,
-                ron,
-                roff,
-                vt,
-                vs,
-            } => {
-                let vc = v_at(*cp) - v_at(*cn);
-                let vd = v_at(*p) - v_at(*n);
-                let g = switch_conductance(vc, *ron, *roff, *vt, *vs);
-                let dg = d_switch_conductance(vc, *ron, *roff, *vt, *vs);
-                let i0 = g * vd;
-                let deps = [(*p, g), (*n, -g), (*cp, dg * vd), (*cn, -dg * vd)];
-                stamp_linearized_current(layout, mat, rhs, *p, *n, &deps, i0, v_at);
-            }
-            Element::Diode { p, n, is, nf } => {
-                let v = v_at(*p) - v_at(*n);
-                let (i0, g) = diode_iv(*is, *nf, v);
-                let deps = [(*p, g), (*n, -g)];
-                stamp_linearized_current(layout, mat, rhs, *p, *n, &deps, i0, v_at);
-                stamp_conductance(layout, mat, *p, *n, params.gmin);
-            }
-            Element::Inductor { p, n, l } => {
-                let ib = branch(idx, name)?;
-                if let Some(i) = layout.node_unknown(*p) {
-                    mat.add(i, ib, 1.0);
-                    mat.add(ib, i, 1.0);
-                }
-                if let Some(j) = layout.node_unknown(*n) {
-                    mat.add(j, ib, -1.0);
-                    mat.add(ib, j, -1.0);
-                }
-                match mode {
-                    AssembleMode::Dc => {
-                        // Short circuit: v_p − v_n = 0 (row already stamped).
-                    }
-                    AssembleMode::Transient { x_prev, h, .. } => {
-                        // BE companion: v = (L/h)(i − i_prev).
-                        let i_prev = x_prev[ib];
-                        mat.add(ib, ib, -l / h);
-                        rhs[ib] -= l / h * i_prev;
-                    }
-                }
-            }
-            Element::Mosfet {
-                d,
-                g,
-                s,
-                b,
-                model,
-                w,
-                l,
-            } => {
-                let pm = &circuit.models[*model].1;
-                let (vg, vd, vs_, vb) = (v_at(*g), v_at(*d), v_at(*s), v_at(*b));
-                // Finite-difference partials on physical terminal voltages:
-                // immune to the polarity/swap sign pitfalls of analytic
-                // transformations.
-                let (ids, [ggg, ggd, ggs, ggb]) =
-                    IdsStencil::new(pm, *w, *l).eval(vg, vd, vs_, vb, FD_STEP);
-                let deps = [(*g, ggg), (*d, ggd), (*s, ggs), (*b, ggb)];
-                stamp_linearized_current(layout, mat, rhs, *d, *s, &deps, ids, v_at);
-                // Conductance floor keeps nodes from floating.
-                stamp_conductance(layout, mat, *d, *b, params.gmin);
-                stamp_conductance(layout, mat, *s, *b, params.gmin);
-                stamp_conductance(layout, mat, *d, *s, params.gmin);
-
-                if let AssembleMode::Transient { x_prev, h, .. } = mode {
-                    // Meyer caps evaluated at the previous time point (held
-                    // constant over the step, SPICE2-style) as BE companions.
-                    let vgp = layout.voltage(x_prev, *g);
-                    let vdp = layout.voltage(x_prev, *d);
-                    let vsp = layout.voltage(x_prev, *s);
-                    let vbp = layout.voltage(x_prev, *b);
-                    let [cgs, cgd, cgb] = match caps {
-                        Some(caps) => caps[mos_index],
-                        None => meyer_caps(pm, *w, *l, vgp, vdp, vsp, vbp),
-                    };
-                    stamp_capacitor_be(layout, mat, rhs, *g, *s, cgs, vgp - vsp, h);
-                    stamp_capacitor_be(layout, mat, rhs, *g, *d, cgd, vgp - vdp, h);
-                    stamp_capacitor_be(layout, mat, rhs, *g, *b, cgb, vgp - vbp, h);
-                    // Junction capacitances (fixed area approximation).
-                    let cj = pm.cj * w * 0.5e-6;
-                    stamp_capacitor_be(layout, mat, rhs, *d, *b, cj, vdp - vbp, h);
-                    stamp_capacitor_be(layout, mat, rhs, *s, *b, cj, vsp - vbp, h);
-                }
-                mos_index += 1;
-            }
-        }
+        let op = Op::new(circuit, layout, (idx, name, e), &mut caps)?;
+        op.prepare(e, mode, params, &mut vals);
+        op.eval(x, &mut vals);
+        op.emit(&mut Direct {
+            mat: &mut *mat,
+            rhs: &mut *rhs,
+            vals: &vals,
+            transient,
+        });
     }
-    // Global gmin from every node to ground: guarantees a DC path.
-    for node in 1..layout.n_nodes() {
-        if let Some(i) = layout.node_unknown(NodeId(node)) {
-            mat.add(i, i, params.gmin);
-        }
-    }
+    gmin_floor(layout.n_nodes() - 1, params.gmin, mat);
     Ok(())
 }
 
@@ -777,6 +1231,545 @@ pub(crate) fn assemble_with_caps<M: Stamp>(
 mod tests {
     use super::*;
     use crate::circuit::SourceWave;
+    use crate::mosfet::MosParams;
+
+    /// The pre-compilation element walk, stamp for stamp.
+    mod walk {
+        use super::super::*;
+        use crate::mosfet::{eval_mosfet, MosParams};
+
+        /// Stamps a conductance `g` between nodes `p` and `n`.
+        fn stamp_conductance<M: Stamp>(
+            layout: &MnaLayout,
+            mat: &mut M,
+            p: NodeId,
+            n: NodeId,
+            g: f64,
+        ) {
+            let up = layout.node_unknown(p);
+            let un = layout.node_unknown(n);
+            if let Some(i) = up {
+                mat.add(i, i, g);
+            }
+            if let Some(j) = un {
+                mat.add(j, j, g);
+            }
+            if let (Some(i), Some(j)) = (up, un) {
+                mat.add(i, j, -g);
+                mat.add(j, i, -g);
+            }
+        }
+
+        /// Stamps a linearised current `I(p→n) ≈ i0 + Σ gk (v[dep_k] − v0[dep_k])`.
+        ///
+        /// `deps` pairs each dependency node with ∂I/∂V of that node.
+        #[allow(clippy::too_many_arguments)]
+        fn stamp_linearized_current<M: Stamp>(
+            layout: &MnaLayout,
+            mat: &mut M,
+            rhs: &mut [f64],
+            p: NodeId,
+            n: NodeId,
+            deps: &[(NodeId, f64)],
+            i0: f64,
+            v0: impl Fn(NodeId) -> f64,
+        ) {
+            let up = layout.node_unknown(p);
+            let un = layout.node_unknown(n);
+            let mut ieq = -i0;
+            for &(dep, g) in deps {
+                ieq += g * v0(dep);
+                if let Some(col) = layout.node_unknown(dep) {
+                    if let Some(i) = up {
+                        mat.add(i, col, g);
+                    }
+                    if let Some(j) = un {
+                        mat.add(j, col, -g);
+                    }
+                }
+            }
+            if let Some(i) = up {
+                rhs[i] += ieq;
+            }
+            if let Some(j) = un {
+                rhs[j] -= ieq;
+            }
+        }
+
+        /// Stamps a BE companion for a capacitor `c` between `p` and `n`.
+        #[allow(clippy::too_many_arguments)]
+        fn stamp_capacitor_be<M: Stamp>(
+            layout: &MnaLayout,
+            mat: &mut M,
+            rhs: &mut [f64],
+            p: NodeId,
+            n: NodeId,
+            c: f64,
+            v_prev_across: f64,
+            h: f64,
+        ) {
+            let geq = c / h;
+            stamp_conductance(layout, mat, p, n, geq);
+            let ieq = geq * v_prev_across;
+            if let Some(i) = layout.node_unknown(p) {
+                rhs[i] += ieq;
+            }
+            if let Some(j) = layout.node_unknown(n) {
+                rhs[j] -= ieq;
+            }
+        }
+
+        /// `[cgs, cgd, cgb]` of one device at terminal voltages `(vg, vd, vs, vb)`.
+        fn meyer_caps(
+            pm: &MosParams,
+            w: f64,
+            l: f64,
+            vg: f64,
+            vd: f64,
+            vs: f64,
+            vb: f64,
+        ) -> [f64; 3] {
+            let (ev, _) = eval_mosfet(pm, w, l, vg, vd, vs, vb);
+            [ev.cgs, ev.cgd, ev.cgb]
+        }
+
+        /// The element walk the compiled program replaced, kept as its oracle.
+        #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+        pub(super) fn assemble<M: Stamp>(
+            circuit: &Circuit,
+            layout: &MnaLayout,
+            x: &[f64],
+            mode: AssembleMode<'_>,
+            params: &AssembleParams<'_>,
+            mat: &mut M,
+            rhs: &mut [f64],
+        ) -> Result<(), SpiceError> {
+            assert_eq!(mat.order(), layout.size());
+            assert_eq!(rhs.len(), layout.size());
+            mat.reset();
+            for v in rhs.iter_mut() {
+                *v = 0.0;
+            }
+            let v_at = |node: NodeId| layout.voltage(x, node);
+            let branch = |idx: usize, name: &str| {
+                layout
+                    .branch_unknown(idx)
+                    .ok_or_else(|| SpiceError::InvalidParameter {
+                        element: name.to_string(),
+                        message: "voltage-defined element has no branch unknown in the MNA layout \
+                              (layout computed for a different circuit?)"
+                            .to_string(),
+                    })
+            };
+
+            let mut cap_index = 0usize;
+            for (idx, (name, e)) in circuit.elements().iter().enumerate() {
+                match e {
+                    Element::Resistor { p, n, r } => {
+                        stamp_conductance(layout, mat, *p, *n, 1.0 / r);
+                    }
+                    Element::Capacitor { p, n, c, ic: _ } => {
+                        if let AssembleMode::Transient {
+                            x_prev,
+                            h,
+                            companion,
+                        } = mode
+                        {
+                            let vp = layout.voltage(x_prev, *p) - layout.voltage(x_prev, *n);
+                            let i_prev = match companion {
+                                CompanionModel::Trapezoidal { cap_currents } => {
+                                    cap_currents.get(cap_index).copied()
+                                }
+                                CompanionModel::BackwardEuler => None,
+                            };
+                            match i_prev {
+                                Some(i_prev) => {
+                                    // Trapezoidal companion:
+                                    // i = (2C/h)(v − v_prev) − i_prev.
+                                    let geq = 2.0 * c / h;
+                                    stamp_conductance(layout, mat, *p, *n, geq);
+                                    let ieq = geq * vp + i_prev;
+                                    if let Some(i) = layout.node_unknown(*p) {
+                                        rhs[i] += ieq;
+                                    }
+                                    if let Some(j) = layout.node_unknown(*n) {
+                                        rhs[j] -= ieq;
+                                    }
+                                }
+                                None => {
+                                    stamp_capacitor_be(layout, mat, rhs, *p, *n, *c, vp, h);
+                                }
+                            }
+                        }
+                        // DC: open circuit.
+                        cap_index += 1;
+                    }
+                    Element::Vsource { p, n, wave, .. } => {
+                        let ib = branch(idx, name)?;
+                        let v = wave.value_at(params.t, params.externals) * params.source_scale;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            mat.add(i, ib, 1.0);
+                            mat.add(ib, i, 1.0);
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            mat.add(j, ib, -1.0);
+                            mat.add(ib, j, -1.0);
+                        }
+                        rhs[ib] += v;
+                    }
+                    Element::Isource { p, n, wave, .. } => {
+                        let cur = wave.value_at(params.t, params.externals) * params.source_scale;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            rhs[i] -= cur;
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            rhs[j] += cur;
+                        }
+                    }
+                    Element::Vcvs { p, n, cp, cn, gain } => {
+                        let ib = branch(idx, name)?;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            mat.add(i, ib, 1.0);
+                            mat.add(ib, i, 1.0);
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            mat.add(j, ib, -1.0);
+                            mat.add(ib, j, -1.0);
+                        }
+                        if let Some(k) = layout.node_unknown(*cp) {
+                            mat.add(ib, k, -gain);
+                        }
+                        if let Some(k) = layout.node_unknown(*cn) {
+                            mat.add(ib, k, *gain);
+                        }
+                    }
+                    Element::Vccs { p, n, cp, cn, gm } => {
+                        for (node, sign) in [(*p, 1.0), (*n, -1.0)] {
+                            if let Some(row) = layout.node_unknown(node) {
+                                if let Some(k) = layout.node_unknown(*cp) {
+                                    mat.add(row, k, sign * gm);
+                                }
+                                if let Some(k) = layout.node_unknown(*cn) {
+                                    mat.add(row, k, -sign * gm);
+                                }
+                            }
+                        }
+                    }
+                    Element::Cccs { p, n, ctrl, gain } => {
+                        // I(p→n) = gain · i_ctrl: KCL contributions into the
+                        // controlling source's branch-current column.
+                        let ib_ctrl = branch(*ctrl, name)?;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            mat.add(i, ib_ctrl, *gain);
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            mat.add(j, ib_ctrl, -*gain);
+                        }
+                    }
+                    Element::Ccvs { p, n, ctrl, rm } => {
+                        // Own branch current plus V(p) − V(n) − rm · i_ctrl = 0.
+                        let ib = branch(idx, name)?;
+                        let ib_ctrl = branch(*ctrl, name)?;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            mat.add(i, ib, 1.0);
+                            mat.add(ib, i, 1.0);
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            mat.add(j, ib, -1.0);
+                            mat.add(ib, j, -1.0);
+                        }
+                        mat.add(ib, ib_ctrl, -*rm);
+                    }
+                    Element::Switch {
+                        p,
+                        n,
+                        cp,
+                        cn,
+                        ron,
+                        roff,
+                        vt,
+                        vs,
+                    } => {
+                        let vc = v_at(*cp) - v_at(*cn);
+                        let vd = v_at(*p) - v_at(*n);
+                        let g = switch_conductance(vc, *ron, *roff, *vt, *vs);
+                        let dg = d_switch_conductance(vc, *ron, *roff, *vt, *vs);
+                        let i0 = g * vd;
+                        let deps = [(*p, g), (*n, -g), (*cp, dg * vd), (*cn, -dg * vd)];
+                        stamp_linearized_current(layout, mat, rhs, *p, *n, &deps, i0, v_at);
+                    }
+                    Element::Diode { p, n, is, nf } => {
+                        let v = v_at(*p) - v_at(*n);
+                        let (i0, g) = diode_iv(*is, *nf, v);
+                        let deps = [(*p, g), (*n, -g)];
+                        stamp_linearized_current(layout, mat, rhs, *p, *n, &deps, i0, v_at);
+                        stamp_conductance(layout, mat, *p, *n, params.gmin);
+                    }
+                    Element::Inductor { p, n, l } => {
+                        let ib = branch(idx, name)?;
+                        if let Some(i) = layout.node_unknown(*p) {
+                            mat.add(i, ib, 1.0);
+                            mat.add(ib, i, 1.0);
+                        }
+                        if let Some(j) = layout.node_unknown(*n) {
+                            mat.add(j, ib, -1.0);
+                            mat.add(ib, j, -1.0);
+                        }
+                        match mode {
+                            AssembleMode::Dc => {
+                                // Short circuit: v_p − v_n = 0 (row already stamped).
+                            }
+                            AssembleMode::Transient { x_prev, h, .. } => {
+                                // BE companion: v = (L/h)(i − i_prev).
+                                let i_prev = x_prev[ib];
+                                mat.add(ib, ib, -l / h);
+                                rhs[ib] -= l / h * i_prev;
+                            }
+                        }
+                    }
+                    Element::Mosfet {
+                        d,
+                        g,
+                        s,
+                        b,
+                        model,
+                        w,
+                        l,
+                    } => {
+                        let pm = &circuit.models[*model].1;
+                        let (vg, vd, vs_, vb) = (v_at(*g), v_at(*d), v_at(*s), v_at(*b));
+                        // Finite-difference partials on physical terminal voltages:
+                        // immune to the polarity/swap sign pitfalls of analytic
+                        // transformations.
+                        let (ids, [ggg, ggd, ggs, ggb]) =
+                            IdsStencil::new(pm, *w, *l).eval(vg, vd, vs_, vb, FD_STEP);
+                        let deps = [(*g, ggg), (*d, ggd), (*s, ggs), (*b, ggb)];
+                        stamp_linearized_current(layout, mat, rhs, *d, *s, &deps, ids, v_at);
+                        // Conductance floor keeps nodes from floating.
+                        stamp_conductance(layout, mat, *d, *b, params.gmin);
+                        stamp_conductance(layout, mat, *s, *b, params.gmin);
+                        stamp_conductance(layout, mat, *d, *s, params.gmin);
+
+                        if let AssembleMode::Transient { x_prev, h, .. } = mode {
+                            // Meyer caps evaluated at the previous time point (held
+                            // constant over the step, SPICE2-style) as BE companions.
+                            let vgp = layout.voltage(x_prev, *g);
+                            let vdp = layout.voltage(x_prev, *d);
+                            let vsp = layout.voltage(x_prev, *s);
+                            let vbp = layout.voltage(x_prev, *b);
+                            let [cgs, cgd, cgb] = meyer_caps(pm, *w, *l, vgp, vdp, vsp, vbp);
+                            stamp_capacitor_be(layout, mat, rhs, *g, *s, cgs, vgp - vsp, h);
+                            stamp_capacitor_be(layout, mat, rhs, *g, *d, cgd, vgp - vdp, h);
+                            stamp_capacitor_be(layout, mat, rhs, *g, *b, cgb, vgp - vbp, h);
+                            // Junction capacitances (fixed area approximation).
+                            let cj = pm.cj * w * 0.5e-6;
+                            stamp_capacitor_be(layout, mat, rhs, *d, *b, cj, vdp - vbp, h);
+                            stamp_capacitor_be(layout, mat, rhs, *s, *b, cj, vsp - vbp, h);
+                        }
+                    }
+                }
+            }
+            // Global gmin from every node to ground: guarantees a DC path.
+            for node in 1..layout.n_nodes() {
+                if let Some(i) = layout.node_unknown(NodeId(node)) {
+                    mat.add(i, i, params.gmin);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// A [`Stamp`] that logs every accumulation as `(row, col, bits)`.
+    #[derive(Debug, Default, PartialEq)]
+    struct Log {
+        n: usize,
+        log: Vec<(usize, usize, u64)>,
+    }
+
+    impl Stamp for Log {
+        fn reset(&mut self) {
+            self.log.clear();
+        }
+        fn add(&mut self, row: usize, col: usize, v: f64) {
+            self.log.push((row, col, v.to_bits()));
+        }
+        fn order(&self) -> usize {
+            self.n
+        }
+    }
+
+    /// Every element kind, with grounded and floating terminals: two of
+    /// each where the kind has terminals to ground.
+    fn every_kind() -> Circuit {
+        let mut c = Circuit::new();
+        c.add_model("nch", MosParams::nmos_018());
+        c.add_model("pch", MosParams::pmos_018());
+        let gnd = Circuit::gnd();
+        let [a, b, d, e, f, g] = ["a", "b", "d", "e", "f", "g"].map(|n| c.node(n));
+        c.vsource("V1", a, gnd, SourceWave::Dc(1.2));
+        c.vsource(
+            "V2",
+            b,
+            d,
+            SourceWave::Sin {
+                offset: 0.1,
+                ampl: 0.3,
+                freq: 1e8,
+                delay: 0.0,
+                theta: 0.0,
+            },
+        );
+        let h = c.node("h");
+        c.external_vsource("VX", h, gnd);
+        c.resistor("R3", h, g, 470.0);
+        c.resistor("R1", a, b, 1e3);
+        c.resistor("R2", d, gnd, 2.2e3);
+        c.capacitor("C1", b, gnd, 1e-12);
+        c.capacitor("C2", d, e, 3e-13);
+        c.capacitor("C3", gnd, f, 2e-13);
+        c.isource("I1", gnd, d, SourceWave::Dc(1e-4));
+        c.isource("I2", e, f, SourceWave::Dc(-2e-5));
+        c.vcvs("E1", e, gnd, a, b, 2.0);
+        c.vcvs("E2", f, g, gnd, d, -0.5);
+        c.vccs("G1", b, d, a, e, 1e-3);
+        c.vccs("G2", gnd, g, d, gnd, 2e-4);
+        c.cccs("F1", g, gnd, "V1", 0.7).unwrap();
+        c.cccs("F2", e, f, "V2", -1.5).unwrap();
+        c.ccvs("H1", g, e, "V2", 50.0).unwrap();
+        c.ccvs("H2", gnd, f, "V1", 20.0).unwrap();
+        c.switch("S1", a, e, d, gnd, 100.0, 1e9, 0.6);
+        c.switch("S2", gnd, f, b, g, 10.0, 1e8, 0.3);
+        c.diode("D1", b, gnd, 1e-14, 1.0);
+        c.diode("D2", e, f, 1e-15, 1.2);
+        c.inductor("L1", d, g, 1e-9);
+        c.inductor("L2", gnd, e, 2e-9);
+        c.mosfet("M1", d, a, gnd, gnd, "nch", 2e-6, 0.18e-6)
+            .unwrap();
+        c.mosfet("M2", b, d, e, a, "pch", 4e-6, 0.35e-6).unwrap();
+        c.mosfet("M3", gnd, f, g, gnd, "nch", 1e-6, 0.5e-6).unwrap();
+        c.mosfet("M4", e, gnd, f, b, "pch", 3e-6, 0.18e-6).unwrap();
+        c
+    }
+
+    /// A deterministic uniform draw in `[lo, hi)`.
+    fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        lo + (hi - lo) * (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The compiled records stamp exactly what the element walk stamped,
+    /// in DC, Backward-Euler and trapezoidal mode, at random iterates: the
+    /// one-shot assembly (the sparse backends') the same `(row, col, bits)`
+    /// sequence and right-hand-side bits, the compiled program the same
+    /// dense matrix and right-hand side, bit for bit.
+    #[test]
+    fn compiled_program_replays_the_element_walk_bit_for_bit() {
+        let c = every_kind();
+        let layout = MnaLayout::new(&c);
+        let n = layout.size();
+        let mut seed = 0x5eed_0000_0000_0016u64;
+        let mut program = StampProgram::compile(&c, &layout);
+        let mut written = std::collections::BTreeSet::new();
+        for round in 0..40 {
+            let x: Vec<f64> = (0..n).map(|_| uniform(&mut seed, -2.0, 2.0)).collect();
+            let x_prev: Vec<f64> = (0..n).map(|_| uniform(&mut seed, -2.0, 2.0)).collect();
+            // Three currents for three capacitors; a short slice sends the
+            // last capacitor down the Backward-Euler fallback.
+            let currents: Vec<f64> = (0..3).map(|_| uniform(&mut seed, -1e-3, 1e-3)).collect();
+            let short = &currents[..2];
+            let companion = match round % 3 {
+                0 => CompanionModel::BackwardEuler,
+                1 => CompanionModel::Trapezoidal {
+                    cap_currents: &currents,
+                },
+                _ => CompanionModel::Trapezoidal {
+                    cap_currents: short,
+                },
+            };
+            let mode = if round % 4 == 0 {
+                AssembleMode::Dc
+            } else {
+                AssembleMode::Transient {
+                    x_prev: &x_prev,
+                    h: uniform(&mut seed, 1e-12, 1e-10),
+                    companion,
+                }
+            };
+            let externals = [uniform(&mut seed, -1.0, 1.0)];
+            let params = AssembleParams {
+                t: uniform(&mut seed, 0.0, 1e-8),
+                externals: &externals,
+                gmin: 1e-12,
+                source_scale: uniform(&mut seed, 0.1, 1.0),
+            };
+            let record = |f: &mut dyn FnMut(&mut Log, &mut Vec<f64>)| {
+                let (mut rec, mut rhs) = (Log { n, log: Vec::new() }, vec![0.0; n]);
+                f(&mut rec, &mut rhs);
+                (rec.log, rhs.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            let oracle =
+                record(&mut |m, r| walk::assemble(&c, &layout, &x, mode, &params, m, r).unwrap());
+            assert!(oracle.0.len() > 100, "{} stamps", oracle.0.len());
+            let one_shot =
+                record(&mut |m, r| assemble(&c, &layout, &x, mode, &params, m, r).unwrap());
+            assert_eq!(one_shot, oracle, "one-shot assembly, round {round}");
+
+            let (mut walked, mut walked_rhs) = (Matrix::square(n), vec![0.0; n]);
+            walk::assemble(&c, &layout, &x, mode, &params, &mut walked, &mut walked_rhs).unwrap();
+            let (mut mat, mut rhs) = (Matrix::square(n), vec![0.0; n]);
+            program.prepare(&c, mode, &params);
+            program.assemble(&x, &mut mat, &mut rhs).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(mat.data()),
+                bits(walked.data()),
+                "dense, round {round}"
+            );
+            assert_eq!(bits(&rhs), bits(&walked_rhs), "dense rhs, round {round}");
+            written.extend(oracle.0.iter().map(|&(r, c, _)| (r * n + c) as u32));
+        }
+        // The footprint is exactly what DC and transient assemblies write.
+        let footprint: Vec<u32> = written.into_iter().collect();
+        assert_eq!(program.footprint(), &footprint[..]);
+    }
+
+    /// A layout computed for another circuit: the compiled program and
+    /// the one-shot assembly report the walk's error, naming the same
+    /// element.
+    #[test]
+    fn a_missing_branch_reports_the_walks_error() {
+        let c = every_kind();
+        let mut other = Circuit::new();
+        let a = other.node("a");
+        other.resistor("R1", a, Circuit::gnd(), 1e3);
+        for _ in 0..6 {
+            other.node(&format!("n{}", other.num_nodes()));
+        }
+        let layout = MnaLayout::new(&other);
+        let n = layout.size();
+        let x = vec![0.0; n];
+        let params = AssembleParams {
+            t: 0.0,
+            externals: &[],
+            gmin: 1e-12,
+            source_scale: 1.0,
+        };
+        let (mut m, mut r) = (Log { n, log: Vec::new() }, vec![0.0; n]);
+        let expected =
+            walk::assemble(&c, &layout, &x, AssembleMode::Dc, &params, &mut m, &mut r).unwrap_err();
+        assert!(
+            matches!(expected, SpiceError::InvalidParameter { ref element, .. } if element == "v1"),
+            "{expected:?}"
+        );
+        let got = assemble(&c, &layout, &x, AssembleMode::Dc, &params, &mut m, &mut r);
+        assert_eq!(got, Err(expected.clone()));
+        let mut program = StampProgram::compile(&c, &layout);
+        program.prepare(&c, AssembleMode::Dc, &params);
+        let mut mat = Matrix::square(n);
+        assert_eq!(program.assemble(&x, &mut mat, &mut r), Err(expected));
+    }
 
     #[test]
     fn layout_counts_branches() {

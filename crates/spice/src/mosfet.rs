@@ -147,6 +147,29 @@ fn channel_current(beta: f64, lambda: f64, vgst: f64, vds: f64) -> f64 {
     }
 }
 
+/// Operating region at canonical overdrive `vgst` and `vds ≥ 0`: the
+/// branches of [`channel_current`].
+fn region(vgst: f64, vds: f64) -> MosRegion {
+    if vgst <= 0.0 {
+        MosRegion::Cutoff
+    } else if vds < vgst {
+        MosRegion::Triode
+    } else {
+        MosRegion::Saturation
+    }
+}
+
+/// Meyer gate capacitances `[cgs, cgd, cgb]` in the canonical frame, from
+/// the oxide capacitance `cox_total = cox·W·L`, the gate-source/drain
+/// overlap `cov = cgso·W` and the gate-bulk overlap `cgb_ov = cgbo·L`.
+fn meyer_caps(region: MosRegion, cox_total: f64, cov: f64, cgb_ov: f64) -> [f64; 3] {
+    match region {
+        MosRegion::Cutoff => [cov, cov, cox_total + cgb_ov],
+        MosRegion::Triode => [0.5 * cox_total + cov, 0.5 * cox_total + cov, cgb_ov],
+        MosRegion::Saturation => [(2.0 / 3.0) * cox_total + cov, cov, cgb_ov],
+    }
+}
+
 /// Evaluates the level-1 equations in *canonical* NMOS convention:
 /// the caller is responsible for polarity mapping and source/drain
 /// swapping (see [`eval_mosfet`]).
@@ -170,30 +193,24 @@ fn eval_canonical(p: &MosParams, w: f64, l: f64, vgs: f64, vds: f64, vbs: f64) -
     };
 
     let ids = channel_current(beta, p.lambda, vgst, vds);
-    let (gm, gds, region) = if vgst <= 0.0 {
-        (0.0, 0.0, MosRegion::Cutoff)
-    } else if vds < vgst {
-        // Triode.
-        let gm = beta * vds * (1.0 + p.lambda * vds);
-        let gds = beta
-            * ((vgst - vds) * (1.0 + p.lambda * vds) + (vgst * vds - 0.5 * vds * vds) * p.lambda);
-        (gm, gds, MosRegion::Triode)
-    } else {
-        // Saturation.
-        let gm = beta * vgst * (1.0 + p.lambda * vds);
-        let gds = 0.5 * beta * vgst * vgst * p.lambda;
-        (gm, gds, MosRegion::Saturation)
+    let region = region(vgst, vds);
+    let (gm, gds) = match region {
+        MosRegion::Cutoff => (0.0, 0.0),
+        MosRegion::Triode => {
+            let gm = beta * vds * (1.0 + p.lambda * vds);
+            let gds = beta
+                * ((vgst - vds) * (1.0 + p.lambda * vds)
+                    + (vgst * vds - 0.5 * vds * vds) * p.lambda);
+            (gm, gds)
+        }
+        MosRegion::Saturation => {
+            let gm = beta * vgst * (1.0 + p.lambda * vds);
+            let gds = 0.5 * beta * vgst * vgst * p.lambda;
+            (gm, gds)
+        }
     };
     let gmbs = -gm * dvth_dvbs; // ∂Ids/∂Vbs = gm · (−∂Vth/∂Vbs)
-
-    // Meyer gate capacitances.
-    let cox_total = p.cox * w * l;
-    let cov = p.cgso * w;
-    let (cgs, cgd, cgb) = match region {
-        MosRegion::Cutoff => (cov, cov, cox_total + p.cgbo * l),
-        MosRegion::Triode => (0.5 * cox_total + cov, 0.5 * cox_total + cov, p.cgbo * l),
-        MosRegion::Saturation => ((2.0 / 3.0) * cox_total + cov, cov, p.cgbo * l),
-    };
+    let [cgs, cgd, cgb] = meyer_caps(region, p.cox * w * l, p.cgso * w, p.cgbo * l);
 
     MosEval {
         ids,
@@ -252,10 +269,11 @@ pub fn eval_mosfet(
     (ev, swapped)
 }
 
-/// The bias-independent factors of one device's drain current, for the
-/// Newton stamp's finite-difference stencil: `ids` alone, nine times per
-/// device, with no capacitances or analytic partials. Every value is
-/// bit-identical to `eval_mosfet(..).0.ids` at the same bias.
+/// The bias-independent factors of one device, for the Newton stamp:
+/// the drain current alone, nine times per device for the
+/// finite-difference stencil, and the Meyer capacitances alone, once per
+/// transient step. Every value is bit-identical to the matching field of
+/// `eval_mosfet(..).0` at the same bias.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdsStencil {
     sgn: f64,
@@ -265,6 +283,9 @@ pub(crate) struct IdsStencil {
     gamma: f64,
     phi: f64,
     sqrt_phi: f64,
+    cox_total: f64,
+    cov: f64,
+    cgb_ov: f64,
 }
 
 /// A terminal bias mapped to the canonical frame of [`eval_mosfet`].
@@ -279,6 +300,7 @@ struct CanonicalBias {
 
 impl IdsStencil {
     /// Precomputes the factors of a device of size `w`×`l`.
+    #[inline]
     pub(crate) fn new(p: &MosParams, w: f64, l: f64) -> Self {
         let phi = p.phi.max(0.1);
         IdsStencil {
@@ -292,6 +314,9 @@ impl IdsStencil {
             gamma: p.gamma,
             phi,
             sqrt_phi: phi.sqrt(),
+            cox_total: p.cox * w * l,
+            cov: p.cgso * w,
+            cgb_ov: p.cgbo * l,
         }
     }
 
@@ -311,6 +336,19 @@ impl IdsStencil {
             vds: d - s,
             vbs: (vb - s).min(0.0),
             swapped,
+        }
+    }
+
+    /// Meyer capacitances `[cgs, cgd, cgb]` at `(vg, vd, vs, vb)`, on the
+    /// physical terminals.
+    pub(crate) fn caps(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> [f64; 3] {
+        let b = self.bias(vg, vd, vs, vb);
+        let region = region(b.vgs - self.vth(b.vbs), b.vds);
+        let [cgs, cgd, cgb] = meyer_caps(region, self.cox_total, self.cov, self.cgb_ov);
+        if b.swapped {
+            [cgd, cgs, cgb]
+        } else {
+            [cgs, cgd, cgb]
         }
     }
 
@@ -484,6 +522,11 @@ mod tests {
                             ];
                             let at = (vg, vd, vs, vb);
                             assert_eq!(i0.to_bits(), ev.ids.to_bits(), "{:?} at {at:?}", p.ty);
+                            let caps = st.caps(vg, vd, vs, vb);
+                            for (k, (a, b)) in caps.iter().zip([ev.cgs, ev.cgd, ev.cgb]).enumerate()
+                            {
+                                assert_eq!(a.to_bits(), b.to_bits(), "cap {k} at {at:?}");
+                            }
                             for (k, (a, b)) in g.iter().zip(&expect).enumerate() {
                                 assert_eq!(a.to_bits(), b.to_bits(), "partial {k} at {at:?}");
                             }

@@ -128,7 +128,7 @@ fn extended_gmin_ladder(
     let mut exp = 1.0f64;
     while exp <= 12.0 {
         let gmin = 10f64.powf(-exp);
-        x = newton_solve(
+        newton_solve(
             circuit,
             layout,
             &x,
@@ -142,6 +142,7 @@ fn extended_gmin_ladder(
             counters,
         )
         .ok()?;
+        x.copy_from_slice(ws.solution());
         exp += 0.5;
     }
     newton_solve(
@@ -157,7 +158,8 @@ fn extended_gmin_ladder(
         ws,
         counters,
     )
-    .ok()
+    .ok()?;
+    Some(ws.solution().to_vec())
 }
 
 /// DC rung 2: fine source ramp. 2 % increments (the standard homotopy
@@ -173,7 +175,7 @@ fn fine_source_ramp(
     let mut x = vec![0.0; layout.size()];
     for step in 1..=50 {
         let scale = step as f64 / 50.0;
-        x = newton_solve(
+        newton_solve(
             circuit,
             layout,
             &x,
@@ -187,6 +189,7 @@ fn fine_source_ramp(
             counters,
         )
         .ok()?;
+        x.copy_from_slice(ws.solution());
     }
     newton_solve(
         circuit,
@@ -201,7 +204,8 @@ fn fine_source_ramp(
         ws,
         counters,
     )
-    .ok()
+    .ok()?;
+    Some(ws.solution().to_vec())
 }
 
 /// DC rung 3: damped pseudo-transient. Solve Backward-Euler steps with a
@@ -220,7 +224,7 @@ fn pseudo_transient_ramp(
     let mut h = 1e-12;
     for _ in 0..16 {
         let prev = x.clone();
-        x = newton_solve(
+        newton_solve(
             circuit,
             layout,
             &prev,
@@ -238,6 +242,7 @@ fn pseudo_transient_ramp(
             counters,
         )
         .ok()?;
+        x.copy_from_slice(ws.solution());
         h *= 10.0;
     }
     newton_solve(
@@ -253,7 +258,8 @@ fn pseudo_transient_ramp(
         ws,
         counters,
     )
-    .ok()
+    .ok()?;
+    Some(ws.solution().to_vec())
 }
 
 /// [`dcop_rescue`] with an optional fault schedule, for exercising each

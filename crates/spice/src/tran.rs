@@ -26,6 +26,7 @@ use crate::perf::PerfCounters;
 use crate::rescue::{dcop_rescue, RescuePolicy};
 use sim_core::faultinject::{FaultKind, FaultSchedule};
 use sim_core::rescue::{RescueReport, RescueRung};
+use sim_core::LuStats;
 use std::time::Instant;
 
 /// Time-discretisation method for linear capacitors (device capacitances
@@ -405,8 +406,7 @@ impl TransientSimulator {
             .iter()
             .any(|(_, e)| matches!(e, Element::Mosfet { .. } | Element::Inductor { .. }));
         let linear = circuit.is_linear();
-        let ws = NewtonWorkspace::for_circuit(&circuit, &layout, opts.newton.solver)
-            .for_transient(&circuit);
+        let ws = NewtonWorkspace::for_circuit(&circuit, &layout, opts.newton.solver);
         let mut sim = TransientSimulator {
             circuit,
             layout,
@@ -539,6 +539,13 @@ impl TransientSimulator {
         &self.dc_counters
     }
 
+    /// Work counts of the transient Newton loop's dense LU: how many
+    /// factorizations the full dense sweep did and how many replayed its
+    /// pivot pattern. `None` off the dense backend.
+    pub fn lu_stats(&self) -> Option<LuStats> {
+        self.ws.lu_stats()
+    }
+
     /// Transcript of every rescue attempt so far (the DC ladder at
     /// construction plus transient timestep cuts). Empty when nothing
     /// needed rescuing, or when the policy is off.
@@ -600,16 +607,12 @@ impl TransientSimulator {
         }
     }
 
-    /// One candidate Newton solve over `[self.t, t_new]` — no state is
+    /// One candidate Newton solve over `[self.t, t_new]`, left in the
+    /// workspace ([`candidate`](Self::candidate)) — no other state is
     /// mutated besides work counters, so a rejected candidate can simply
     /// be retried at a different width. `guess` seeds the Newton
     /// iteration (the adaptive predictor); default is the previous state.
-    fn attempt(
-        &mut self,
-        h: f64,
-        t_new: f64,
-        guess: Option<&[f64]>,
-    ) -> Result<Vec<f64>, SpiceError> {
+    fn attempt(&mut self, h: f64, t_new: f64, guess: Option<&[f64]>) -> Result<(), SpiceError> {
         let companion = if self.step_order() == 2 {
             CompanionModel::Trapezoidal {
                 cap_currents: &self.cap_currents,
@@ -639,13 +642,20 @@ impl TransientSimulator {
         )
     }
 
-    /// Accepts a solved step: updates each capacitor's current under the
-    /// rule the step actually used (`eff_order`), advances state/time, and
-    /// counts the step. `self.x` still holds the previous-step voltages
-    /// on entry.
-    fn commit_step(&mut self, x: Vec<f64>, h: f64, t_new: f64, eff_order: u8) {
+    /// The solution of the last successful [`attempt`](Self::attempt).
+    fn candidate(&self) -> &[f64] {
+        self.ws.solution()
+    }
+
+    /// Accepts the [`candidate`](Self::candidate) step: updates each
+    /// capacitor's current under the rule the step actually used
+    /// (`eff_order`), advances state/time, and counts the step. `self.x`
+    /// still holds the previous-step voltages on entry; it trades buffers
+    /// with the candidate, so stepping allocates nothing.
+    fn commit_step(&mut self, h: f64, t_new: f64, eff_order: u8) {
+        let x = self.ws.solution();
         for (k, &(p, n, c)) in self.caps.iter().enumerate() {
-            let v_new = self.layout.voltage(&x, p) - self.layout.voltage(&x, n);
+            let v_new = self.layout.voltage(x, p) - self.layout.voltage(x, n);
             let v_old = self.layout.voltage(&self.x, p) - self.layout.voltage(&self.x, n);
             self.cap_currents[k] = if eff_order == 2 {
                 2.0 * c / h * (v_new - v_old) - self.cap_currents[k]
@@ -659,7 +669,7 @@ impl TransientSimulator {
             self.counters.order_switches += 1;
         }
         self.companion_ready = true;
-        self.x = x;
+        std::mem::swap(&mut self.x, self.ws.solution_mut());
         self.t = t_new;
         self.counters.steps += 1;
     }
@@ -668,8 +678,8 @@ impl TransientSimulator {
     /// bookkeeping — the body the rescue backoff retries at halved widths.
     fn try_step(&mut self, h: f64, t_new: f64) -> Result<(), SpiceError> {
         let eff = self.step_order();
-        let x = self.attempt(h, t_new, None)?;
-        self.commit_step(x, h, t_new, eff);
+        self.attempt(h, t_new, None)?;
+        self.commit_step(h, t_new, eff);
         Ok(())
     }
 
@@ -876,8 +886,8 @@ impl TransientSimulator {
         }
         let t_new = self.t + h;
         let eff = self.step_order();
-        let x_new = self.attempt(h, t_new, None)?;
-        let est = self.lte_estimates(&x_new, h);
+        self.attempt(h, t_new, None)?;
+        let est = self.lte_estimates(self.candidate(), h);
         if est.is_some() {
             self.counters.lte_evaluations += 1;
         }
@@ -888,7 +898,7 @@ impl TransientSimulator {
                 l.max1
             }
         });
-        self.commit_step(x_new, h, t_new, eff);
+        self.commit_step(h, t_new, eff);
         self.history.push(self.t, &self.x);
         self.counters.wall += t0.elapsed();
         self.macro_steps += 1;
@@ -1015,21 +1025,18 @@ impl TransientSimulator {
                 }
                 let guess = self.history.predict(t_new);
                 let eff = self.step_order();
-                let x_new = match self.attempt(h_try, t_new, guess.as_deref()) {
-                    Ok(x) => x,
-                    Err(_) => {
-                        // Terminal fallback: the fixed-step rescue ladder
-                        // covers the same interval by recursive halving,
-                        // then the estimator history restarts.
-                        self.substep(h_try, 0)?;
-                        self.restart_integration();
-                        self.history.push(self.t, &self.x);
-                        observe(self);
-                        h = h0.clamp(h_min, h_max);
-                        break;
-                    }
-                };
-                let est = self.lte_estimates(&x_new, h_try);
+                if self.attempt(h_try, t_new, guess.as_deref()).is_err() {
+                    // Terminal fallback: the fixed-step rescue ladder
+                    // covers the same interval by recursive halving, then
+                    // the estimator history restarts.
+                    self.substep(h_try, 0)?;
+                    self.restart_integration();
+                    self.history.push(self.t, &self.x);
+                    observe(self);
+                    h = h0.clamp(h_min, h_max);
+                    break;
+                }
+                let est = self.lte_estimates(self.candidate(), h_try);
                 if est.is_some() {
                     self.counters.lte_evaluations += 1;
                 }
@@ -1053,7 +1060,7 @@ impl TransientSimulator {
                     h = (h_try * f).max(h_min);
                     continue;
                 }
-                self.commit_step(x_new, h_try, t_new, eff);
+                self.commit_step(h_try, t_new, eff);
                 self.history.push(self.t, &self.x);
                 observe(self);
                 if matches!(target, Some(tt) if tt < t_stop) {
@@ -1385,8 +1392,9 @@ mod tests {
     }
 
     /// The paper's integrate/dump cycle on the 31-transistor I&D, 5,000
-    /// steps: pattern replay must give the dense sweep's bits, counts and
-    /// work, and must actually carry the run.
+    /// steps through the compiled Newton step: pattern replay must give
+    /// the dense sweep's bits, counts and work, and must actually carry
+    /// the run.
     #[test]
     fn integrate_dump_replay_is_bit_identical_to_the_dense_sweep() {
         use crate::dcop::FORCE_DENSE_SWEEP;
@@ -1420,10 +1428,15 @@ mod tests {
                 sim.step(50e-12).unwrap();
                 out.push(sim.voltage_diff(p, m).to_bits());
             }
-            let stats = sim
-                .ws
-                .lu_stats()
-                .expect("the I&D runs on the dense backend");
+            let stats = sim.lu_stats().expect("the I&D runs on the dense backend");
+            // The compiled Newton step carried the run: its footprint,
+            // not the whole matrix, is what every factorization read.
+            let n = sim.layout.size();
+            let footprint = sim.ws.footprint().len();
+            assert!(
+                (n..n * n / 4).contains(&footprint),
+                "footprint of {footprint} entries at order {n}"
+            );
             (out, *sim.counters(), stats)
         };
         let (replayed, c_replay, s_replay) = run(false);

@@ -11,6 +11,9 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== solver kernels in the optimised build (what perfbench measures) =="
+cargo test -q --release -p sim-core -p spice
+
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
     cargo test -q -p "$crate" --features proptests --test proptests
