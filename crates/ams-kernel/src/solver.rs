@@ -159,9 +159,8 @@ pub struct ImplicitSolver {
     counters: PerfCounters,
     /// Cached LU of the last factored Newton Jacobian.
     lu: LuFactors,
-    /// Raw bytes of the last factored Jacobian, for the reuse compare.
-    jac_cached: Vec<f64>,
-    /// Whether the active backend's factors match `jac_cached`.
+    /// Whether the active backend's factors match the Jacobian cached in
+    /// `buffers`.
     lu_valid: bool,
     /// Sticky backend decision, made at the first factorization (so one
     /// solver never mixes dense, sparse and Krylov factor caches).
@@ -172,6 +171,49 @@ pub struct ImplicitSolver {
     /// Krylov-tier state: the CSC Jacobian GMRES multiplies by, its ILU
     /// pattern and the current preconditioner (Krylov backend only).
     krylov: Option<KrylovState>,
+    /// Newton buffers, built on the first step. Boxed so the solver keeps
+    /// its size: a larger `ImplicitSolver` outgrows the allocator's fast
+    /// size classes and makes an I&D block several times slower to build.
+    buffers: Option<Box<StepBuffers>>,
+}
+
+/// The buffers [`ImplicitSolver::step`] works in, sized on the first step
+/// and kept, so a running solver allocates nothing per step. The state
+/// vectors trade places with the [`TransientState`] on commit.
+#[derive(Debug, Clone, Default)]
+struct StepBuffers {
+    /// The last factored Jacobian, for the reuse compare.
+    jac_cached: Vec<f64>,
+    /// Newton iterate, committed as the new state.
+    x: Vec<f64>,
+    /// `ẋ` of the iterate, committed with it.
+    xdot: Vec<f64>,
+    /// Residual at the iterate.
+    r: Vec<f64>,
+    /// Residual at a perturbed iterate (finite differences).
+    r_pert: Vec<f64>,
+    /// Finite-difference Jacobian; every entry is rewritten per build.
+    jac: DMatrix,
+    /// Newton update.
+    delta: Vec<f64>,
+}
+
+impl StepBuffers {
+    /// Sizes the buffers for an order-`n` model.
+    fn resize(&mut self, n: usize) {
+        if self.x.len() != n {
+            for v in [
+                &mut self.x,
+                &mut self.xdot,
+                &mut self.r,
+                &mut self.r_pert,
+                &mut self.delta,
+            ] {
+                v.resize(n, 0.0);
+            }
+            self.jac = DMatrix::zeros(n, n);
+        }
+    }
 }
 
 /// Which linear-solver tier an [`ImplicitSolver`] committed to.
@@ -247,8 +289,9 @@ impl ImplicitSolver {
         let n = model.dim();
         debug_assert_eq!(state.x.len(), n);
         let t_new = t + h;
-        let x_prev = state.x.clone();
-        let xdot_prev = state.xdot.clone();
+        // The state is only written on commit, so it serves as the
+        // previous point throughout the step.
+        let (x_prev, xdot_prev) = (&state.x, &state.xdot);
         // Trapezoidal needs a consistent derivative history; the first step
         // (and the first step after a break) runs Backward Euler instead.
         let method = if state.bootstrapped {
@@ -271,16 +314,29 @@ impl ImplicitSolver {
             }
         };
 
-        let mut x = x_prev.clone();
-        let mut xdot = vec![0.0; n];
-        let mut r = vec![0.0; n];
-        let mut r_pert = vec![0.0; n];
+        let buffers = self.buffers.get_or_insert_with(Box::default);
+        buffers.resize(n);
+        let StepBuffers {
+            jac_cached,
+            x,
+            xdot,
+            r,
+            r_pert,
+            jac,
+            delta,
+        } = &mut **buffers;
+        x.copy_from_slice(x_prev);
+        // Zero at the start of every step (not per residual call), so a
+        // model that leaves an entry unwritten reads what it always read.
+        for v in [&mut *xdot, &mut *r, &mut *r_pert] {
+            v.fill(0.0);
+        }
 
         let mut converged = false;
         for _ in 0..self.options.max_newton {
             self.counters.newton_iterations += 1;
-            derive(&x, &mut xdot);
-            model.residual(t_new, &x, &xdot, u, &mut r);
+            derive(x, xdot);
+            model.residual(t_new, x, xdot, u, r);
             if r.iter().any(|v| !v.is_finite()) {
                 return Err(SolveError::NonFiniteResidual { t: t_new });
             }
@@ -290,13 +346,12 @@ impl ImplicitSolver {
                 break;
             }
             // Finite-difference Jacobian of G(x) = F(x, ẋ(x)).
-            let mut jac = DMatrix::zeros(n, n);
             for j in 0..n {
                 let dx = self.options.fd_eps * (1.0 + x[j].abs());
                 let saved = x[j];
                 x[j] = saved + dx;
-                derive(&x, &mut xdot);
-                model.residual(t_new, &x, &xdot, u, &mut r_pert);
+                derive(x, xdot);
+                model.residual(t_new, x, xdot, u, r_pert);
                 x[j] = saved;
                 for i in 0..n {
                     jac[(i, j)] = (r_pert[i] - r[i]) / dx;
@@ -306,11 +361,11 @@ impl ImplicitSolver {
             // When consecutive builds produce byte-identical Jacobians — e.g.
             // a linear model replayed from the same state — the cached LU is
             // reused and the update is bit-identical by construction.
-            if self.options.reuse_lu && self.lu_valid && jac.data() == &self.jac_cached[..] {
+            if self.options.reuse_lu && self.lu_valid && jac.data() == &jac_cached[..] {
                 self.counters.lu_reuses += 1;
             } else {
-                self.jac_cached.clear();
-                self.jac_cached.extend_from_slice(jac.data());
+                jac_cached.clear();
+                jac_cached.extend_from_slice(jac.data());
                 if self.backend.is_none() {
                     let nnz = jac.data().iter().filter(|v| **v != 0.0).count() + n;
                     self.backend = Some(if self.options.solver.picks_krylov(n, nnz) {
@@ -326,7 +381,7 @@ impl ImplicitSolver {
                         // The Jacobian changed: refresh the preconditioner
                         // (the operator is rebuilt regardless — GMRES must
                         // multiply by the exact current matrix).
-                        let sjac = SparseMatrix::from_dense(&jac);
+                        let sjac = SparseMatrix::from_dense(jac);
                         let pattern = IluPattern::analyze(&sjac);
                         self.counters.preconditioner_builds += 1;
                         let precond = Ilu0::factor(&pattern, &sjac);
@@ -339,7 +394,7 @@ impl ImplicitSolver {
                     }
                     AmsBackend::Sparse => {
                         self.counters.lu_factorizations += 1;
-                        let sjac = SparseMatrix::from_dense(&jac);
+                        let sjac = SparseMatrix::from_dense(jac);
                         let mut refactored = false;
                         if let Some((sym, num)) = self.sparse.as_mut() {
                             if sym.order() == n {
@@ -369,7 +424,7 @@ impl ImplicitSolver {
                     }
                     AmsBackend::Dense => {
                         self.counters.lu_factorizations += 1;
-                        match self.lu.factorize(&jac) {
+                        match self.lu.factorize(jac) {
                             Ok(()) => self.lu_valid = true,
                             Err(_) => {
                                 self.lu_valid = false;
@@ -379,7 +434,8 @@ impl ImplicitSolver {
                     }
                 }
             }
-            let mut delta: Vec<f64> = r.iter().map(|v| -v).collect();
+            delta.clear();
+            delta.extend(r.iter().map(|v| -v));
             match self.backend {
                 Some(AmsBackend::Krylov) => {
                     let ks = match self.krylov.as_ref() {
@@ -396,7 +452,7 @@ impl ImplicitSolver {
                         &ks.pattern,
                         &ks.precond,
                         &rhs,
-                        &mut delta,
+                        delta,
                         &KRYLOV_AMS_GMRES,
                     );
                     self.counters.krylov_iterations += out.iterations;
@@ -434,14 +490,14 @@ impl ImplicitSolver {
                         delta.clear();
                         delta.extend_from_slice(&rhs);
                         let (sym, num) = self.sparse.as_ref().expect("factors built above");
-                        sym.solve(num, &mut delta);
+                        sym.solve(num, delta);
                     }
                 }
                 Some(AmsBackend::Sparse) => match self.sparse.as_ref() {
-                    Some((sym, num)) => sym.solve(num, &mut delta),
+                    Some((sym, num)) => sym.solve(num, delta),
                     None => return Err(SolveError::SingularJacobian { t: t_new }),
                 },
-                _ => self.lu.solve(&mut delta),
+                _ => self.lu.solve(delta),
             }
             let mut step_norm = 0.0f64;
             for i in 0..n {
@@ -458,8 +514,8 @@ impl ImplicitSolver {
         }
         if !converged {
             // One more evaluation to check whether the last update landed.
-            derive(&x, &mut xdot);
-            model.residual(t_new, &x, &xdot, u, &mut r);
+            derive(x, xdot);
+            model.residual(t_new, x, xdot, u, r);
             let res_norm = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             // Negated comparison on purpose: a NaN norm must count as
             // divergence, and `res_norm >= tol` would let it through.
@@ -471,9 +527,9 @@ impl ImplicitSolver {
                 });
             }
         }
-        derive(&x, &mut xdot);
-        state.x = x;
-        state.xdot = xdot;
+        derive(x, xdot);
+        std::mem::swap(&mut state.x, x);
+        std::mem::swap(&mut state.xdot, xdot);
         state.bootstrapped = true;
         self.counters.steps += 1;
         Ok(())

@@ -29,7 +29,7 @@ pub(crate) const REPLAY_MIN_ORDER: usize = 8;
 /// Serves both the behavioural solver (rectangular shapes, index-pair
 /// access) and MNA assembly (square systems, accumulate-style
 /// [`add`](Self::add) stamps).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DMatrix {
     rows: usize,
     cols: usize,

@@ -141,10 +141,37 @@ impl ChannelRealization {
     /// convolution and propagation delay. The output is extended to hold
     /// the delayed tail.
     pub fn apply(&self, tx: &Waveform) -> Waveform {
-        let fs = tx.sample_rate();
+        let mut out = Waveform::zeros(tx.sample_rate(), self.output_len(tx));
+        self.apply_into(tx, &mut out, 0.0);
+        out
+    }
+
+    /// Adds the channel output for `tx` into `out`, starting `offset`
+    /// seconds in and clipped to `out`'s span — rounded like
+    /// [`Waveform::add_at`]. On a zeroed `out` this is bit for bit
+    /// `out.add_at(&self.apply(tx), offset)`, without the intermediate
+    /// waveform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if sample rates differ.
+    pub fn apply_into(&self, tx: &Waveform, out: &mut Waveform, offset: f64) {
+        let start = (offset * out.sample_rate()).round() as i64;
+        out.add_convolved(tx, &self.sample_taps(tx.sample_rate()), start);
+    }
+
+    /// Samples in [`apply`](Self::apply)'s output for `tx`: the input plus
+    /// the propagation delay and the longest echo.
+    pub fn output_len(&self, tx: &Waveform) -> usize {
+        let taps = self.sample_taps(tx.sample_rate());
+        tx.len() + taps.iter().map(|&(d, _)| d).max().unwrap_or(0)
+    }
+
+    /// The taps at sample rate `fs`: (propagation plus excess delay in
+    /// samples, amplitude times the path gain).
+    fn sample_taps(&self, fs: f64) -> Vec<(usize, f64)> {
         let delay_samples = (self.propagation_delay * fs).round() as usize;
-        let taps: Vec<(usize, f64)> = self
-            .taps
+        self.taps
             .iter()
             .map(|&(d, a)| {
                 (
@@ -152,8 +179,7 @@ impl ChannelRealization {
                     a * self.path_gain,
                 )
             })
-            .collect();
-        tx.convolve_taps(&taps)
+            .collect()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property tests (opt-in, `--features proptests`) on the physical-layer
 //! invariants: packet energy scaling, noiseless demodulation round-trips,
 //! unit-energy pulses, TG4a channel invariants, erfc/Q identities,
-//! ranging statistics and waveform superposition.
+//! ranging statistics, waveform superposition and the channel convolved
+//! straight into a receive window.
 //!
 //! The generator is a deterministic xorshift so failures replay by seed —
 //! no external proptest crate (the vendored ChaCha8 shim still provides
@@ -249,5 +250,35 @@ fn waveform_superposition() {
             sum.energy(),
             4.0 * a.energy()
         );
+    }
+}
+
+/// A channel convolved straight into a zeroed receive window, at any
+/// offset and clipped at either end, is bit for bit the channel output
+/// copied in with `add_at` — whatever the draw, distance or packet.
+#[test]
+fn channel_apply_into_matches_add_at_of_apply() {
+    let mut rng = XorShift(0x51f1_5eed_0c0f_fee5);
+    for case in 0..40 {
+        let seed = rng.0;
+        let model = [
+            Tg4aModel::Cm1,
+            Tg4aModel::Cm2,
+            Tg4aModel::Cm3,
+            Tg4aModel::Cm4,
+        ][rng.below(4) as usize];
+        let distance = rng.range(1.0, 20.0);
+        let ch = realize(model, distance, &mut ChaCha8Rng::seed_from_u64(rng.next()));
+        let n_bits = 1 + rng.below(6) as usize;
+        let tx = modulate(&Packet::new(1, rng.bits(n_bits)), &PpmConfig::default());
+        let fs = tx.sample_rate();
+        let offset = rng.range(-60e-9, 200e-9);
+        let len = (ch.output_len(&tx) as f64 * rng.range(0.3, 1.3)) as usize;
+        let mut got = Waveform::zeros(fs, len);
+        ch.apply_into(&tx, &mut got, offset);
+        let mut want = Waveform::zeros(fs, len);
+        want.add_at(&ch.apply(&tx), offset);
+        let bits = |w: &Waveform| w.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "case {case} (seed {seed:#x})");
     }
 }

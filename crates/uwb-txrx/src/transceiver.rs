@@ -14,7 +14,7 @@ use crate::integrator::IntegratorBlock;
 use crate::receiver::{ReceiveError, Receiver, ReceiverConfig, SFD_PATTERN};
 use crate::transmitter::Transmitter;
 use rand::Rng;
-use uwb_phy::channel::{realize, Tg4aModel};
+use uwb_phy::channel::{realize, ChannelRealization, Tg4aModel};
 use uwb_phy::noise::Awgn;
 use uwb_phy::ranging::{distance_from_rtt, RangingStats};
 use uwb_phy::waveform::Waveform;
@@ -130,18 +130,22 @@ impl From<ReceiveError> for TwrError {
     }
 }
 
-/// Builds the waveform a listening node observes: quiet lead-in, then the
-/// channel-filtered packet, then a tail; AWGN over the whole span.
+/// Builds the waveform a listening node observes: quiet lead-in, then
+/// `tx` through `channel`, then a tail; AWGN over the whole span. The
+/// channel convolves straight into the zeroed span, so no copy of the
+/// packet is made.
 fn observed_waveform(
     cfg: &TwrConfig,
-    air: &Waveform,
+    channel: &ChannelRealization,
+    tx: &Waveform,
     arrival_offset: f64,
     rng: &mut impl Rng,
 ) -> Waveform {
     let fs = cfg.receiver.ppm.sample_rate;
-    let total = cfg.lead_in + arrival_offset + air.duration() + 0.5e-6;
+    let arrived = channel.output_len(tx) as f64 / tx.sample_rate();
+    let total = cfg.lead_in + arrival_offset + arrived + 0.5e-6;
     let mut w = Waveform::zeros(fs, (total * fs).round() as usize);
-    w.add_at(air, cfg.lead_in + arrival_offset);
+    channel.apply_into(tx, &mut w, cfg.lead_in + arrival_offset);
     Awgn::new(cfg.n0).add_to(&mut w, rng);
     w
 }
@@ -169,11 +173,10 @@ pub fn twr_iteration(
     let ch_ab = realize(cfg.model, cfg.distance, rng);
     let tof = ch_ab.propagation_delay;
     let air_a = tx.transmit(&payload);
-    // `ChannelRealization::apply` bakes the propagation delay into the
-    // waveform, so placing it at lead_in means A's transmission *starts*
-    // at lead_in (global t=0 is B's listen start) and its first sample
-    // reaches B at lead_in + tof.
-    let rx_b_wave = observed_waveform(cfg, &ch_ab.apply(&air_a), 0.0, rng);
+    // The channel bakes the propagation delay into its output, so placing
+    // it at lead_in means A's transmission *starts* at lead_in (global t=0
+    // is B's listen start) and its first sample reaches B at lead_in + tof.
+    let rx_b_wave = observed_waveform(cfg, &ch_ab, &air_a, 0.0, rng);
     let a_tx_start = cfg.lead_in;
     let a_sfd_tx_time = a_tx_start + sfd_offset;
 
@@ -191,7 +194,7 @@ pub fn twr_iteration(
     // starts at lead_in (the channel again carries the tof internally), so
     // A's listen start in global time is:
     let a_listen_start = b_sfd_tx_time - sfd_offset - cfg.lead_in;
-    let rx_a_wave = observed_waveform(cfg, &ch_ba.apply(&air_b), 0.0, rng);
+    let rx_a_wave = observed_waveform(cfg, &ch_ba, &air_b, 0.0, rng);
     let mut rx_a = Receiver::new(cfg.receiver.clone(), make_integrator());
     let rep_a = rx_a.receive(&rx_a_wave, cfg.payload_bits)?;
     let anchor_a_local = rep_a.sfd_anchor.expect("receive() always anchors");
@@ -296,5 +299,30 @@ mod tests {
     fn sfd_duration_matches_pattern() {
         let cfg = TwrConfig::default();
         assert!((sfd_duration(&cfg) - 8.0 * 256e-9).abs() < 1e-12);
+    }
+
+    /// Sample bits of the observed waveforms, recorded when the channel
+    /// output was built first and then copied in with `add_at`.
+    #[test]
+    fn observed_waveforms_are_pinned() {
+        let cfg = TwrConfig::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0B5E);
+        let mut ppm = cfg.receiver.ppm;
+        ppm.pulse_energy = cfg.tx_pulse_energy;
+        let tx = Transmitter::new(ppm, cfg.preamble_len);
+        let air = tx.transmit(&[true, false, true, true, false, false, true, false]);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for offset in [0.0, 37.3e-9] {
+            let ch = realize(cfg.model, cfg.distance, &mut rng);
+            let w = observed_waveform(&cfg, &ch, &air, offset, &mut rng);
+            let len = std::iter::once(w.len() as u64);
+            for v in len.chain(w.samples().iter().map(|v| v.to_bits())) {
+                for b in v.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 17126896607004720163);
     }
 }

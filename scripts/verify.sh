@@ -14,6 +14,9 @@ cargo test -q
 echo "== solver kernels in the optimised build (what perfbench measures) =="
 cargo test -q --release -p sim-core -p spice
 
+echo "== Table 2 path in the optimised build (channel, AMS solver, receiver) =="
+cargo test -q --release -p uwb-phy -p ams-kernel -p uwb-txrx
+
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
     cargo test -q -p "$crate" --features proptests --test proptests
