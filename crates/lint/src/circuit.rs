@@ -95,7 +95,7 @@ fn check_node_attachment(
                     name,
                     format!(
                         "dangles from a single terminal (element '{}')",
-                        ckt.elements()[ei].0
+                        ckt.element_name(ei)
                     ),
                 )
                 .with_span(span.clone()),
@@ -263,22 +263,18 @@ fn check_current_cutsets(
             continue; // already reported as floating/unused
         }
         let mut sources = 0usize;
-        let all_open_or_source =
-            carriers
-                .iter()
-                .all(|&ei| match ckt.elements()[ei].1.dc_coupling() {
-                    DcCoupling::CurrentSource => {
-                        sources += 1;
-                        true
-                    }
-                    DcCoupling::Open => true,
-                    _ => false,
-                });
+        let all_open_or_source = carriers
+            .iter()
+            .all(|&ei| match ckt.element(ei).dc_coupling() {
+                DcCoupling::CurrentSource => {
+                    sources += 1;
+                    true
+                }
+                DcCoupling::Open => true,
+                _ => false,
+            });
         if all_open_or_source && sources > 0 {
-            let names: Vec<&str> = carriers
-                .iter()
-                .map(|&ei| ckt.elements()[ei].0.as_str())
-                .collect();
+            let names: Vec<&str> = carriers.iter().map(|&ei| ckt.element_name(ei)).collect();
             report.push(
                 Diagnostic::new(
                     LintCode::CurrentSourceCutset,

@@ -111,13 +111,11 @@ pub(crate) fn check_operating_envelope(
 ) {
     let n = ckt.num_nodes();
     let gnd = Circuit::gnd().index();
-    let elements = ckt.elements();
-
     // Supply rails: the hull of ground and every independent voltage
     // source's excursion. An external (co-simulated) source makes the
     // rails unknowable — the envelope check then stays silent.
     let mut rails = Some(Interval::point(0.0));
-    for (_, e) in elements {
+    for (_, e) in ckt.elements() {
         if let Element::Vsource { wave, .. } = e {
             match (rails, wave_range(wave)) {
                 (Some(r), Some(w)) => rails = Some(r.hull(w)),
@@ -141,7 +139,7 @@ pub(crate) fn check_operating_envelope(
             if role.is_high_impedance() {
                 continue;
             }
-            match &elements[ei].1 {
+            match ckt.element(ei) {
                 Element::Resistor { p, n, .. } => {
                     let other = if p.index() == i { *n } else { *p };
                     neighbors.push(other.index());
@@ -164,7 +162,7 @@ pub(crate) fn check_operating_envelope(
     bound[gnd] = Some(Interval::point(0.0));
     for _ in 0..(2 * n + 4) {
         let mut changed = false;
-        for (_, e) in elements {
+        for (_, e) in ckt.elements() {
             match e {
                 Element::Vsource { p, n, wave, .. } => {
                     if let Some(w) = wave_range(wave) {
@@ -256,8 +254,7 @@ fn check_conductance_spread(
     /// crutch conductance competes with the element itself.
     const R_NEAR_GMIN: f64 = 1e11;
 
-    let elements = ckt.elements();
-    for (name, e) in elements {
+    for (name, e) in ckt.elements() {
         if let Element::Resistor { r, .. } = e {
             if r.is_finite() && *r >= R_NEAR_GMIN {
                 report.push(
@@ -285,7 +282,7 @@ fn check_conductance_spread(
             if role.is_high_impedance() {
                 continue;
             }
-            if let Element::Resistor { r, .. } = &elements[ei].1 {
+            if let Element::Resistor { r, .. } = ckt.element(ei) {
                 if r.is_finite() && *r > 0.0 {
                     let g = 1.0 / r;
                     g_min = g_min.min(g);

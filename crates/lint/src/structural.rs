@@ -50,7 +50,7 @@ pub(crate) fn check_structure(
             ),
             Some(MnaUnknown::BranchCurrent(ei)) => Diagnostic::new(
                 LintCode::NoIndependentEquation,
-                &ckt.elements()[ei].0,
+                ckt.element_name(ei),
                 "branch voltage constraint is not independent of the other equations at DC",
             ),
             None => Diagnostic::new(
@@ -73,7 +73,7 @@ pub(crate) fn check_structure(
             ),
             Some(MnaUnknown::BranchCurrent(ei)) => Diagnostic::new(
                 LintCode::UndeterminedUnknown,
-                &ckt.elements()[ei].0,
+                ckt.element_name(ei),
                 "branch current is structurally undetermined at DC (no equation pins it)",
             ),
             None => Diagnostic::new(

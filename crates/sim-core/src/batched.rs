@@ -170,8 +170,9 @@ impl<T: SparseScalar> BatchedLu<T> {
     }
 
     /// Multi-lane numeric refactorization on the pinned pattern: lane `l`
-    /// eliminates `mats[l]`'s values exactly as `sym.refactor` would,
-    /// but all active lanes advance through the pattern together.
+    /// eliminates the matrix of `pattern`'s structure holding the values
+    /// `values[l]` exactly as `sym.refactor` would, but all active lanes
+    /// advance through the pattern together.
     ///
     /// `active[l] == false` skips lane `l` entirely (its factors keep
     /// their previous values). The per-lane outcome distinguishes
@@ -182,25 +183,29 @@ impl<T: SparseScalar> BatchedLu<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree with the batch width or a
-    /// matrix order disagrees with the symbolic factorization.
+    /// Panics if the slice lengths disagree with the batch width, the
+    /// pattern's order with the symbolic factorization, or an active
+    /// lane's value count with the pattern's.
     pub fn refactor(
         &mut self,
         sym: &SymbolicLu,
-        mats: &[&SparseMatrix<T>],
+        pattern: &SparseMatrix<T>,
+        values: &[&[T]],
         active: &[bool],
     ) -> Vec<LaneOutcome> {
         let (n, w) = (self.n, self.width);
         assert_eq!(sym.order(), n, "symbolic order changed under batch");
-        assert_eq!(mats.len(), w, "one matrix per lane");
         assert_eq!(active.len(), w, "one mask entry per lane");
         assert_eq!(self.l_vals.len(), sym.l_rows.len() * w);
         assert_eq!(self.u_vals.len(), sym.u_rows.len() * w);
-        for (l, m) in mats.iter().enumerate() {
+        assert_eq!(pattern.order(), n, "pattern order changed under batch");
+        assert_eq!(values.len(), w, "one value array per lane");
+        for (l, v) in values.iter().enumerate() {
             if active[l] {
-                assert_eq!(m.order(), n, "lane {l}: matrix order changed under batch");
+                assert_eq!(v.len(), pattern.nnz(), "lane {l}: value count");
             }
         }
+        let (col_ptr, row_idx) = (pattern.col_ptr(), pattern.row_idx());
         let mut out: Vec<LaneOutcome> = active
             .iter()
             .map(|&a| {
@@ -237,20 +242,21 @@ impl<T: SparseScalar> BatchedLu<T> {
                 .iter_mut()
                 .for_each(|v| *v = T::ZERO);
             // Scatter each live lane's A(:, q[k]) into pivot positions; an
-            // entry outside the pinned pattern stales that lane only.
+            // entry outside the pinned pattern (a `pattern` that is not
+            // the one `sym` analyzed) stales the lane.
             let col = sym.q[k];
-            for (l, m) in mats.iter().enumerate() {
+            for l in 0..w {
                 if !live[l] {
                     continue;
                 }
-                for p in m.col_ptr()[col]..m.col_ptr()[col + 1] {
-                    let pos = sym.pinv[m.row_idx()[p]];
+                for p in col_ptr[col]..col_ptr[col + 1] {
+                    let pos = sym.pinv[row_idx[p]];
                     if pos == usize::MAX || self.mark[pos] != k {
                         out[l] = LaneOutcome::Stale;
                         live[l] = false;
                         break;
                     }
-                    self.x[pos * w + l] += m.values()[p];
+                    self.x[pos * w + l] += values[l][p];
                 }
             }
             // Eliminate with the already-refactored L columns. The inner
@@ -409,10 +415,10 @@ mod tests {
         for width in [1usize, 2, 4, 8] {
             let mats: Vec<SparseMatrix<f64>> =
                 (0..width).map(|l| seeded(n, 100 + l as u64)).collect();
-            let refs: Vec<&SparseMatrix<f64>> = mats.iter().collect();
+            let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();
             let active = vec![true; width];
             let mut bat = BatchedLu::new(&sym, width);
-            let out = bat.refactor(&sym, &refs, &active);
+            let out = bat.refactor(&sym, &rep, &vals, &active);
             assert!(out.iter().all(|&o| o == LaneOutcome::Refactored), "{out:?}");
             let mut b = vec![0.0; n * width];
             for i in 0..n {
@@ -441,15 +447,15 @@ mod tests {
         let rep = seeded(n, 3);
         let (sym, template) = SymbolicLu::analyze(&rep).unwrap();
         let mats: Vec<SparseMatrix<f64>> = (0..4).map(|l| seeded(n, 40 + l as u64)).collect();
-        let refs: Vec<&SparseMatrix<f64>> = mats.iter().collect();
+        let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();
         let mut bat = BatchedLu::new(&sym, 4);
         // First pass: all lanes. Second pass: lane 2 retired mid-batch.
-        let out = bat.refactor(&sym, &refs, &[true; 4]);
+        let out = bat.refactor(&sym, &rep, &vals, &[true; 4]);
         assert!(out.iter().all(|&o| o == LaneOutcome::Refactored));
         let mats2: Vec<SparseMatrix<f64>> = (0..4).map(|l| seeded(n, 80 + l as u64)).collect();
-        let refs2: Vec<&SparseMatrix<f64>> = mats2.iter().collect();
+        let vals2: Vec<&[f64]> = mats2.iter().map(|m| m.values()).collect();
         let active = [true, true, false, true];
-        let out = bat.refactor(&sym, &refs2, &active);
+        let out = bat.refactor(&sym, &rep, &vals2, &active);
         assert_eq!(out[2], LaneOutcome::Skipped);
         let mut b = vec![1.0; n * 4];
         bat.solve(&sym, &mut b);
@@ -492,7 +498,7 @@ mod tests {
         good.add(1, 1, 3.0);
         assert!(!good.finish_assembly());
         let mut bat = BatchedLu::new(&sym, 2);
-        let out = bat.refactor(&sym, &[&bad, &good], &[true, true]);
+        let out = bat.refactor(&sym, &rep, &[bad.values(), good.values()], &[true, true]);
         assert_eq!(out[0], LaneOutcome::Stale);
         assert_eq!(out[1], LaneOutcome::Refactored);
         let mut b = vec![1.0, 1.0, 1.0, 1.0];

@@ -227,17 +227,43 @@ impl std::error::Error for NumericFault {}
 /// Returns a [`NumericFault`] with `stage = "matrix"` naming the first
 /// poisoned entry.
 pub fn check_finite_matrix(a: &DMatrix) -> Result<(), NumericFault> {
-    for (i, v) in a.data.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(NumericFault {
-                nan: v.is_nan(),
-                row: i / a.cols,
-                col: Some(i % a.cols),
-                stage: "matrix",
-            });
-        }
+    match a.data.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(matrix_fault(a, i)),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// [`check_finite_matrix`] for a matrix whose entries off the row-major
+/// indices `footprint` (sorted ascending) are `+0.0`, as in
+/// [`LuFactors::factorize_within`]: only the footprint is read, and the
+/// first fault is the one the full scan reports.
+///
+/// # Errors
+///
+/// As [`check_finite_matrix`].
+///
+/// # Panics
+///
+/// Panics if a footprint index is out of range.
+pub fn check_finite_within(a: &DMatrix, footprint: &[u32]) -> Result<(), NumericFault> {
+    debug_assert!(
+        zero_off(&a.data, footprint),
+        "matrix entry off the footprint"
+    );
+    match footprint.iter().find(|&&s| !a.data[s as usize].is_finite()) {
+        Some(&s) => Err(matrix_fault(a, s as usize)),
+        None => Ok(()),
+    }
+}
+
+/// The fault of the non-finite row-major entry `i` of `a`.
+fn matrix_fault(a: &DMatrix, i: usize) -> NumericFault {
+    NumericFault {
+        nan: a.data[i].is_nan(),
+        row: i / a.cols,
+        col: Some(i % a.cols),
+        stage: "matrix",
+    }
 }
 
 /// Scans a vector for the first non-finite entry.
@@ -1301,6 +1327,30 @@ mod tests {
         let fault = check_finite_matrix(&a).unwrap_err();
         assert!(!fault.nan);
         assert!(check_finite_matrix(&DMatrix::identity(4)).is_ok());
+    }
+
+    /// Over a footprint, the guard reports the fault the full scan
+    /// reports: the first poisoned entry in row-major order.
+    #[test]
+    fn footprint_guard_reports_the_full_scans_first_fault() {
+        let n = 5;
+        let footprint: Vec<u32> = vec![0, 3, 7, 8, 12, 16, 19, 24];
+        let mut a = DMatrix::zeros(n, n);
+        for (k, &s) in footprint.iter().enumerate() {
+            a.data[s as usize] = k as f64 - 2.5;
+        }
+        assert_eq!(check_finite_within(&a, &footprint), Ok(()));
+        // Poison two footprint entries, the later one first.
+        for (s, v) in [(19, f64::NEG_INFINITY), (7, f64::NAN)] {
+            a.data[s] = v;
+            let fault = check_finite_within(&a, &footprint);
+            assert_eq!(fault, check_finite_matrix(&a));
+            assert_eq!(fault.unwrap_err().row, s / n);
+        }
+        assert_eq!(
+            check_finite_within(&a, &footprint).unwrap_err().col,
+            Some(2)
+        );
     }
 
     #[test]

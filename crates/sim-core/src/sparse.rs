@@ -346,6 +346,24 @@ impl<T: SparseScalar> SparseMatrix<T> {
         &self.values
     }
 
+    /// CSC values, writable, for a caller that assembles them itself
+    /// (see [`stamp_slots`](Self::stamp_slots)).
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
+    }
+
+    /// The CSC value slot of each stamp of the locked sequence, in stamp
+    /// order; empty until an assembly has locked it. Zeroing the values
+    /// and adding each stamp at its slot, in this order, is what
+    /// [`finish_assembly`](Self::finish_assembly) does.
+    pub fn stamp_slots(&self) -> &[usize] {
+        if self.locked {
+            &self.map
+        } else {
+            &[]
+        }
+    }
+
     /// Matrix–vector product (for residual checks).
     ///
     /// # Panics

@@ -185,8 +185,8 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
 
             // Batched: all lanes in one refactor + one interleaved solve.
             let mut lu = BatchedLu::new(&sym, width);
-            let refs: Vec<&SparseMatrix<f64>> = mats.iter().collect();
-            let outcomes = lu.refactor(&sym, &refs, &vec![true; width]);
+            let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();
+            let outcomes = lu.refactor(&sym, &base, &vals, &vec![true; width]);
             assert!(
                 outcomes.iter().all(|o| *o == LaneOutcome::Refactored),
                 "seed {seed:#x}: width {width}: all lanes must refactor"
@@ -220,8 +220,8 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
             for (l, m) in mats.iter_mut().enumerate().skip(1) {
                 stamp(m, &triplets, scales[l] * bump);
             }
-            let refs: Vec<&SparseMatrix<f64>> = mats.iter().collect();
-            let outcomes = lu.refactor(&sym, &refs, &active);
+            let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();
+            let outcomes = lu.refactor(&sym, &base, &vals, &active);
             assert_eq!(outcomes[0], LaneOutcome::Skipped, "seed {seed:#x}");
             let mut bb = vec![0.0; n * width];
             for l in 0..width {

@@ -232,7 +232,7 @@ fn assemble_ac<M: AcStamp>(
             }
         };
 
-        for (idx, (name, e)) in circuit.elements().iter().enumerate() {
+        for (idx, (name, e)) in circuit.elements().enumerate() {
             match e {
                 Element::Resistor { p, n: nn, r } => stamp_g(mat, *p, *nn, 1.0 / r),
                 Element::Capacitor { p, n: nn, c, .. } => stamp_c(mat, *p, *nn, *c),

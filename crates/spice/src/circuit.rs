@@ -3,6 +3,7 @@
 use crate::error::SpiceError;
 use crate::mosfet::MosParams;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A circuit node. Node 0 is ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -302,6 +303,12 @@ pub enum Element {
 
 /// A complete circuit: named nodes, models and elements.
 ///
+/// The names live apart from the element values, behind an [`Arc`] that
+/// clones share: a clone copies the element values and bumps one count,
+/// and only adding a node or an element to it copies the names (copy on
+/// write). So a Monte-Carlo sample that clones a template and scales
+/// element magnitudes pays for the values alone.
+///
 /// # Examples
 ///
 /// ```
@@ -317,30 +324,39 @@ pub enum Element {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
-    node_lookup: HashMap<String, NodeId>,
-    elements: Vec<(String, Element)>,
-    element_lookup: HashMap<String, usize>,
+    names: Arc<Names>,
+    elements: Vec<Element>,
     /// MOS model table.
     pub models: Vec<(String, MosParams)>,
     /// Number of external-input slots declared (co-simulation).
     pub num_externals: usize,
 }
 
+/// The naming of a [`Circuit`]: node names, element names (by element
+/// index) and the lookups from lower-case name to id.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    nodes: Vec<String>,
+    node_lookup: HashMap<String, NodeId>,
+    elements: Vec<String>,
+    element_lookup: HashMap<String, usize>,
+}
+
 impl Circuit {
     /// Creates a circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Circuit {
-            node_names: vec!["0".to_string()],
-            node_lookup: HashMap::new(),
+        let mut names = Names {
+            nodes: vec!["0".to_string()],
+            ..Names::default()
+        };
+        names.node_lookup.insert("0".into(), NodeId(0));
+        names.node_lookup.insert("gnd".into(), NodeId(0));
+        Circuit {
+            names: Arc::new(names),
             elements: Vec::new(),
-            element_lookup: HashMap::new(),
             models: Vec::new(),
             num_externals: 0,
-        };
-        c.node_lookup.insert("0".into(), NodeId(0));
-        c.node_lookup.insert("gnd".into(), NodeId(0));
-        c
+        }
     }
 
     /// The ground node.
@@ -352,41 +368,82 @@ impl Circuit {
     /// Names are case-insensitive; `"0"` and `"gnd"` are ground.
     pub fn node(&mut self, name: &str) -> NodeId {
         let key = name.to_ascii_lowercase();
-        if let Some(&id) = self.node_lookup.get(&key) {
+        if let Some(&id) = self.names.node_lookup.get(&key) {
             return id;
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(key.clone());
-        self.node_lookup.insert(key, id);
+        let names = Arc::make_mut(&mut self.names);
+        let id = NodeId(names.nodes.len());
+        names.nodes.push(key.clone());
+        names.node_lookup.insert(key, id);
         id
     }
 
     /// Looks up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_lookup.get(&name.to_ascii_lowercase()).copied()
+        self.names
+            .node_lookup
+            .get(&name.to_ascii_lowercase())
+            .copied()
     }
 
     /// Name of a node.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
+        &self.names.nodes[id.0]
     }
 
     /// Total node count including ground.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.names.nodes.len()
     }
 
     /// Iterates every node as `(id, name)`, ground first.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &str)> + '_ {
-        self.node_names
+        self.names
+            .nodes
             .iter()
             .enumerate()
             .map(|(i, n)| (NodeId(i), n.as_str()))
     }
 
-    /// All elements with their names.
-    pub fn elements(&self) -> &[(String, Element)] {
-        &self.elements
+    /// All elements with their names, in element order.
+    pub fn elements(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&str, &Element)> + DoubleEndedIterator + Clone + '_ {
+        self.names
+            .elements
+            .iter()
+            .map(String::as_str)
+            .zip(&self.elements)
+    }
+
+    /// Number of elements.
+    pub fn num_elements(&self) -> usize {
+        self.elements.len()
+    }
+
+    /// Element `idx` (the index [`find_element`](Self::find_element)
+    /// returns).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn element(&self, idx: usize) -> &Element {
+        &self.elements[idx]
+    }
+
+    /// Element `idx`, writable (tests that build off-topology variants).
+    #[cfg(test)]
+    pub(crate) fn element_mut(&mut self, idx: usize) -> &mut Element {
+        &mut self.elements[idx]
+    }
+
+    /// Name of element `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn element_name(&self, idx: usize) -> &str {
+        &self.names.elements[idx]
     }
 
     /// Registers a MOS model; returns its index.
@@ -403,8 +460,12 @@ impl Circuit {
 
     pub(crate) fn push(&mut self, name: &str, e: Element) {
         let key = name.to_ascii_lowercase();
-        self.element_lookup.insert(key.clone(), self.elements.len());
-        self.elements.push((key, e));
+        let names = Arc::make_mut(&mut self.names);
+        names
+            .element_lookup
+            .insert(key.clone(), self.elements.len());
+        names.elements.push(key);
+        self.elements.push(e);
     }
 
     /// Adds a resistor.
@@ -494,7 +555,7 @@ impl Circuit {
         let idx = self
             .find_element(ctrl)
             .ok_or_else(|| SpiceError::UnknownName { name: ctrl.into() })?;
-        if !matches!(self.elements[idx].1, Element::Vsource { .. }) {
+        if !matches!(self.elements[idx], Element::Vsource { .. }) {
             return Err(SpiceError::InvalidParameter {
                 element: name.to_ascii_lowercase(),
                 message: format!("controlling element '{ctrl}' is not a voltage source"),
@@ -557,7 +618,7 @@ impl Circuit {
         let idx = self
             .find_element(name)
             .ok_or_else(|| SpiceError::UnknownName { name: name.into() })?;
-        match &mut self.elements[idx].1 {
+        match &mut self.elements[idx] {
             Element::Vsource { wave, .. } | Element::Isource { wave, .. } => {
                 *wave = SourceWave::Dc(v);
                 Ok(())
@@ -682,7 +743,10 @@ impl Circuit {
 
     /// Looks up an element index by name.
     pub fn find_element(&self, name: &str) -> Option<usize> {
-        self.element_lookup.get(&name.to_ascii_lowercase()).copied()
+        self.names
+            .element_lookup
+            .get(&name.to_ascii_lowercase())
+            .copied()
     }
 
     /// Scales the defining magnitude of element `idx` in place: `W` for
@@ -704,23 +768,21 @@ impl Circuit {
             element,
             message: message.into(),
         };
-        let Some((name, e)) = self.elements.get_mut(idx) else {
+        let Some(e) = self.elements.get_mut(idx) else {
             return Err(err(format!("#{idx}"), "no such element"));
         };
+        let name = || self.names.elements[idx].clone();
         let target: &mut f64 = match e {
             Element::Resistor { r, .. } => r,
             Element::Capacitor { c, .. } => c,
             Element::Inductor { l, .. } => l,
             Element::Mosfet { w, .. } => w,
             Element::Diode { is, .. } => is,
-            _ => return Err(err(name.clone(), "element kind has no scalable magnitude")),
+            _ => return Err(err(name(), "element kind has no scalable magnitude")),
         };
         let scaled = *target * k;
         if !(scaled.is_finite() && scaled > 0.0) {
-            return Err(err(
-                name.clone(),
-                "scaled magnitude must be positive and finite",
-            ));
+            return Err(err(name(), "scaled magnitude must be positive and finite"));
         }
         *target = scaled;
         Ok(())
@@ -730,7 +792,7 @@ impl Circuit {
     pub fn transistor_count(&self) -> usize {
         self.elements
             .iter()
-            .filter(|(_, e)| matches!(e, Element::Mosfet { .. }))
+            .filter(|e| matches!(e, Element::Mosfet { .. }))
             .count()
     }
 
@@ -738,7 +800,7 @@ impl Circuit {
     /// Newton then converges in a single solve and the transient fast
     /// path can reuse one LU factorization across every step.
     pub fn is_linear(&self) -> bool {
-        self.elements.iter().all(|(_, e)| {
+        self.elements.iter().all(|e| {
             !matches!(
                 e,
                 Element::Mosfet { .. } | Element::Diode { .. } | Element::Switch { .. }
@@ -862,6 +924,65 @@ mod tests {
         assert_eq!(c.find_element("R2"), None);
     }
 
+    /// A clone shares the original's names until one of them adds a node
+    /// or an element: then only that circuit's names and lookups change,
+    /// and both answer every lookup for what each holds.
+    #[test]
+    fn clones_copy_their_names_on_write() {
+        let mut original = Circuit::new();
+        let a = original.node("a");
+        original.resistor("R1", a, NodeId::GROUND, 100.0);
+        original.capacitor("C1", a, NodeId::GROUND, 1e-12);
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.names, &clone.names));
+        clone.scale_element(0, 2.0).unwrap();
+        assert_eq!(clone.node("A"), a, "an existing node is a lookup");
+        assert!(Arc::ptr_eq(&original.names, &clone.names));
+
+        let b = clone.node("b");
+        clone.resistor("R2", a, b, 1e3);
+        assert!(!Arc::ptr_eq(&original.names, &clone.names));
+        assert_eq!(original.num_nodes(), 2);
+        assert_eq!(original.num_elements(), 2);
+        assert_eq!(original.find_node("b"), None);
+        assert_eq!(original.find_element("r2"), None);
+        assert_eq!(clone.num_nodes(), 3);
+        assert_eq!(clone.find_element("r2"), Some(2));
+        for c in [&original, &clone] {
+            for (id, name) in c.nodes() {
+                assert_eq!(c.find_node(name), Some(id));
+                assert_eq!(c.node_name(id), name);
+            }
+            for (idx, (name, e)) in c.elements().enumerate() {
+                assert_eq!(c.find_element(name), Some(idx));
+                assert_eq!(c.element_name(idx), name);
+                assert_eq!(c.element(idx), e);
+            }
+        }
+        assert_eq!(
+            *original.element(0),
+            Element::Resistor {
+                p: a,
+                n: NodeId::GROUND,
+                r: 100.0
+            }
+        );
+        assert_eq!(
+            *clone.element(0),
+            Element::Resistor {
+                p: a,
+                n: NodeId::GROUND,
+                r: 200.0
+            }
+        );
+
+        // Adding to the original after the clone leaves the clone alone.
+        original.inductor("L1", a, NodeId::GROUND, 1e-9);
+        assert_eq!(original.find_element("l1"), Some(2));
+        assert_eq!(clone.find_element("l1"), None);
+        assert_eq!(clone.element_name(2), "r2");
+    }
+
     #[test]
     fn current_controlled_sources_require_existing_vsource() {
         let mut c = Circuit::new();
@@ -885,7 +1006,7 @@ mod tests {
         c.vsource("V1", a, NodeId::GROUND, SourceWave::Dc(1.0));
         c.resistor("R1", a, NodeId::GROUND, 1e3);
         c.set_dc_value("V1", 2.5).unwrap();
-        match &c.elements()[0].1 {
+        match c.element(0) {
             Element::Vsource { wave, .. } => assert_eq!(*wave, SourceWave::Dc(2.5)),
             _ => panic!("expected vsource"),
         }
@@ -908,11 +1029,11 @@ mod tests {
         c.vsource("V1", a, NodeId::GROUND, SourceWave::Dc(1.0));
         c.scale_element(0, 1.05).unwrap();
         c.scale_element(1, 0.5).unwrap();
-        match c.elements()[0].1 {
+        match *c.element(0) {
             Element::Resistor { r, .. } => assert!((r - 105.0).abs() < 1e-9),
             _ => panic!("expected resistor"),
         }
-        match c.elements()[1].1 {
+        match *c.element(1) {
             Element::Capacitor { c: cap, .. } => assert!((cap - 0.5e-12).abs() < 1e-24),
             _ => panic!("expected capacitor"),
         }
@@ -922,7 +1043,7 @@ mod tests {
         assert!(c.scale_element(99, 1.1).is_err());
         assert!(c.scale_element(0, -1.0).is_err());
         assert!(c.scale_element(0, f64::NAN).is_err());
-        match c.elements()[0].1 {
+        match *c.element(0) {
             Element::Resistor { r, .. } => assert!((r - 105.0).abs() < 1e-9),
             _ => panic!("expected resistor"),
         }

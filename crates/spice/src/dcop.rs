@@ -3,7 +3,10 @@
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::{LuFactors, Matrix};
-use crate::mna::{assemble, estimate_nnz, AssembleMode, AssembleParams, MnaLayout, StampProgram};
+use crate::mna::{
+    assemble, estimate_nnz, AssembleMode, AssembleParams, CscLane, CscProgram, MnaLayout,
+    StampProgram,
+};
 use crate::perf::PerfCounters;
 use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::gmres::{gmres_solve, GmresOptions};
@@ -91,6 +94,10 @@ thread_local! {
     /// matrix by the full dense sweep, never by pattern replay.
     pub(crate) static FORCE_DENSE_SWEEP: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
+    /// Test hook: sparse workspaces on this thread assemble every DC
+    /// iteration through the one-shot assembly, never compiled stamps.
+    pub(crate) static FORCE_ONE_SHOT: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
 }
 
 /// Preallocated per-layout solve buffers, the compiled Newton step and
@@ -114,7 +121,9 @@ pub(crate) struct NewtonWorkspace {
 /// partial-pivot LU (the legacy path, bit-exact vs history) or triplet
 /// sparse matrix + split symbolic/numeric LU. The dense backend assembles
 /// through the compiled Newton step; the sparse ones through the one-shot
-/// [`assemble`], which gives them the same stamp sequence.
+/// [`assemble`], which gives them the same stamp sequence, except that
+/// the sparse backend's DC solves run the stamps compiled onto its locked
+/// pattern ([`CscProgram`]) once a first assembly has locked it.
 #[derive(Debug, Clone)]
 enum Backend {
     Dense {
@@ -141,6 +150,10 @@ enum Backend {
         /// the sparse twin of the dense byte-compare reuse test.
         vals_cached: Vec<f64>,
         cache_valid: bool,
+        /// The DC stamps compiled onto the locked pattern, with this
+        /// circuit's records; `None` until a DC assembly locks the
+        /// pattern, and after a structural recompile.
+        dc: Option<Box<(CscProgram, CscLane)>>,
     },
     Krylov {
         mat: SparseMatrix<f64>,
@@ -184,6 +197,7 @@ impl NewtonWorkspace {
                 btf_unavailable: false,
                 vals_cached: Vec::new(),
                 cache_valid: false,
+                dc: None,
             }
         } else {
             let mat = Matrix::square(n);
@@ -285,8 +299,14 @@ pub(crate) fn newton_solve(
     } = ws;
     let linear = *linear;
     x.copy_from_slice(x0);
-    if let Backend::Dense { program, .. } = backend {
-        program.prepare(circuit, mode, &params);
+    let dc_mode = matches!(mode, AssembleMode::Dc);
+    match backend {
+        Backend::Dense { program, .. } => program.prepare(circuit, mode, &params),
+        Backend::Sparse { dc: Some(dc), .. } if dc_mode => {
+            let (program, lane) = &mut **dc;
+            program.prepare(lane, circuit, &params);
+        }
+        _ => {}
     }
     for _ in 0..opts.max_iter {
         counters.newton_iterations += 1;
@@ -294,8 +314,9 @@ pub(crate) fn newton_solve(
             Backend::Dense { mat, lu, program } => {
                 program.assemble(x, mat, rhs)?;
                 if opts.numeric_guard {
-                    if let Err(fault) = sim_core::linalg::check_finite_matrix(mat)
-                        .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
+                    if let Err(fault) =
+                        sim_core::linalg::check_finite_within(mat, program.footprint())
+                            .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
                     {
                         return Err(SpiceError::Numeric {
                             analysis: "dcop",
@@ -325,16 +346,37 @@ pub(crate) fn newton_solve(
                 btf_unavailable,
                 vals_cached,
                 cache_valid,
+                dc,
             } => {
-                assemble(circuit, layout, x, mode, &params, mat, rhs)?;
-                if mat.finish_assembly() {
-                    // Stamp sequence diverged: the CSC structure was
-                    // recompiled, so the pinned pattern, block structure
-                    // and value cache are all meaningless.
-                    *factors = None;
-                    *btf = None;
-                    *btf_unavailable = false;
-                    *cache_valid = false;
+                match dc.as_deref_mut() {
+                    Some((program, lane)) if dc_mode => {
+                        program.assemble(lane, x, mat.values_mut(), rhs);
+                    }
+                    _ => {
+                        assemble(circuit, layout, x, mode, &params, mat, rhs)?;
+                        if mat.finish_assembly() {
+                            // Stamp sequence diverged: the CSC structure
+                            // was recompiled, so the pinned pattern, block
+                            // structure, value cache and compiled stamps
+                            // are all meaningless.
+                            *factors = None;
+                            *btf = None;
+                            *btf_unavailable = false;
+                            *cache_valid = false;
+                            *dc = None;
+                        }
+                        #[cfg(test)]
+                        let dc_mode = dc_mode && !FORCE_ONE_SHOT.get();
+                        if dc_mode && dc.is_none() {
+                            // The pattern is locked on this circuit's DC
+                            // stamps: compile them onto it.
+                            let program = CscProgram::compile(circuit, layout, mat)?;
+                            let mut lane = CscLane::default();
+                            assert!(program.load(&mut lane, circuit, layout));
+                            program.prepare(&mut lane, circuit, &params);
+                            *dc = Some(Box::new((program, lane)));
+                        }
+                    }
                 }
                 if opts.numeric_guard {
                     if let Err(fault) = mat
@@ -643,7 +685,6 @@ impl DcSolution {
         let v = |n| self.layout.voltage(&self.x, n);
         circuit
             .elements()
-            .iter()
             .filter_map(|(name, e)| match e {
                 Element::Mosfet {
                     d,
@@ -664,7 +705,7 @@ impl DcSolution {
                         v(*b),
                     );
                     Some(MosfetBias {
-                        name: name.clone(),
+                        name: name.to_string(),
                         region: ev.region,
                         ids: ev.ids,
                         gm: ev.gm,
@@ -838,22 +879,26 @@ pub fn dcop(circuit: &Circuit) -> Result<DcSolution, SpiceError> {
     dcop_with(circuit, &[])
 }
 
-/// Shared campaign kernel: the MNA layout, pinned CSC pattern and single
-/// symbolic LU factorization that every structure-identical Monte-Carlo
-/// point reuses through [`dcop_batch`]. Built once per campaign topology
-/// from a representative point (typically stream 0's converged leader).
+/// Shared campaign kernel: the MNA layout, pinned CSC pattern, the DC
+/// Newton step compiled onto that pattern and the single symbolic LU
+/// factorization that every structure-identical Monte-Carlo point reuses
+/// through [`dcop_batch`]. Built once per campaign topology from a
+/// representative point (typically stream 0's converged leader).
 #[derive(Debug, Clone)]
 pub struct CampaignKernel {
     layout: MnaLayout,
     pattern: SparseMatrix<f64>,
+    program: CscProgram,
     sym: SymbolicLu,
+    linear: bool,
 }
 
 impl CampaignKernel {
     /// Analyzes `circuit` at the representative operating point `x_rep`
     /// (zeros when the length disagrees with the layout): assembles the DC
-    /// Jacobian once, locks the CSC pattern and runs the full symbolic +
-    /// pivoting analysis. Counts one `symbolic_analyses` on `counters`.
+    /// Jacobian once, locks the CSC pattern, compiles the DC stamps onto
+    /// it and runs the full symbolic + pivoting analysis. Counts one
+    /// `symbolic_analyses` on `counters`.
     ///
     /// # Errors
     ///
@@ -890,6 +935,7 @@ impl CampaignKernel {
             &mut rhs,
         )?;
         pattern.finish_assembly();
+        let program = CscProgram::compile(circuit, &layout, &pattern)?;
         counters.symbolic_analyses += 1;
         let (sym, _num) = SymbolicLu::analyze(&pattern).map_err(|e| SpiceError::Singular {
             analysis: "dcop",
@@ -899,7 +945,9 @@ impl CampaignKernel {
         Ok(CampaignKernel {
             layout,
             pattern,
+            program,
             sym,
+            linear: circuit.is_linear(),
         })
     }
 
@@ -916,14 +964,15 @@ impl CampaignKernel {
     /// Allocates a reusable lane workspace for groups of up to `width`
     /// points. A campaign advancing the same lane group rank by rank
     /// should build one workspace and pass it to [`dcop_batch_with`]
-    /// every rank: the lane matrices and the multi-lane LU then survive
-    /// across calls, so the steady-state per-rank cost is assembly plus
-    /// numeric work, not allocation.
+    /// every rank: the lane records, values and the multi-lane LU then
+    /// survive across calls, so the steady-state per-rank cost is
+    /// assembly plus numeric work, not allocation.
     pub fn workspace(&self, width: usize) -> BatchWorkspace {
         let w = width.max(1);
         let n = self.order();
         BatchWorkspace {
-            mats: vec![self.pattern.clone(); w],
+            lanes: vec![CscLane::default(); w],
+            values: vec![vec![0.0; self.pattern.nnz()]; w],
             rhs: vec![vec![0.0; n]; w],
             lu: BatchedLu::new(&self.sym, w),
             b: vec![0.0; n * w],
@@ -931,13 +980,15 @@ impl CampaignKernel {
     }
 }
 
-/// Reusable per-group state for [`dcop_batch_with`]: `width` lane
-/// matrices cloned from the kernel pattern, the multi-lane LU and the
-/// interleaved solve vector. Holds no per-point results — only storage —
-/// so reusing it across calls cannot change any lane's arithmetic.
+/// Reusable per-group state for [`dcop_batch_with`]: per lane the
+/// compiled element records and the CSC values and right-hand side they
+/// assemble, the multi-lane LU and the interleaved solve vector. Holds no
+/// per-point results — only storage — so reusing it across calls cannot
+/// change any lane's arithmetic.
 #[derive(Debug)]
 pub struct BatchWorkspace {
-    mats: Vec<SparseMatrix<f64>>,
+    lanes: Vec<CscLane>,
+    values: Vec<Vec<f64>>,
     rhs: Vec<Vec<f64>>,
     lu: BatchedLu<f64>,
     b: Vec<f64>,
@@ -981,9 +1032,12 @@ pub struct BatchReport {
 ///
 /// Per-lane semantics are unchanged vs [`dcop_with_guess`]: a lane that
 /// converges in the batched stage-0 loop counts one `warm_start_hits`;
-/// a lane that diverges, goes stale on the pinned pattern, or diverges
-/// structurally from the kernel falls back to the scalar cold-start
-/// ladder (gmin/source stepping + rescue hooks) on its own. Lane
+/// a lane that diverges or goes stale on the pinned pattern falls back
+/// to the scalar ladder (gmin/source stepping + rescue hooks) on its
+/// own. A point whose circuit does not stamp like the kernel's (another
+/// node or element count, or an element of another kind or on other
+/// unknowns) or whose guess has the wrong length never enters the batch:
+/// it is solved by the scalar cold-start ladder, as [`dcop_with`]. Lane
 /// arithmetic is fully independent (see [`sim_core::batched`]), so every
 /// lane's result is bit-identical at any batch width and regardless of
 /// when other lanes retire.
@@ -1029,9 +1083,16 @@ pub fn dcop_batch_with(
     // The workspace may be wider than this group (e.g. a short final
     // group): lanes `w..lw` simply stay inactive — lane independence
     // keeps the live lanes' bits unaffected by the stride.
-    let BatchWorkspace { mats, rhs, lu, b } = ws;
+    let BatchWorkspace {
+        lanes,
+        values,
+        rhs,
+        lu,
+        b,
+    } = ws;
     let lw = lu.width();
     assert!(w <= lw, "batch of {w} points exceeds workspace width {lw}");
+    let program = &kernel.program;
     // Per-lane state. A lane leaves `active` either converged (solution
     // recorded) or queued for the scalar fallback ladder.
     let mut x: Vec<Vec<f64>> = Vec::with_capacity(w);
@@ -1039,25 +1100,27 @@ pub fn dcop_batch_with(
     let mut needs_fallback = vec![false; w];
     let mut lane_iters = vec![0u64; w];
     let mut solutions: Vec<Option<Result<DcSolution, SpiceError>>> = (0..w).map(|_| None).collect();
-    let mut layouts: Vec<MnaLayout> = Vec::with_capacity(w);
     for (l, pt) in points.iter().enumerate() {
-        let layout = MnaLayout::new(pt.circuit);
-        if layout.size() != n || pt.guess.len() != n {
-            // Layout mismatch or unusable guess: this point never enters
-            // the batch (matches the scalar wrong-length-guess semantics).
-            needs_fallback[l] = true;
-        } else {
+        // The one topology check per lane and call: a point whose
+        // elements do not stamp like the kernel's, or whose guess is
+        // unusable, never enters the batch (matches the scalar
+        // wrong-length-guess semantics).
+        if pt.guess.len() == n && program.load(&mut lanes[l], pt.circuit, &kernel.layout) {
+            let params = AssembleParams {
+                t: 0.0,
+                externals: pt.externals,
+                gmin: GMIN_FINAL,
+                source_scale: 1.0,
+            };
+            program.prepare(&mut lanes[l], pt.circuit, &params);
             active[l] = true;
-        }
-        x.push(if pt.guess.len() == n {
-            pt.guess.to_vec()
+            x.push(pt.guess.to_vec());
         } else {
-            vec![0.0; n]
-        });
-        layouts.push(layout);
+            needs_fallback[l] = true;
+            x.push(Vec::new());
+        }
     }
     let n_volt = kernel.layout.n_nodes() - 1;
-    let linear: Vec<bool> = points.iter().map(|p| p.circuit.is_linear()).collect();
 
     for _ in 0..opts.max_iter {
         if !active.iter().any(|&a| a) {
@@ -1069,35 +1132,9 @@ pub fn dcop_batch_with(
                 continue;
             }
             lane_iters[l] += 1;
-            let params = AssembleParams {
-                t: 0.0,
-                externals: points[l].externals,
-                gmin: GMIN_FINAL,
-                source_scale: 1.0,
-            };
-            let ok = assemble(
-                points[l].circuit,
-                &layouts[l],
-                &x[l],
-                AssembleMode::Dc,
-                &params,
-                &mut mats[l],
-                &mut rhs[l],
-            )
-            .is_ok();
-            // A recompiled structure means the lane's stamp sequence
-            // diverged from the kernel pattern — its topology is not the
-            // campaign's, so the shared symbolic does not apply. Restore
-            // the lane matrix from the kernel pattern so a reused
-            // workspace stays coherent for the lane's next occupant.
-            if !ok || mats[l].finish_assembly() {
-                active[l] = false;
-                needs_fallback[l] = true;
-                mats[l] = kernel.pattern.clone();
-                continue;
-            }
+            program.assemble(&mut lanes[l], &x[l], &mut values[l], &mut rhs[l]);
             if opts.numeric_guard
-                && (mats[l].check_finite().is_err()
+                && (values[l].iter().any(|v| !v.is_finite())
                     || sim_core::linalg::check_finite_vec(&rhs[l], "rhs").is_err())
             {
                 active[l] = false;
@@ -1108,8 +1145,8 @@ pub fn dcop_batch_with(
             break;
         }
         // One multi-lane numeric refactor + solve for the whole group.
-        let mat_refs: Vec<&SparseMatrix<f64>> = mats.iter().collect();
-        let outcomes = lu.refactor(&kernel.sym, &mat_refs, &active);
+        let value_refs: Vec<&[f64]> = values.iter().map(Vec::as_slice).collect();
+        let outcomes = lu.refactor(&kernel.sym, &kernel.pattern, &value_refs, &active);
         batch_counters.batched_refactors += 1;
         for (l, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -1142,7 +1179,7 @@ pub fn dcop_batch_with(
                 continue;
             }
             let xl = &mut x[l];
-            if linear[l] {
+            if kernel.linear {
                 // Affine system: the solve is exact — accept undamped.
                 let mut finite = true;
                 for i in 0..n {
@@ -1156,7 +1193,7 @@ pub fn dcop_batch_with(
                         l,
                         &active,
                         xl,
-                        &layouts[l],
+                        &kernel.layout,
                         lane_iters[l],
                         &mut solutions,
                         &mut batch_counters,
@@ -1190,7 +1227,7 @@ pub fn dcop_batch_with(
                         l,
                         &active,
                         xl,
-                        &layouts[l],
+                        &kernel.layout,
                         lane_iters[l],
                         &mut solutions,
                         &mut batch_counters,
@@ -1263,7 +1300,8 @@ fn retire_converged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::SourceWave;
+    use crate::circuit::{Element, SourceWave};
+    use crate::mna::CompanionModel;
     use crate::mosfet::MosParams;
 
     #[test]
@@ -1685,6 +1723,115 @@ mod tests {
         for (a, b) in sol.x.iter().zip(&scalar.x) {
             assert_eq!(a.to_bits(), b.to_bits(), "fallback must be the scalar path");
         }
+    }
+
+    /// A lane of the kernel's order whose circuit does not stamp like the
+    /// kernel's (drain and source of one device swapped) takes the scalar
+    /// cold-start path, bit for bit `dcop`, and leaves the other lanes'
+    /// bits and counts as they are without it.
+    #[test]
+    fn batched_dcop_sends_an_off_topology_lane_to_the_scalar_path() {
+        let vins = [0.88, 0.9, 0.92];
+        let circuits: Vec<Circuit> = vins.iter().map(|&v| cmos_inverter(v).0).collect();
+        let rep = dcop(&circuits[1]).unwrap();
+        let mut kc = PerfCounters::new();
+        let kernel = CampaignKernel::analyze(&circuits[1], &[], &rep.x, &mut kc).unwrap();
+        let mut swapped = circuits[1].clone();
+        let mn = swapped.find_element("MN").unwrap();
+        match swapped.element_mut(mn) {
+            Element::Mosfet { d, s, .. } => std::mem::swap(d, s),
+            _ => unreachable!(),
+        }
+        assert_eq!(MnaLayout::new(&swapped).size(), kernel.order());
+        let point = |c| BatchPoint {
+            circuit: c,
+            externals: &[],
+            guess: &rep.x,
+        };
+        let opts = NewtonOptions::default();
+        let with = dcop_batch(
+            &kernel,
+            &[point(&circuits[0]), point(&swapped), point(&circuits[2])],
+            &opts,
+        );
+        let without = dcop_batch(&kernel, &[point(&circuits[0]), point(&circuits[2])], &opts);
+        let bits = |s: &DcSolution| s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let got: Vec<&DcSolution> = with.solutions.iter().map(|s| s.as_ref().unwrap()).collect();
+        let scalar = dcop(&swapped).unwrap();
+        assert_eq!(bits(got[1]), bits(&scalar), "the scalar path, bit for bit");
+        assert_eq!(got[1].iterations, scalar.iterations);
+        assert_eq!(got[1].counters, scalar.counters);
+        assert_eq!(got[1].counters.warm_start_hits, 0);
+        for (lane, other) in [(0, 0), (2, 1)] {
+            let other = without.solutions[other].as_ref().unwrap();
+            assert_eq!(bits(got[lane]), bits(other), "lane {lane}");
+            assert_eq!(got[lane].counters, other.counters, "lane {lane}");
+            assert_eq!(got[lane].counters.warm_start_hits, 1, "lane {lane}");
+        }
+    }
+
+    /// The sparse backend's compiled DC stamps leave every bit and count
+    /// of the one-shot assembly unchanged: over a gmin and source-stepping
+    /// ladder, and with transient solves on the same workspace between DC
+    /// ones, which recompile the pattern each way.
+    #[test]
+    fn sparse_dc_solves_through_compiled_stamps_bit_for_bit() {
+        let (c, _) = cmos_inverter(0.93);
+        let layout = MnaLayout::new(&c);
+        let n = layout.size();
+        let opts = NewtonOptions {
+            solver: SolverKind::Sparse,
+            ..NewtonOptions::default()
+        };
+        let x_prev: Vec<f64> = (0..n).map(|i| 0.1 * i as f64).collect();
+        let mode_is_dc = |k: usize| k % 3 != 2;
+        let run = |one_shot: bool| {
+            FORCE_ONE_SHOT.set(one_shot);
+            let mut ws = NewtonWorkspace::for_circuit(&c, &layout, opts.solver);
+            let mut counters = PerfCounters::new();
+            let mut trace = Vec::new();
+            let mut x = vec![0.0; n];
+            let transient = AssembleMode::Transient {
+                x_prev: &x_prev,
+                h: 1e-10,
+                companion: CompanionModel::BackwardEuler,
+            };
+            let ladder = [(1e-3, 0.5), (1e-9, 1.0), (GMIN_FINAL, 1.0)];
+            for (k, (gmin, scale)) in ladder.into_iter().cycle().take(7).enumerate() {
+                let mode = if k % 3 == 2 {
+                    transient
+                } else {
+                    AssembleMode::Dc
+                };
+                let r = newton_solve(
+                    &c,
+                    &layout,
+                    &x,
+                    mode,
+                    0.0,
+                    &[],
+                    gmin,
+                    scale,
+                    &opts,
+                    &mut ws,
+                    &mut counters,
+                );
+                trace.push(u64::from(r.is_ok()));
+                x.copy_from_slice(ws.solution());
+                trace.extend(x.iter().map(|v| v.to_bits()));
+                let compiled = matches!(ws.backend, Backend::Sparse { dc: Some(_), .. });
+                assert_eq!(compiled, !one_shot && mode_is_dc(k), "solve {k}");
+            }
+            FORCE_ONE_SHOT.set(false);
+            (
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                trace,
+                counters,
+            )
+        };
+        let compiled = run(false);
+        assert!(compiled.2.symbolic_analyses >= 2, "{}", compiled.2);
+        assert_eq!(compiled, run(true));
     }
 
     #[test]

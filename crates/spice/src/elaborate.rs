@@ -354,11 +354,11 @@ mod tests {
         let ckt = build(
             ".subckt cell a r=1k\nR1 a 0 {r}\n.ends\nV1 t 0 DC 1\nX1 t cell\nX2 t cell r=2k\n",
         );
-        match ckt.elements()[ckt.find_element("x1.r1").unwrap()].1 {
+        match *ckt.element(ckt.find_element("x1.r1").unwrap()) {
             Element::Resistor { r, .. } => assert_eq!(r, 1e3),
             _ => panic!("expected resistor"),
         }
-        match ckt.elements()[ckt.find_element("x2.r1").unwrap()].1 {
+        match *ckt.element(ckt.find_element("x2.r1").unwrap()) {
             Element::Resistor { r, .. } => assert_eq!(r, 2e3),
             _ => panic!("expected resistor"),
         }
@@ -386,9 +386,9 @@ mod tests {
             ".subckt sense a out\nV1 a 0 DC 0\nH1 out 0 V1 1k\n.ends\nV1 top 0 DC 1\nR0 top in 1k\nX1 in o1 sense\nR2 o1 0 1k\n",
         );
         // x1.h1 must sense x1.v1 (the local 0 V ammeter), not top V1.
-        match ckt.elements()[ckt.find_element("x1.h1").unwrap()].1 {
+        match *ckt.element(ckt.find_element("x1.h1").unwrap()) {
             Element::Ccvs { ctrl, .. } => {
-                assert_eq!(ckt.elements()[ctrl].0, "x1.v1");
+                assert_eq!(ckt.element_name(ctrl), "x1.v1");
             }
             _ => panic!("expected ccvs"),
         }

@@ -279,7 +279,7 @@ pub fn dc_pattern(
             out.push((ib, j));
         }
     };
-    for (idx, (name, e)) in circuit.elements().iter().enumerate() {
+    for (idx, (name, e)) in circuit.elements().enumerate() {
         match e {
             Element::Resistor { p, n, .. } | Element::Diode { p, n, .. } => {
                 conductance(&mut out, *p, *n);
@@ -661,6 +661,29 @@ impl Op {
         })
     }
 
+    /// Whether this element emits the stamps of `other`, into the same
+    /// values: the same kind on the same unknowns.
+    fn stamps_like(&self, other: &Op) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+            && self.unknowns() == other.unknowns()
+    }
+
+    /// The unknowns of this element's terminals.
+    fn unknowns(&self) -> &[u32] {
+        match self {
+            Op::Resistor { t, .. }
+            | Op::Capacitor { t, .. }
+            | Op::Isource { t }
+            | Op::Diode { t, .. } => &t.0,
+            Op::Vsource { t } | Op::Cccs { t, .. } | Op::Inductor { t, .. } => &t.0,
+            Op::Vccs { t, .. }
+            | Op::Ccvs { t, .. }
+            | Op::Switch { t, .. }
+            | Op::Mosfet { t, .. } => &t.0,
+            Op::Vcvs { t, .. } => &t.0,
+        }
+    }
+
     /// How many values this element has.
     fn n_vals(&self) -> usize {
         match self {
@@ -1029,7 +1052,7 @@ impl StampProgram {
     pub(crate) fn compile(circuit: &Circuit, layout: &MnaLayout) -> Self {
         let elements = circuit.elements();
         let (m, r) = elements
-            .iter()
+            .clone()
             .map(|(_, e)| bounds(e))
             .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
         let mut program = StampProgram {
@@ -1045,7 +1068,7 @@ impl StampProgram {
             gmin: 0.0,
         };
         let mut caps = 0;
-        for (idx, (name, e)) in elements.iter().enumerate() {
+        for (idx, (name, e)) in elements.enumerate() {
             match Op::new(circuit, layout, (idx, name, e), &mut caps) {
                 Ok(op) => program.push(op),
                 Err(e) => {
@@ -1175,6 +1198,178 @@ impl StampProgram {
     }
 }
 
+/// The DC Newton step of a [`StampProgram`] laid onto a locked CSC
+/// pattern, for many circuits of one topology (the Monte-Carlo lanes of a
+/// campaign). Each DC matrix stamp is compiled to (CSC value slot, value
+/// index), in stamp order, followed by the gmin floor's slots, the slots
+/// taken from the pattern's own scatter map; the right-hand side keeps its
+/// (row, value index) tape.
+///
+/// A locked [`SparseMatrix`] assembly zeroes its values and adds the
+/// stamps at their mapped slots in stamp order, and the one-shot
+/// [`assemble`] stamps what the program's tapes record, in the same order.
+/// So running these tapes over zeroed values gives every slot the same
+/// sequence of the same `+=`s: the CSC values and the right-hand side are
+/// bit for bit those of [`assemble`] plus
+/// [`SparseMatrix::finish_assembly`] on the pattern.
+#[derive(Debug, Clone)]
+pub(crate) struct CscProgram {
+    /// The compiled elements of the circuit compiled, with their first
+    /// values.
+    ops: Vec<Placed>,
+    /// Values per circuit.
+    n_vals: usize,
+    order: usize,
+    /// `values[slot] += vals[v]` per DC matrix stamp, in stamp order.
+    mat: Vec<(u32, u32)>,
+    /// The gmin floor's slots, node by node, after every element stamp.
+    floor: Vec<u32>,
+    /// `rhs[row] += vals[v]` per DC right-hand-side stamp, in order.
+    rhs: Vec<RhsAdd>,
+}
+
+/// One circuit's elements compiled for a [`CscProgram`]: the records with
+/// its own constants, and their values.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CscLane {
+    ops: Vec<Op>,
+    vals: Vec<f64>,
+    gmin: f64,
+}
+
+impl CscProgram {
+    /// Compiles `circuit` against `layout` onto `pattern`, a matrix
+    /// locked by a DC [`assemble`] of `circuit`.
+    ///
+    /// # Errors
+    ///
+    /// The compile error of [`StampProgram::compile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` is not locked on the DC stamps of `circuit`.
+    pub(crate) fn compile(
+        circuit: &Circuit,
+        layout: &MnaLayout,
+        pattern: &SparseMatrix<f64>,
+    ) -> Result<Self, SpiceError> {
+        let StampProgram {
+            ops,
+            vals,
+            mat: tape,
+            rhs: rhs_tape,
+            order,
+            n_volt,
+            error,
+            ..
+        } = StampProgram::compile(circuit, layout);
+        if let Some(e) = error {
+            return Err(e);
+        }
+        // The locked stamp sequence is the DC tape followed by the gmin
+        // floor; each slot is checked to hold its stamp's entry.
+        let mut slots = pattern.stamp_slots().iter();
+        let mut slot = |row: usize, col: usize| {
+            let &slot = slots.next().expect("the pattern is locked on these stamps");
+            assert!(
+                pattern.row_idx()[slot] == row
+                    && (pattern.col_ptr()[col]..pattern.col_ptr()[col + 1]).contains(&slot),
+                "the pattern is locked on these stamps"
+            );
+            slot as u32
+        };
+        let mut mat = Vec::new();
+        let mut rhs = Vec::new();
+        for p in &ops {
+            let dc = &tape[p.mat[0] as usize..p.mat[1] as usize];
+            for a in dc {
+                mat.push((slot(a.row as usize, a.col as usize), a.v));
+            }
+            rhs.extend_from_slice(&rhs_tape[p.rhs[0] as usize..p.rhs[1] as usize]);
+        }
+        let floor = (0..n_volt).map(|i| slot(i, i)).collect();
+        assert!(
+            slots.next().is_none(),
+            "the pattern is locked on these stamps"
+        );
+        Ok(CscProgram {
+            ops,
+            n_vals: vals.len(),
+            order,
+            mat,
+            floor,
+            rhs,
+        })
+    }
+
+    /// Compiles the elements of `circuit` into `lane` and reports whether
+    /// they stamp exactly as the program's: as many nodes and elements,
+    /// and each element of the same kind on the same unknowns. Only then
+    /// may the lane run the program's tapes.
+    pub(crate) fn load(&self, lane: &mut CscLane, circuit: &Circuit, layout: &MnaLayout) -> bool {
+        lane.ops.clear();
+        if circuit.num_nodes() != layout.n_nodes() || circuit.num_elements() != self.ops.len() {
+            return false;
+        }
+        let mut caps = 0;
+        for ((idx, (_, e)), p) in circuit.elements().enumerate().zip(&self.ops) {
+            match Op::compile(circuit, layout, (idx, e), &mut caps) {
+                Some(op) if op.stamps_like(&p.op) => lane.ops.push(op),
+                _ => return false,
+            }
+        }
+        lane.vals.resize(self.n_vals, 0.0);
+        true
+    }
+
+    /// Sets the values that hold for one DC Newton solve of `circuit`,
+    /// the circuit last [`load`](Self::load)ed into `lane`.
+    pub(crate) fn prepare(
+        &self,
+        lane: &mut CscLane,
+        circuit: &Circuit,
+        params: &AssembleParams<'_>,
+    ) {
+        lane.gmin = params.gmin;
+        for ((op, p), (_, e)) in lane.ops.iter().zip(&self.ops).zip(circuit.elements()) {
+            op.prepare(
+                e,
+                AssembleMode::Dc,
+                params,
+                &mut lane.vals[p.base as usize..],
+            );
+        }
+    }
+
+    /// Assembles `lane`'s linearised DC system around the Newton
+    /// candidate `x`, as last [`prepare`](Self::prepare)d: the CSC values
+    /// into `values`, the right-hand side into `rhs`.
+    pub(crate) fn assemble(
+        &self,
+        lane: &mut CscLane,
+        x: &[f64],
+        values: &mut [f64],
+        rhs: &mut [f64],
+    ) {
+        assert_eq!(rhs.len(), self.order);
+        for (op, p) in lane.ops.iter().zip(&self.ops) {
+            op.eval(x, &mut lane.vals[p.base as usize..]);
+        }
+        let vals = &lane.vals;
+        values.fill(0.0);
+        for &(slot, v) in &self.mat {
+            values[slot as usize] += vals[v as usize];
+        }
+        for &slot in &self.floor {
+            values[slot as usize] += lane.gmin;
+        }
+        rhs.fill(0.0);
+        for a in &self.rhs {
+            rhs[a.row as usize] += vals[a.v as usize];
+        }
+    }
+}
+
 /// Global gmin from every node to ground: guarantees a DC path.
 fn gmin_floor<M: Stamp>(n_volt: usize, gmin: f64, mat: &mut M) {
     for i in 0..n_volt {
@@ -1212,7 +1407,7 @@ pub fn assemble<M: Stamp>(
     let transient = matches!(mode, AssembleMode::Transient { .. });
     let mut caps = 0;
     let mut vals = [0.0; MAX_VALS];
-    for (idx, (name, e)) in circuit.elements().iter().enumerate() {
+    for (idx, (name, e)) in circuit.elements().enumerate() {
         let op = Op::new(circuit, layout, (idx, name, e), &mut caps)?;
         op.prepare(e, mode, params, &mut vals);
         op.eval(x, &mut vals);
@@ -1363,7 +1558,7 @@ mod tests {
             };
 
             let mut cap_index = 0usize;
-            for (idx, (name, e)) in circuit.elements().iter().enumerate() {
+            for (idx, (name, e)) in circuit.elements().enumerate() {
                 match e {
                     Element::Resistor { p, n, r } => {
                         stamp_conductance(layout, mat, *p, *n, 1.0 / r);
@@ -1733,6 +1928,155 @@ mod tests {
         // The footprint is exactly what DC and transient assemblies write.
         let footprint: Vec<u32> = written.into_iter().collect();
         assert_eq!(program.footprint(), &footprint[..]);
+    }
+
+    /// `tiles` integrate-and-dump cells side by side, each with its
+    /// supply, inputs and controls on DC sources.
+    fn tile_array(tiles: usize) -> Circuit {
+        use crate::library::{integrate_dump, IntegrateDumpParams};
+        let params = IntegrateDumpParams::default();
+        let mut c = Circuit::new();
+        let gnd = Circuit::gnd();
+        for t in 0..tiles {
+            let ports = integrate_dump(&mut c, &format!("t{t}_"), &params).unwrap();
+            for (name, node, v) in [
+                ("VDD", ports.vdd, params.vdd),
+                ("VIP", ports.inp, 1.1),
+                ("VIM", ports.inm, 1.1),
+                ("VCP", ports.controlp, params.vdd),
+                ("VCM", ports.controlm, 0.0),
+            ] {
+                c.vsource(&format!("{name}{t}"), node, gnd, SourceWave::Dc(v));
+            }
+        }
+        c
+    }
+
+    /// The DC stamps compiled onto a locked CSC pattern give the values
+    /// and right-hand side of the one-shot assembly plus
+    /// `finish_assembly`, bit for bit, at random iterates, gmin and
+    /// source scales: on a circuit with every element kind and on the
+    /// 8-tile array the Monte-Carlo campaigns run.
+    #[test]
+    fn csc_program_replays_the_locked_assembly_bit_for_bit() {
+        let mut seed = 0x5eed_0000_0000_0018u64;
+        for c in [every_kind(), tile_array(8)] {
+            let layout = MnaLayout::new(&c);
+            let n = layout.size();
+            let externals: Vec<f64> = (0..c.num_externals)
+                .map(|_| uniform(&mut seed, -1.0, 1.0))
+                .collect();
+            let params = |seed: &mut u64| AssembleParams {
+                t: 0.0,
+                externals: &externals,
+                gmin: uniform(seed, 1e-13, 1e-3),
+                source_scale: uniform(seed, 0.1, 1.0),
+            };
+            let (mut pattern, mut rhs) = (SparseMatrix::new(n), vec![0.0; n]);
+            let p0 = params(&mut seed);
+            let x0 = vec![0.0; n];
+            assemble(
+                &c,
+                &layout,
+                &x0,
+                AssembleMode::Dc,
+                &p0,
+                &mut pattern,
+                &mut rhs,
+            )
+            .unwrap();
+            assert!(pattern.finish_assembly());
+            let program = CscProgram::compile(&c, &layout, &pattern).unwrap();
+            let mut lane = CscLane::default();
+            assert!(program.load(&mut lane, &c, &layout));
+            let (mut values, mut lane_rhs) = (vec![0.0; pattern.nnz()], vec![0.0; n]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for round in 0..20 {
+                let x: Vec<f64> = (0..n).map(|_| uniform(&mut seed, -2.0, 2.0)).collect();
+                let p = params(&mut seed);
+                assemble(
+                    &c,
+                    &layout,
+                    &x,
+                    AssembleMode::Dc,
+                    &p,
+                    &mut pattern,
+                    &mut rhs,
+                )
+                .unwrap();
+                assert!(!pattern.finish_assembly(), "the pattern stays locked");
+                program.prepare(&mut lane, &c, &p);
+                program.assemble(&mut lane, &x, &mut values, &mut lane_rhs);
+                assert_eq!(
+                    bits(&values),
+                    bits(pattern.values()),
+                    "values, round {round}"
+                );
+                assert_eq!(bits(&lane_rhs), bits(&rhs), "rhs, round {round}");
+            }
+        }
+    }
+
+    /// A circuit loads into a compiled program only when it stamps the
+    /// same entries into the same values: scaled magnitudes load, swapped
+    /// terminals, another kind or another element or node count do not.
+    #[test]
+    fn csc_program_loads_only_the_same_topology() {
+        let c = every_kind();
+        let layout = MnaLayout::new(&c);
+        let n = layout.size();
+        let (mut pattern, mut rhs) = (SparseMatrix::new(n), vec![0.0; n]);
+        let params = AssembleParams {
+            t: 0.0,
+            externals: &[0.3],
+            gmin: 1e-12,
+            source_scale: 1.0,
+        };
+        assemble(
+            &c,
+            &layout,
+            &vec![0.0; n],
+            AssembleMode::Dc,
+            &params,
+            &mut pattern,
+            &mut rhs,
+        )
+        .unwrap();
+        pattern.finish_assembly();
+        let program = CscProgram::compile(&c, &layout, &pattern).unwrap();
+        let mut lane = CscLane::default();
+        let loads = |lane: &mut CscLane, other: &Circuit| program.load(lane, other, &layout);
+
+        let mut scaled = c.clone();
+        let m1 = scaled.find_element("M1").unwrap();
+        scaled.scale_element(m1, 1.1).unwrap();
+        assert!(loads(&mut lane, &scaled));
+        let r1 = c.find_element("R1").unwrap();
+        let swap = |e: &mut Element| match e {
+            Element::Resistor { p, n, .. } => std::mem::swap(p, n),
+            _ => unreachable!(),
+        };
+        let mut swapped = c.clone();
+        swap(swapped.element_mut(r1));
+        assert!(!loads(&mut lane, &swapped));
+        let mut kind = c.clone();
+        let Element::Resistor { p, n: m, .. } = *kind.element(r1) else {
+            unreachable!()
+        };
+        *kind.element_mut(r1) = Element::Diode {
+            p,
+            n: m,
+            is: 1e-14,
+            nf: 1.0,
+        };
+        assert!(!loads(&mut lane, &kind));
+        let mut longer = c.clone();
+        longer.resistor("R9", p, Circuit::gnd(), 1e3);
+        assert!(!loads(&mut lane, &longer));
+        let mut wider = c.clone();
+        wider.node("spare");
+        assert!(!loads(&mut lane, &wider));
+        assert!(loads(&mut lane, &c));
     }
 
     /// A layout computed for another circuit: the compiled program and

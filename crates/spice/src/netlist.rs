@@ -129,10 +129,11 @@ fn element_line(circuit: &Circuit, raw_name: &str, e: &crate::circuit::Element) 
     let name = &name;
     let node = |id| circuit.node_name(id);
     let ctrl_name = |idx: usize| {
-        circuit
-            .elements()
-            .get(idx)
-            .map_or("?unknown-ctrl", |(n, _)| n.as_str())
+        if idx < circuit.num_elements() {
+            circuit.element_name(idx)
+        } else {
+            "?unknown-ctrl"
+        }
     };
     match e {
         Element::Resistor { p, n, r } => {
@@ -330,7 +331,7 @@ mod tests {
     #[test]
     fn pulse_source_parses() {
         let ckt = parse_deck("V1 a 0 PULSE(0 1.8 1n 0.1n 0.1n 5n 10n)\nR1 a 0 1k\n").unwrap();
-        let (_, e) = &ckt.elements()[0];
+        let e = ckt.element(0);
         match e {
             crate::circuit::Element::Vsource { wave, .. } => {
                 assert_eq!(wave.value_at(3e-9, &[]), 1.8);
@@ -359,7 +360,7 @@ M1 out in 0 0 nch W=10u L=1u
     #[test]
     fn ac_spec_parses() {
         let ckt = parse_deck("V1 a 0 DC 0 AC 1.0\nR1 a b 1k\nC1 b 0 1n\n").unwrap();
-        match &ckt.elements()[0].1 {
+        match &ckt.element(0) {
             crate::circuit::Element::Vsource { ac_mag, .. } => assert_eq!(*ac_mag, 1.0),
             _ => panic!(),
         }
@@ -391,7 +392,7 @@ M1 out in 0 0 nch W=10u L=1u
     #[test]
     fn capacitor_ic_parses() {
         let ckt = parse_deck("V1 a 0 DC 0\nR1 a b 1k\nC1 b 0 1n IC=0.5\n").unwrap();
-        match &ckt.elements()[2].1 {
+        match &ckt.element(2) {
             crate::circuit::Element::Capacitor { ic, .. } => assert_eq!(*ic, Some(0.5)),
             _ => panic!(),
         }

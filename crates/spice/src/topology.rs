@@ -155,7 +155,7 @@ impl Circuit {
     /// pairs of the terminals attached to it. Index 0 is ground.
     pub fn incidence(&self) -> Vec<Vec<(usize, TerminalRole)>> {
         let mut inc: Vec<Vec<(usize, TerminalRole)>> = vec![Vec::new(); self.num_nodes()];
-        for (i, (_, e)) in self.elements().iter().enumerate() {
+        for (i, (_, e)) in self.elements().enumerate() {
             for (node, role) in e.terminals() {
                 inc[node.index()].push((i, role));
             }
@@ -188,7 +188,7 @@ mod tests {
             1e-6,
         )
         .unwrap();
-        let (_, m) = &c.elements()[2];
+        let m = c.element(2);
         let roles: Vec<TerminalRole> = m.terminals().iter().map(|&(_, r)| r).collect();
         assert!(roles.contains(&TerminalRole::Gate));
         assert!(TerminalRole::Gate.is_high_impedance());
@@ -202,7 +202,7 @@ mod tests {
         c.capacitor("C1", a, Circuit::gnd(), 1e-12);
         c.isource("I1", a, Circuit::gnd(), SourceWave::Dc(1e-3));
         c.inductor("L1", a, Circuit::gnd(), 1e-9);
-        let kinds: Vec<DcCoupling> = c.elements().iter().map(|(_, e)| e.dc_coupling()).collect();
+        let kinds: Vec<DcCoupling> = c.elements().map(|(_, e)| e.dc_coupling()).collect();
         assert_eq!(
             kinds,
             vec![
@@ -211,11 +211,8 @@ mod tests {
                 DcCoupling::VoltageBranch
             ]
         );
-        assert!(c.elements()[0].1.dc_path_edges().is_empty());
-        assert_eq!(
-            c.elements()[2].1.voltage_branch(),
-            Some((a, Circuit::gnd()))
-        );
+        assert!(c.element(0).dc_path_edges().is_empty());
+        assert_eq!(c.element(2).voltage_branch(), Some((a, Circuit::gnd())));
     }
 
     #[test]
@@ -235,7 +232,7 @@ mod tests {
             1e-6,
         )
         .unwrap();
-        let edges = c.elements()[0].1.dc_path_edges();
+        let edges = c.element(0).dc_path_edges();
         assert!(edges.iter().all(|&(x, y)| x != g && y != g), "{edges:?}");
     }
 

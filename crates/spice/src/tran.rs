@@ -389,7 +389,6 @@ impl TransientSimulator {
         let layout = MnaLayout::new(&circuit);
         let caps: Vec<(NodeId, NodeId, f64)> = circuit
             .elements()
-            .iter()
             .filter_map(|(_, e)| match e {
                 Element::Capacitor { p, n, c, .. } => Some((*p, *n, *c)),
                 _ => None,
@@ -403,7 +402,6 @@ impl TransientSimulator {
         };
         let order2_safe = !circuit
             .elements()
-            .iter()
             .any(|(_, e)| matches!(e, Element::Mosfet { .. } | Element::Inductor { .. }));
         let linear = circuit.is_linear();
         let ws = NewtonWorkspace::for_circuit(&circuit, &layout, opts.newton.solver);

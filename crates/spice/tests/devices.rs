@@ -208,7 +208,7 @@ fn write_deck_preserves_pulse_sources() {
     );
     c.resistor("R1", a, Circuit::gnd(), 1e3);
     let reparsed = parse_deck(&write_deck(&c)).unwrap();
-    match &reparsed.elements()[0].1 {
+    match &reparsed.element(0) {
         spice::Element::Vsource { wave, .. } => {
             assert_eq!(wave.value_at(3e-9, &[]), 1.8);
             assert_eq!(wave.value_at(0.5e-9, &[]), 0.0);

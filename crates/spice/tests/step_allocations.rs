@@ -1,13 +1,16 @@
 //! A fixed-step transient of the 31-transistor integrate/dump core
 //! allocates nothing per step once it is running: the Newton solution,
 //! the factorization and the previous state live in buffers the
-//! simulator built up front.
+//! simulator built up front. And a Monte-Carlo sample's clone of a
+//! circuit allocates a fixed handful of buffers, however many elements
+//! it has: the names are shared, not copied.
 //!
 //! A counting global allocator tallies allocations per thread, so the
 //! test harness's other threads do not disturb the count.
 
-use spice::library::{integrate_dump_testbench, IntegrateDumpParams};
+use spice::library::{integrate_dump, integrate_dump_testbench, IntegrateDumpParams};
 use spice::tran::{TranOptions, TransientSimulator};
+use spice::{Circuit, SourceWave};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,4 +85,51 @@ fn fixed_steps_of_the_integrate_dump_allocate_nothing() {
     assert_eq!(sim.steps(), 1001);
     let stats = sim.lu_stats().expect("the I&D runs on the dense backend");
     assert!(stats.replays > stats.dense_sweeps, "{stats:?}");
+}
+
+/// `tiles` integrate-and-dump cells side by side, each with its supply,
+/// inputs and controls on DC sources: the Monte-Carlo template.
+fn tile_array(tiles: usize) -> Circuit {
+    let params = IntegrateDumpParams::default();
+    let mut c = Circuit::new();
+    let gnd = Circuit::gnd();
+    for t in 0..tiles {
+        let ports = integrate_dump(&mut c, &format!("t{t}_"), &params).unwrap();
+        for (name, node, v) in [
+            ("VDD", ports.vdd, params.vdd),
+            ("VIP", ports.inp, 1.1),
+            ("VIM", ports.inm, 1.1),
+            ("VCP", ports.controlp, params.vdd),
+            ("VCM", ports.controlm, 0.0),
+        ] {
+            c.vsource(&format!("{name}{t}"), node, gnd, SourceWave::Dc(v));
+        }
+    }
+    c
+}
+
+#[test]
+fn cloning_a_template_allocates_a_fixed_count_whatever_its_size() {
+    let clone_allocations = |template: &Circuit| {
+        let before = allocations();
+        let mut sample = template.clone();
+        let count = allocations() - before;
+        // A sample scales magnitudes in place: no allocation either.
+        sample.scale_element(0, 1.01).unwrap();
+        assert_eq!(allocations() - before, count);
+        count
+    };
+    let (one, eight) = (tile_array(1), tile_array(8));
+    assert!(eight.num_elements() >= 8 * one.num_elements());
+    let (small, large) = (clone_allocations(&one), clone_allocations(&eight));
+    assert_eq!(
+        small, large,
+        "clone allocations grow with the element count"
+    );
+    // The element values, the model table and one name per model.
+    assert_eq!(
+        large,
+        2 + eight.models.len() as u64,
+        "allocations per clone"
+    );
 }

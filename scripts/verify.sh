@@ -11,8 +11,9 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
-echo "== solver kernels in the optimised build (what perfbench measures) =="
-cargo test -q --release -p sim-core -p spice
+echo "== solver kernels and campaigns in the optimised build (what perfbench measures) =="
+cargo test -q --release -p sim-core -p spice -p uwb-ams-core
+cargo test -q --release --test batched_parity
 
 echo "== Table 2 path in the optimised build (channel, AMS solver, receiver) =="
 cargo test -q --release -p uwb-phy -p ams-kernel -p uwb-txrx

@@ -82,8 +82,8 @@ fn batched_lanes_reproduce_the_scalar_golden_solve_bit_for_bit() {
 
     for width in [1usize, 2, 4, 8] {
         let mut lu = BatchedLu::new(&sym, width);
-        let mats: Vec<&SparseMatrix<f64>> = (0..width).map(|_| &m).collect();
-        let outcomes = lu.refactor(&sym, &mats, &vec![true; width]);
+        let vals: Vec<&[f64]> = (0..width).map(|_| m.values()).collect();
+        let outcomes = lu.refactor(&sym, &m, &vals, &vec![true; width]);
         assert!(outcomes.iter().all(|o| *o == LaneOutcome::Refactored));
         let mut bb = vec![0.0; n * width];
         for l in 0..width {
