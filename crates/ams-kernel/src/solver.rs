@@ -7,7 +7,7 @@
 
 use crate::analog::AnalogModel;
 use crate::linalg::{DMatrix, LuFactors};
-use crate::perf::PerfCounters;
+use crate::perf::{PerfCounters, StepClock};
 use sim_core::gmres::{gmres_solve, GmresOptions};
 use sim_core::ilu::{Ilu0, IluPattern};
 use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
@@ -21,7 +21,6 @@ const KRYLOV_AMS_GMRES: GmresOptions = GmresOptions {
     tol: 1e-12,
 };
 use std::fmt;
-use std::time::Instant;
 
 /// Discretisation method for the time derivative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -272,9 +271,9 @@ impl ImplicitSolver {
         u: &[f64],
         state: &mut TransientState,
     ) -> Result<(), SolveError> {
-        let start = Instant::now();
+        let clock = StepClock::start(self.counters.steps);
         let out = self.step_inner(model, t, h, u, state);
-        self.counters.wall += start.elapsed();
+        clock.stop(&mut self.counters.wall);
         out
     }
 
@@ -736,6 +735,52 @@ mod tests {
             "vo = {}, expected {dc}",
             st.x[1]
         );
+    }
+
+    #[test]
+    fn wall_is_sampled_one_step_in_wall_sample() {
+        use crate::perf::WALL_SAMPLE;
+        use std::time::Duration;
+        let model = TwoPoleGatedModel::from_db_and_hz(21.8, 0.8e6, 5.9e9);
+        let opts = SolverOptions {
+            method: Method::Trapezoidal,
+            ..Default::default()
+        };
+        let (mut sampled, mut unsampled) = (ImplicitSolver::new(opts), ImplicitSolver::new(opts));
+        let (mut st_s, mut st_u) = (
+            TransientState::from_model(&model),
+            TransientState::from_model(&model),
+        );
+        let mut after_first = Duration::ZERO;
+        for k in 0..=WALL_SAMPLE {
+            let t = k as f64 * 1e-9;
+            let u = [0.01 * (k % 7) as f64, 1.0, 0.0];
+            sampled.step(&model, t, 1e-9, &u, &mut st_s).unwrap();
+            unsampled
+                .step_inner(&model, t, 1e-9, &u, &mut st_u)
+                .unwrap();
+            let wall = sampled.counters().wall;
+            match k {
+                0 => {
+                    assert!(wall > Duration::ZERO, "the first step is timed");
+                    after_first = wall;
+                }
+                k if k < WALL_SAMPLE => assert_eq!(wall, after_first, "step {k} read the clock"),
+                _ => assert!(wall > after_first, "step {WALL_SAMPLE} is timed"),
+            }
+        }
+        assert_eq!(st_s.x, st_u.x);
+        assert_eq!(unsampled.counters().wall, Duration::ZERO);
+        let untimed = PerfCounters {
+            wall: Duration::ZERO,
+            ..*sampled.counters()
+        };
+        assert_eq!(
+            &untimed,
+            unsampled.counters(),
+            "the clock changes no other count"
+        );
+        assert_eq!(untimed.steps, WALL_SAMPLE + 1);
     }
 
     #[test]

@@ -116,8 +116,25 @@ fn campaign_scaling(full: bool) -> Vec<PerfPhase> {
     ]
 }
 
-/// One transient run of an RC ladder; returns final state + counters.
-fn run_linear_tran(reuse: bool) -> (Vec<f64>, PerfCounters) {
+/// Runs `f` and returns the wall seconds it took. The engines' own
+/// `PerfCounters::wall` times one step in `WALL_SAMPLE`, so the speedups
+/// below come from timing each whole run instead.
+fn timed(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// A phase whose wall time is the run's own measurement.
+fn timed_phase(name: &str, counters: PerfCounters, wall_s: f64) -> PerfPhase {
+    let mut phase = PerfPhase::from_counters(name, counters);
+    phase.wall_s = wall_s;
+    phase
+}
+
+/// One transient run of an RC ladder; returns final state, counters and
+/// the stepping wall time.
+fn run_linear_tran(reuse: bool) -> (Vec<f64>, PerfCounters, f64) {
     let mut ckt = Circuit::new();
     let vin = ckt.node("in");
     ckt.vsource(
@@ -146,42 +163,45 @@ fn run_linear_tran(reuse: bool) -> (Vec<f64>, PerfCounters) {
     opts.newton.reuse_lu = reuse;
     let mut sim = TransientSimulator::new(ckt, opts).expect("dcop");
     let mut probe = Vec::new();
-    sim.run_until(2e-6, 1e-9, |s| {
-        if probe.len() < 2000 {
-            probe.push(s.voltage(prev));
-        }
-    })
-    .expect("tran");
-    (probe, *sim.counters())
+    let wall_s = timed(|| {
+        sim.run_until(2e-6, 1e-9, |s| {
+            if probe.len() < 2000 {
+                probe.push(s.voltage(prev));
+            }
+        })
+        .expect("tran");
+    });
+    (probe, *sim.counters(), wall_s)
 }
 
 /// LU-reuse off/on on the linear deck; returns the two phases.
 fn transient_fast_path() -> Vec<PerfPhase> {
-    let (trace_off, off) = run_linear_tran(false);
-    let (trace_on, on) = run_linear_tran(true);
+    let (trace_off, off, off_s) = run_linear_tran(false);
+    let (trace_on, on, on_s) = run_linear_tran(true);
     assert_eq!(trace_off, trace_on, "fast path must not change waveforms");
     assert_eq!(
         on.lu_factorizations, 1,
         "linear deck must factorize exactly once after DC: {on}"
     );
-    let speedup = off.wall.as_secs_f64() / on.wall.as_secs_f64();
+    let speedup = off_s / on_s;
     println!(
         "transient fast path (10-node RC ladder, {} steps):",
         on.steps
     );
-    println!("  reuse off: {off}");
-    println!("  reuse on : {on}");
+    println!("  reuse off: {off} ({off_s:.3} s run)");
+    println!("  reuse on : {on} ({on_s:.3} s run)");
     println!("  -> speedup {speedup:.2}x (identical waveforms)");
     vec![
-        PerfPhase::from_counters("tran_lu_reuse_off", off),
-        PerfPhase::from_counters("tran_lu_reuse_on", on).with("speedup", speedup),
+        timed_phase("tran_lu_reuse_off", off, off_s),
+        timed_phase("tran_lu_reuse_on", on, on_s).with("speedup", speedup),
     ]
 }
 
 /// One AMS-engine replay run: `k` identical dump steps of the ideal
 /// integrate-and-dump, each restarted from the same `break` state; returns
-/// the per-step output bits plus the solver's counters.
-fn run_ams_replay(reuse: bool, k: usize) -> (Vec<u64>, PerfCounters) {
+/// the per-step output bits, the solver's counters and the stepping wall
+/// time.
+fn run_ams_replay(reuse: bool, k: usize) -> (Vec<u64>, PerfCounters, f64) {
     let model = IdealGatedIntegrator::new(1e9);
     let mut solver = ImplicitSolver::new(SolverOptions {
         reuse_lu: reuse,
@@ -189,36 +209,39 @@ fn run_ams_replay(reuse: bool, k: usize) -> (Vec<u64>, PerfCounters) {
     });
     let mut st = TransientState::from_model(&model);
     let mut bits = Vec::with_capacity(k);
-    for _ in 0..k {
-        // Replay the identical pre-step state: the dump step (sel low) is
-        // the algebraic constraint vo = 0, solved with one Jacobian build.
-        st.apply_break(&[5.0]);
-        solver
-            .step(&model, 0.0, 50e-12, &[0.0, 0.0, 0.0], &mut st)
-            .expect("ams dump step");
-        bits.push(st.x[0].to_bits());
-    }
-    (bits, *solver.counters())
+    let wall_s = timed(|| {
+        for _ in 0..k {
+            // Replay the identical pre-step state: the dump step (sel low)
+            // is the algebraic constraint vo = 0, solved with one Jacobian
+            // build.
+            st.apply_break(&[5.0]);
+            solver
+                .step(&model, 0.0, 50e-12, &[0.0, 0.0, 0.0], &mut st)
+                .expect("ams dump step");
+            bits.push(st.x[0].to_bits());
+        }
+    });
+    (bits, *solver.counters(), wall_s)
 }
 
 /// LU-reuse off/on on the AMS replay workload; returns the two phases.
 fn ams_replay_fast_path() -> Vec<PerfPhase> {
     const K: usize = 1000;
-    let (bits_off, off) = run_ams_replay(false, K);
-    let (bits_on, on) = run_ams_replay(true, K);
+    let (bits_off, off, off_s) = run_ams_replay(false, K);
+    let (bits_on, on, on_s) = run_ams_replay(true, K);
     assert_eq!(bits_off, bits_on, "reuse must not change solutions");
     assert_eq!(
         on.lu_factorizations, 1,
         "replayed steps must factorize exactly once: {on}"
     );
-    let speedup = off.wall.as_secs_f64() / on.wall.as_secs_f64();
+    let speedup = off_s / on_s;
     println!("ams replay fast path (ideal integrate-and-dump, {K} replays):");
-    println!("  reuse off: {off}");
-    println!("  reuse on : {on}");
+    println!("  reuse off: {off} ({off_s:.4} s run)");
+    println!("  reuse on : {on} ({on_s:.4} s run)");
     println!("  -> speedup {speedup:.2}x (bit-identical outputs)");
     vec![
-        PerfPhase::from_counters("ams_replay_lu_reuse_off", off),
-        PerfPhase::from_counters("ams_replay_lu_reuse_on", on).with("speedup", speedup),
+        timed_phase("ams_replay_lu_reuse_off", off, off_s),
+        timed_phase("ams_replay_lu_reuse_on", on, on_s).with("speedup", speedup),
     ]
 }
 
@@ -284,38 +307,42 @@ fn tiled_id_array_delayed(n_tiles: usize, delay: f64) -> (Circuit, Vec<NodeId>) 
 }
 
 /// One transient of the tiled array on the chosen linear-solver backend;
-/// returns the final probe voltages and the counters.
+/// returns the final probe voltages, the counters and the stepping wall
+/// time.
 fn run_tiled_tran(
     n_tiles: usize,
     kind: SolverKind,
     btf: bool,
     t_end: f64,
     dt: f64,
-) -> (Vec<f64>, PerfCounters) {
+) -> (Vec<f64>, PerfCounters, f64) {
     let (ckt, probes) = tiled_id_array(n_tiles);
     let mut opts = TranOptions::default();
     opts.newton.solver = kind;
     opts.newton.btf = btf;
     let mut sim = TransientSimulator::new(ckt, opts).expect("tiled I&D dcop");
     let mut finals = vec![0.0; probes.len()];
-    sim.run_until(t_end, dt, |s| {
-        for (i, p) in probes.iter().enumerate() {
-            finals[i] = s.voltage(*p);
-        }
-    })
-    .expect("tiled I&D tran");
-    (finals, *sim.counters())
+    let wall_s = timed(|| {
+        sim.run_until(t_end, dt, |s| {
+            for (i, p) in probes.iter().enumerate() {
+                finals[i] = s.voltage(*p);
+            }
+        })
+        .expect("tiled I&D tran");
+    });
+    (finals, *sim.counters(), wall_s)
 }
 
 /// One transient of the delayed-frame tiled array, fixed or adaptive;
-/// returns the final probe voltages and the counters.
+/// returns the final probe voltages, the counters and the stepping wall
+/// time.
 fn run_frame_tran(
     n_tiles: usize,
     delay: f64,
     adaptive: Option<AdaptiveOptions>,
     t_end: f64,
     h0: f64,
-) -> (Vec<f64>, PerfCounters) {
+) -> (Vec<f64>, PerfCounters, f64) {
     let (ckt, probes) = tiled_id_array_delayed(n_tiles, delay);
     let bps = collect_breakpoints(&ckt, t_end);
     let opts = TranOptions {
@@ -329,14 +356,16 @@ fn run_frame_tran(
             finals[i] = s.voltage(*p);
         }
     };
-    if adaptive.is_some() {
-        sim.run_adaptive(t_end, h0, &bps, &mut observe)
-            .expect("tiled I&D adaptive tran");
-    } else {
-        sim.run_until(t_end, h0, &mut observe)
-            .expect("tiled I&D fixed tran");
-    }
-    (finals, *sim.counters())
+    let wall_s = timed(|| {
+        if adaptive.is_some() {
+            sim.run_adaptive(t_end, h0, &bps, &mut observe)
+                .expect("tiled I&D adaptive tran");
+        } else {
+            sim.run_until(t_end, h0, &mut observe)
+                .expect("tiled I&D fixed tran");
+        }
+    });
+    (finals, *sim.counters(), wall_s)
 }
 
 /// The adaptive-integration headline: accuracy vs accepted steps on the
@@ -352,8 +381,8 @@ fn adaptive_vs_fixed(quick: bool) -> Vec<PerfPhase> {
     let delay = 15e-9;
     let (t_end, dt) = (18e-9, 10e-12);
     println!("fixed vs adaptive transient ({tiles}x tiled I&D frame, dt = {dt:.0e} s):");
-    let (v_ref, _) = run_frame_tran(tiles, delay, None, t_end, dt / 8.0);
-    let (v_fix, c_fix) = run_frame_tran(tiles, delay, None, t_end, dt);
+    let (v_ref, _, _) = run_frame_tran(tiles, delay, None, t_end, dt / 8.0);
+    let (v_fix, c_fix, fix_s) = run_frame_tran(tiles, delay, None, t_end, dt);
     // Tighter-than-default tolerances: the headline claim is *equal*
     // accuracy, so the controller must aim below the fixed grid's own
     // discretisation error, not just at the default 1e-3 band; h_max is
@@ -364,7 +393,7 @@ fn adaptive_vs_fixed(quick: bool) -> Vec<PerfPhase> {
         h_max: 50.0 * dt,
         ..AdaptiveOptions::on()
     };
-    let (v_ada, c_ada) = run_frame_tran(tiles, delay, Some(adaptive), t_end, dt);
+    let (v_ada, c_ada, ada_s) = run_frame_tran(tiles, delay, Some(adaptive), t_end, dt);
     let max_dev = |v: &[f64]| -> f64 {
         v.iter()
             .zip(&v_ref)
@@ -392,10 +421,10 @@ fn adaptive_vs_fixed(quick: bool) -> Vec<PerfPhase> {
     );
     assert!(c_ada.lte_evaluations > 0, "{c_ada}");
     vec![
-        PerfPhase::from_counters("tran_fixed_step_idtile", c_fix)
+        timed_phase("tran_fixed_step_idtile", c_fix, fix_s)
             .with("tiles", tiles as f64)
             .with("max_dev_v", dev_fix),
-        PerfPhase::from_counters("tran_adaptive_idtile", c_ada)
+        timed_phase("tran_adaptive_idtile", c_ada, ada_s)
             .with("tiles", tiles as f64)
             .with("max_dev_v", dev_ada)
             .with("step_ratio_vs_fixed", step_ratio),
@@ -414,8 +443,8 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
     println!("sparse vs dense transient (tiled I&D arrays, dt = {dt:.0e} s):");
     let mut phases = Vec::new();
     for &n in sizes {
-        let (vd, cd) = run_tiled_tran(n, SolverKind::Dense, false, t_end, dt);
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
+        let (vd, cd, d_s) = run_tiled_tran(n, SolverKind::Dense, false, t_end, dt);
+        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
         for (a, b) in vd.iter().zip(&vs) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -426,15 +455,13 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
             cs.symbolic_analyses >= 1 && cs.numeric_refactors >= 1,
             "sparse transient must analyze once and refactor on the pinned pattern: {cs}"
         );
-        let speedup = cd.wall.as_secs_f64() / cs.wall.as_secs_f64();
-        println!("  {n} tile(s): dense {cd}");
-        println!("  {n} tile(s): sparse {cs}");
+        let speedup = d_s / s_s;
+        println!("  {n} tile(s): dense {cd} ({d_s:.3} s run)");
+        println!("  {n} tile(s): sparse {cs} ({s_s:.3} s run)");
         println!("  -> sparse speedup {speedup:.2}x (matching waveforms)");
+        phases.push(timed_phase(&format!("tran_dense_{n}x_id"), cd, d_s).with("tiles", n as f64));
         phases.push(
-            PerfPhase::from_counters(&format!("tran_dense_{n}x_id"), cd).with("tiles", n as f64),
-        );
-        phases.push(
-            PerfPhase::from_counters(&format!("tran_sparse_{n}x_id"), cs)
+            timed_phase(&format!("tran_sparse_{n}x_id"), cs, s_s)
                 .with("tiles", n as f64)
                 .with("speedup_vs_dense", speedup),
         );
@@ -460,8 +487,8 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
     let mut phases = Vec::new();
     let largest = *sizes.last().expect("non-empty tier list");
     for &n in sizes {
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vk, ck) = run_tiled_tran(n, SolverKind::Krylov, false, t_end, dt);
+        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
+        let (vk, ck, k_s) = run_tiled_tran(n, SolverKind::Krylov, false, t_end, dt);
         for (a, b) in vs.iter().zip(&vk) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -472,9 +499,9 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
             ck.krylov_iterations > 0 && ck.preconditioner_builds >= 1,
             "Krylov run must go through GMRES+ILU(0): {ck}"
         );
-        let speedup = cs.wall.as_secs_f64() / ck.wall.as_secs_f64();
-        println!("  {n} tile(s): direct {cs}");
-        println!("  {n} tile(s): krylov {ck}");
+        let speedup = s_s / k_s;
+        println!("  {n} tile(s): direct {cs} ({s_s:.3} s run)");
+        println!("  {n} tile(s): krylov {ck} ({k_s:.3} s run)");
         println!("  -> krylov speedup {speedup:.2}x (matching waveforms)");
         if n == largest {
             assert!(
@@ -482,11 +509,9 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
                 "Krylov tier regressed below direct sparse at {n} tiles: {speedup:.2}x"
             );
         }
+        phases.push(timed_phase(&format!("tran_direct_{n}x_id"), cs, s_s).with("tiles", n as f64));
         phases.push(
-            PerfPhase::from_counters(&format!("tran_direct_{n}x_id"), cs).with("tiles", n as f64),
-        );
-        phases.push(
-            PerfPhase::from_counters(&format!("tran_krylov_{n}x_id"), ck)
+            timed_phase(&format!("tran_krylov_{n}x_id"), ck, k_s)
                 .with("tiles", n as f64)
                 .with("speedup_vs_direct", speedup),
         );
@@ -508,8 +533,8 @@ fn btf_scaling(quick: bool) -> Vec<PerfPhase> {
     println!("monolithic sparse vs BTF transient (tiled I&D arrays, dt = {dt:.0e} s):");
     let mut phases = Vec::new();
     for &n in sizes {
-        let (vm, cm) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vb, cb) = run_tiled_tran(n, SolverKind::Sparse, true, t_end, dt);
+        let (vm, cm, m_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
+        let (vb, cb, b_s) = run_tiled_tran(n, SolverKind::Sparse, true, t_end, dt);
         for (a, b) in vm.iter().zip(&vb) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -529,12 +554,12 @@ fn btf_scaling(quick: bool) -> Vec<PerfPhase> {
             cm.structural_analyses, 0,
             "monolithic baseline must not analyze structure: {cm}"
         );
-        let speedup = cm.wall.as_secs_f64() / cb.wall.as_secs_f64();
-        println!("  {n} tile(s): monolithic {cm}");
-        println!("  {n} tile(s): btf        {cb}");
+        let speedup = m_s / b_s;
+        println!("  {n} tile(s): monolithic {cm} ({m_s:.3} s run)");
+        println!("  {n} tile(s): btf        {cb} ({b_s:.3} s run)");
         println!("  -> btf speedup {speedup:.2}x (matching waveforms)");
         phases.push(
-            PerfPhase::from_counters(&format!("tran_btf_{n}x_id"), cb)
+            timed_phase(&format!("tran_btf_{n}x_id"), cb, b_s)
                 .with("tiles", n as f64)
                 .with("speedup_vs_monolithic", speedup),
         );

@@ -7,8 +7,46 @@
 //! (the fast path). Both engines thread the same counter type, so a
 //! mixed-fidelity campaign can merge behavioural and circuit work into
 //! one report.
+//!
+//! A transient step of the behavioural engine costs about as much
+//! arithmetic as one `Instant::now()` + `elapsed()` pair, so the engines
+//! do not read the clock on every step: [`StepClock`] times one step in
+//! [`WALL_SAMPLE`] and lets it stand for the rest.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// One transient step in `WALL_SAMPLE` reads the clock (see [`StepClock`]).
+pub const WALL_SAMPLE: u64 = 64;
+
+/// The per-step clock both transient engines share. Step `k` (counted
+/// from 0 by the engine) is timed only when `k % WALL_SAMPLE == 0`, and
+/// its elapsed time, scaled by [`WALL_SAMPLE`], is added to the wall
+/// total. Every step is sampled with the same probability, so over a long
+/// run the total estimates the time spent stepping, at one clock pair per
+/// `WALL_SAMPLE` steps instead of one per step. Step 0 is always timed,
+/// so a run of `N` steps counts `WALL_SAMPLE·⌈N/WALL_SAMPLE⌉` of them:
+/// time a run of a few steps from outside. The clock never feeds the
+/// arithmetic, so no result depends on it.
+#[derive(Debug)]
+#[must_use = "a started step clock does nothing until stopped"]
+pub struct StepClock(Option<Instant>);
+
+impl StepClock {
+    /// Starts timing step `k` if it is a sampled step.
+    #[inline]
+    pub fn start(k: u64) -> Self {
+        StepClock(k.is_multiple_of(WALL_SAMPLE).then(Instant::now))
+    }
+
+    /// Adds the sampled step's scaled elapsed time to `wall`; an
+    /// unsampled step leaves it as it is.
+    #[inline]
+    pub fn stop(self, wall: &mut Duration) {
+        if let Some(t0) = self.0 {
+            *wall += t0.elapsed() * WALL_SAMPLE as u32;
+        }
+    }
+}
 
 /// Cheap work counters threaded through both engines' solvers (the
 /// behavioural implicit solver and the circuit DC/transient analyses).
@@ -77,7 +115,12 @@ pub struct PerfCounters {
     /// transparently demoted to the direct sparse LU — a counted rescue
     /// rung, never a new failure mode.
     pub krylov_fallbacks: u64,
-    /// Wall-clock time spent inside `step()` (transient only).
+    /// Wall-clock time spent inside `step()` (transient only). Sampled:
+    /// the engines time one step in [`WALL_SAMPLE`] through [`StepClock`]
+    /// and count it `WALL_SAMPLE` times, so this is an estimate of the
+    /// stepping time, not a sum of every step's clock reads, and it reads
+    /// high on runs of few steps. Whole-run timers that add into it
+    /// (adaptive runs) stay exact.
     pub wall: Duration,
 }
 
@@ -122,6 +165,7 @@ impl PerfCounters {
     }
 
     /// Accepted steps per wall-clock second (0 when no time was recorded).
+    /// An estimate, since [`wall`](Self::wall) is sampled.
     pub fn steps_per_second(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
@@ -285,6 +329,37 @@ mod tests {
         assert_eq!(PerfCounters::default().refactor_ratio(), 0.0);
         let s = c.to_string();
         assert!(s.contains("500 steps"), "{s}");
+    }
+
+    #[test]
+    fn step_clock_times_one_step_in_wall_sample() {
+        let busy = || {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(20) {}
+        };
+        let mut wall = Duration::ZERO;
+        let clock = StepClock::start(0);
+        busy();
+        clock.stop(&mut wall);
+        // The sampled step counts for WALL_SAMPLE steps.
+        assert!(
+            wall >= Duration::from_micros(20) * WALL_SAMPLE as u32,
+            "{wall:?}"
+        );
+        let after_first = wall;
+        for k in 1..WALL_SAMPLE {
+            let clock = StepClock::start(k);
+            busy();
+            clock.stop(&mut wall);
+        }
+        assert_eq!(wall, after_first, "steps 1..WALL_SAMPLE read no clock");
+        let clock = StepClock::start(WALL_SAMPLE);
+        busy();
+        clock.stop(&mut wall);
+        assert!(wall > after_first, "step WALL_SAMPLE is sampled again");
+        let mut unsampled = Duration::ZERO;
+        StepClock::start(3 * WALL_SAMPLE + 1).stop(&mut unsampled);
+        assert_eq!(unsampled, Duration::ZERO);
     }
 
     #[test]

@@ -523,8 +523,8 @@ pub enum RefactorOutcome {
 /// reused by every [`refactor`](Self::refactor) afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolicLu {
-    n: usize,
-    /// Column order: pivot step `k` eliminates original column `q[k]`.
+    /// Column order: pivot step `k` eliminates original column `q[k]`;
+    /// its length is the order of the system.
     pub(crate) q: Vec<usize>,
     /// Original row → pivot position.
     pub(crate) pinv: Vec<usize>,
@@ -534,6 +534,19 @@ pub struct SymbolicLu {
     pub(crate) u_colptr: Vec<usize>,
     /// Strictly-upper pattern of U, rows in pivot positions, ascending.
     pub(crate) u_rows: Vec<usize>,
+    /// The analysed matrix's pattern, kept so that
+    /// [`reanalyze`](Self::reanalyze) can tell when `q` still applies.
+    /// Boxed, with the order read from `q`, so the struct keeps the size
+    /// it had without it: solvers that hold their factors inline stay
+    /// inside the allocator's per-thread cache (DESIGN.md §9.9).
+    analysed: Box<CscPattern>,
+}
+
+/// A CSC nonzero pattern: column pointers and row indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CscPattern {
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
 }
 
 /// The value half of the sparse LU, aligned with a [`SymbolicLu`] pattern.
@@ -547,12 +560,12 @@ pub struct NumericLu<T = f64> {
 impl SymbolicLu {
     /// Order of the factored system.
     pub fn order(&self) -> usize {
-        self.n
+        self.q.len()
     }
 
     /// Structural nonzeros in L + U (including the diagonal).
     pub fn factor_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_rows.len() + self.n
+        self.l_rows.len() + self.u_rows.len() + self.order()
     }
 
     /// Full symbolic + numeric factorization: fill-reducing column order,
@@ -568,8 +581,39 @@ impl SymbolicLu {
     pub fn analyze<T: SparseScalar>(
         a: &SparseMatrix<T>,
     ) -> Result<(SymbolicLu, NumericLu<T>), SingularMatrixError> {
+        let q = min_degree_order(a.order(), a.col_ptr(), a.row_idx());
+        Self::analyze_in_order(a, q)
+    }
+
+    /// [`analyze`](Self::analyze) for a matrix whose pinned factors went
+    /// stale: when `a` has exactly the pattern `self` was analysed on, the
+    /// fill-reducing column order (a pure function of the pattern) is
+    /// reused instead of recomputed; any other pattern is ordered afresh.
+    /// Either way the result is bit-identical to `SymbolicLu::analyze(a)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`analyze`](Self::analyze).
+    pub fn reanalyze<T: SparseScalar>(
+        &self,
+        a: &SparseMatrix<T>,
+    ) -> Result<(SymbolicLu, NumericLu<T>), SingularMatrixError> {
+        if a.col_ptr() == self.analysed.col_ptr.as_slice()
+            && a.row_idx() == self.analysed.row_idx.as_slice()
+        {
+            Self::analyze_in_order(a, self.q.clone())
+        } else {
+            Self::analyze(a)
+        }
+    }
+
+    /// The elimination behind [`analyze`](Self::analyze), on the column
+    /// order `q`.
+    fn analyze_in_order<T: SparseScalar>(
+        a: &SparseMatrix<T>,
+        q: Vec<usize>,
+    ) -> Result<(SymbolicLu, NumericLu<T>), SingularMatrixError> {
         let n = a.order();
-        let q = min_degree_order(n, a.col_ptr(), a.row_idx());
         let mut pinv = vec![usize::MAX; n];
         // Growing factors, original-row indices in L until the final remap.
         let mut lcols: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
@@ -694,13 +738,16 @@ impl SymbolicLu {
 
         Ok((
             SymbolicLu {
-                n,
                 q,
                 pinv,
                 l_colptr,
                 l_rows,
                 u_colptr,
                 u_rows,
+                analysed: Box::new(CscPattern {
+                    col_ptr: a.col_ptr().to_vec(),
+                    row_idx: a.row_idx().to_vec(),
+                }),
             },
             NumericLu {
                 l_vals,
@@ -728,7 +775,7 @@ impl SymbolicLu {
         a: &SparseMatrix<T>,
         num: &mut NumericLu<T>,
     ) -> RefactorOutcome {
-        let n = self.n;
+        let n = self.order();
         assert_eq!(a.order(), n, "matrix order changed under symbolic LU");
         assert_eq!(num.diag.len(), n, "numeric factors shape mismatch");
         assert_eq!(num.l_vals.len(), self.l_rows.len());
@@ -801,7 +848,7 @@ impl SymbolicLu {
     ///
     /// Panics if `b.len()` disagrees with the factored order.
     pub fn solve<T: SparseScalar>(&self, num: &NumericLu<T>, b: &mut [T]) {
-        let n = self.n;
+        let n = self.order();
         assert_eq!(b.len(), n, "rhs length mismatch");
         let mut y = vec![T::ZERO; n];
         for (i, &bi) in b.iter().enumerate() {
@@ -991,6 +1038,23 @@ mod tests {
         sym2.solve(&num2, &mut x);
         let r = s.mul_vec(&x);
         assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 1.0).abs() < 1e-12);
+        // Re-analysing from the stale factors keeps their column order
+        // and lands on the same factors.
+        assert_eq!(sym.reanalyze(&s).unwrap(), (sym2, num2));
+    }
+
+    #[test]
+    fn reanalyze_orders_a_changed_pattern_afresh() {
+        let (s, _) = seeded_sparse(17, 5);
+        let (sym, _) = SymbolicLu::analyze(&s).unwrap();
+        let mut d = s.to_dense();
+        d.add(0, 9, 0.5);
+        let other = SparseMatrix::from_dense(&d);
+        assert_eq!(other.nnz(), s.nnz() + 1);
+        assert_eq!(
+            sym.reanalyze(&other).unwrap(),
+            SymbolicLu::analyze(&other).unwrap()
+        );
     }
 
     #[test]

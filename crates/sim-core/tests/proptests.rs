@@ -146,6 +146,63 @@ fn sparse_paths_agree_with_dense_on_random_systems() {
 /// path at widths 1/2/4/8 on random diagonally-dominant systems, and a
 /// lane retired mid-batch keeps its previous factors bit-for-bit while
 /// the surviving lanes refactor on fresh values.
+/// `reanalyze` is `analyze` bit for bit: on the recorded pattern with new
+/// values (free to pick other pivots, or to be singular), and on a
+/// pattern that differs from the recorded one.
+#[test]
+fn reanalyze_matches_analyze_bit_for_bit() {
+    let mut rng = XorShift(0x5eed_cafe_f00d_0019);
+    let fresh = |m: &SparseMatrix<f64>, triplets: &[(usize, usize, f64)]| {
+        let mut m2 = SparseMatrix::new(m.order());
+        m2.begin_assembly();
+        for &(r, c, v) in triplets {
+            m2.add(r, c, v);
+        }
+        m2.finish_assembly();
+        m2
+    };
+    for _case in 0..300 {
+        let seed = rng.0;
+        let n = 2 + rng.below(30) as usize;
+        let (mut triplets, b) = random_system(&mut rng, n);
+        let mut m = SparseMatrix::new(n);
+        stamp(&mut m, &triplets, 1.0);
+        let (sym, _) = SymbolicLu::analyze(&m).expect("dominant system is solvable");
+
+        // Same pattern, values no longer dominant.
+        for t in &mut triplets {
+            t.2 *= rng.range(-2.0, 2.0);
+        }
+        let same = fresh(&m, &triplets);
+        assert_eq!(same.col_ptr(), m.col_ptr(), "seed {seed:#x}");
+        assert_eq!(same.row_idx(), m.row_idx(), "seed {seed:#x}");
+        // A different pattern: one more entry, maybe outside the old one.
+        let (r, c) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+        triplets.push((r, c, rng.range(-1.0, 1.0)));
+        let other = fresh(&m, &triplets);
+
+        for a in [&same, &other] {
+            match (sym.reanalyze(a), SymbolicLu::analyze(a)) {
+                (Ok((s1, n1)), Ok((s2, n2))) => {
+                    assert_eq!(s1, s2, "seed {seed:#x}: symbolic halves differ");
+                    assert_eq!(n1, n2, "seed {seed:#x}: numeric halves differ");
+                    let (mut x1, mut x2) = (b.clone(), b.clone());
+                    s1.solve(&n1, &mut x1);
+                    s2.solve(&n2, &mut x2);
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&x1), bits(&x2), "seed {seed:#x}: solves differ");
+                }
+                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "seed {seed:#x}"),
+                (r1, r2) => panic!(
+                    "seed {seed:#x}: reanalyze ok={} vs analyze ok={}",
+                    r1.is_ok(),
+                    r2.is_ok()
+                ),
+            }
+        }
+    }
+}
+
 #[test]
 fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
     let mut rng = XorShift(0xba7c_4ed0_0000_0004);

@@ -447,7 +447,11 @@ pub(crate) fn newton_solve(
                     if !refactored {
                         counters.symbolic_analyses += 1;
                         counters.lu_factorizations += 1;
-                        match SymbolicLu::analyze(mat) {
+                        let analysed = match factors.as_deref() {
+                            Some((sym, _)) => sym.reanalyze(mat),
+                            None => SymbolicLu::analyze(mat),
+                        };
+                        match analysed {
                             Ok(pair) => *factors = Some(Box::new(pair)),
                             Err(e) => {
                                 *factors = None;
@@ -577,7 +581,11 @@ pub(crate) fn newton_solve(
                     if !refactored {
                         counters.symbolic_analyses += 1;
                         counters.lu_factorizations += 1;
-                        match SymbolicLu::analyze(mat) {
+                        let analysed = match factors.as_deref() {
+                            Some((sym, _)) => sym.reanalyze(mat),
+                            None => SymbolicLu::analyze(mat),
+                        };
+                        match analysed {
                             Ok(pair) => *factors = Some(Box::new(pair)),
                             Err(e) => {
                                 *factors = None;

@@ -22,7 +22,7 @@ use crate::circuit::{Circuit, Element, NodeId, SourceWave};
 use crate::dcop::{newton_solve, NewtonOptions, NewtonWorkspace, GMIN_FINAL};
 use crate::error::SpiceError;
 use crate::mna::{AssembleMode, CompanionModel, MnaLayout};
-use crate::perf::PerfCounters;
+use crate::perf::{PerfCounters, StepClock};
 use crate::rescue::{dcop_rescue, RescuePolicy};
 use sim_core::faultinject::{FaultKind, FaultSchedule};
 use sim_core::rescue::{RescueReport, RescueRung};
@@ -586,9 +586,9 @@ impl TransientSimulator {
     /// [`SpiceError::TranDiverged`] when the per-step Newton fails even
     /// after the timestep-cut backoff is exhausted.
     pub fn step(&mut self, h: f64) -> Result<(), SpiceError> {
-        let t0 = Instant::now();
+        let clock = StepClock::start(self.macro_steps);
         let result = self.substep(h, 0);
-        self.counters.wall += t0.elapsed();
+        clock.stop(&mut self.counters.wall);
         self.macro_steps += 1;
         result
     }
@@ -878,7 +878,7 @@ impl TransientSimulator {
     ///
     /// Propagates Newton failures directly (no rescue backoff).
     pub fn step_with_lte(&mut self, h: f64) -> Result<Option<f64>, SpiceError> {
-        let t0 = Instant::now();
+        let clock = StepClock::start(self.macro_steps);
         if self.history.len() == 0 {
             self.history.push(self.t, &self.x);
         }
@@ -898,7 +898,7 @@ impl TransientSimulator {
         });
         self.commit_step(h, t_new, eff);
         self.history.push(self.t, &self.x);
-        self.counters.wall += t0.elapsed();
+        clock.stop(&mut self.counters.wall);
         self.macro_steps += 1;
         Ok(volts)
     }
@@ -1354,6 +1354,60 @@ mod tests {
         assert_eq!(sim.steps(), 10);
         assert!(sim.newton_iterations() > initial);
         assert!(sim.counters().wall > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn wall_is_sampled_one_step_in_wall_sample() {
+        use crate::perf::WALL_SAMPLE;
+        use std::time::Duration;
+        let (c, b) = rc_circuit(1e3, 1e-9);
+        let mut sampled = TransientSimulator::new(c.clone(), TranOptions::default()).unwrap();
+        let mut unsampled = TransientSimulator::new(c, TranOptions::default()).unwrap();
+        let mut after_first = Duration::ZERO;
+        for k in 0..=WALL_SAMPLE {
+            sampled.step(1e-9).unwrap();
+            // `step` without its clock.
+            unsampled.substep(1e-9, 0).unwrap();
+            unsampled.macro_steps += 1;
+            let wall = sampled.counters().wall;
+            match k {
+                0 => {
+                    assert!(wall > Duration::ZERO, "the first step is timed");
+                    after_first = wall;
+                }
+                k if k < WALL_SAMPLE => assert_eq!(wall, after_first, "step {k} read the clock"),
+                _ => assert!(wall > after_first, "step {WALL_SAMPLE} is timed"),
+            }
+        }
+        assert_eq!(sampled.voltage(b).to_bits(), unsampled.voltage(b).to_bits());
+        assert_eq!(unsampled.counters().wall, Duration::ZERO);
+        let untimed = PerfCounters {
+            wall: Duration::ZERO,
+            ..*sampled.counters()
+        };
+        assert_eq!(
+            &untimed,
+            unsampled.counters(),
+            "the clock changes no other count"
+        );
+        assert_eq!(untimed.steps, WALL_SAMPLE + 1);
+    }
+
+    #[test]
+    fn step_with_lte_samples_the_same_steps() {
+        use crate::perf::WALL_SAMPLE;
+        use std::time::Duration;
+        let (c, _) = rc_circuit(1e3, 1e-9);
+        let mut sim = TransientSimulator::new(c, TranOptions::default()).unwrap();
+        sim.step_with_lte(1e-9).unwrap();
+        let after_first = sim.counters().wall;
+        assert!(after_first > Duration::ZERO);
+        for _ in 1..WALL_SAMPLE {
+            sim.step_with_lte(1e-9).unwrap();
+        }
+        assert_eq!(sim.counters().wall, after_first);
+        sim.step_with_lte(1e-9).unwrap();
+        assert!(sim.counters().wall > after_first);
     }
 
     #[test]

@@ -390,6 +390,16 @@ mod tests {
         out
     }
 
+    /// The ideal I&D is built once per receiver, and past glibc's
+    /// per-thread cache limit (requests up to 1,032 bytes) every build
+    /// takes the slower allocator path (DESIGN.md §9.9). It is 1,016 bytes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn ideal_integrator_does_not_grow() {
+        let size = std::mem::size_of::<IdealIntegrator>();
+        assert!(size <= 1016, "IdealIntegrator grew to {size} bytes");
+    }
+
     #[test]
     fn ideal_matches_closed_form() {
         let mut i = IdealIntegrator::new(1e8);

@@ -65,6 +65,12 @@ cargo test -q --release --test golden_kernel --test sparse_parity
 echo "== perf bench smoke (sparse scaling + MC warm start, --quick) =="
 cargo bench -p uwb-ams-bench --bench perf -- --quick
 
+echo "== perfbench digests (each workload once; exit 0 = outputs and digests match the seed-commit reference) =="
+for workload in fig6_circuit tab2_ideal mc_mismatch; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
