@@ -8,18 +8,6 @@
 use crate::analog::AnalogModel;
 use crate::linalg::{DMatrix, LuFactors};
 use crate::perf::{PerfCounters, StepClock};
-use sim_core::gmres::{gmres_solve, GmresOptions};
-use sim_core::ilu::{Ilu0, IluPattern};
-use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-
-/// GMRES controls for the behavioural engine's Krylov-backed Newton
-/// solves (same ladder as the circuit engine: tight tolerance, modest
-/// budget, counted direct-LU fallback on non-convergence).
-const KRYLOV_AMS_GMRES: GmresOptions = GmresOptions {
-    restart: 30,
-    max_restarts: 10,
-    tol: 1e-12,
-};
 use std::fmt;
 
 /// Discretisation method for the time derivative.
@@ -47,14 +35,6 @@ pub struct SolverOptions {
     /// is byte-identical to the last one factored. Bit-exact by
     /// construction; disable to force a factorization per Newton iteration.
     pub reuse_lu: bool,
-    /// Linear-solver backend. The finite-difference Jacobian is always
-    /// assembled densely; on the sparse path it is converted to CSC and
-    /// factored through the split symbolic/numeric LU, with the symbolic
-    /// analysis pinned across steps; on the Krylov path it is solved by
-    /// ILU(0)-preconditioned GMRES with a counted direct-LU fallback.
-    /// `Auto` decides once per solver from the first Jacobian's size and
-    /// fill. Defaults to the `UWB_AMS_SOLVER` environment override.
-    pub solver: SolverKind,
 }
 
 impl Default for SolverOptions {
@@ -66,7 +46,6 @@ impl Default for SolverOptions {
             tol: 1e-6,
             fd_eps: 1e-7,
             reuse_lu: true,
-            solver: SolverKind::from_env(),
         }
     }
 }
@@ -158,18 +137,8 @@ pub struct ImplicitSolver {
     counters: PerfCounters,
     /// Cached LU of the last factored Newton Jacobian.
     lu: LuFactors,
-    /// Whether the active backend's factors match the Jacobian cached in
-    /// `buffers`.
+    /// Whether `lu` factors the Jacobian cached in `buffers`.
     lu_valid: bool,
-    /// Sticky backend decision, made at the first factorization (so one
-    /// solver never mixes dense, sparse and Krylov factor caches).
-    backend: Option<AmsBackend>,
-    /// Sparse symbolic pattern + numeric factors (sparse backend, and the
-    /// Krylov tier's direct-LU fallback rung).
-    sparse: Option<(SymbolicLu, NumericLu<f64>)>,
-    /// Krylov-tier state: the CSC Jacobian GMRES multiplies by, its ILU
-    /// pattern and the current preconditioner (Krylov backend only).
-    krylov: Option<KrylovState>,
     /// Newton buffers, built on the first step. Boxed so the solver keeps
     /// its size: a larger `ImplicitSolver` outgrows the allocator's fast
     /// size classes and makes an I&D block several times slower to build.
@@ -213,22 +182,6 @@ impl StepBuffers {
             self.jac = DMatrix::zeros(n, n);
         }
     }
-}
-
-/// Which linear-solver tier an [`ImplicitSolver`] committed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AmsBackend {
-    Dense,
-    Sparse,
-    Krylov,
-}
-
-/// See [`ImplicitSolver::krylov`].
-#[derive(Debug, Clone)]
-struct KrylovState {
-    mat: SparseMatrix<f64>,
-    pattern: IluPattern,
-    precond: Ilu0<f64>,
 }
 
 impl ImplicitSolver {
@@ -365,139 +318,18 @@ impl ImplicitSolver {
             } else {
                 jac_cached.clear();
                 jac_cached.extend_from_slice(jac.data());
-                if self.backend.is_none() {
-                    let nnz = jac.data().iter().filter(|v| **v != 0.0).count() + n;
-                    self.backend = Some(if self.options.solver.picks_krylov(n, nnz) {
-                        AmsBackend::Krylov
-                    } else if self.options.solver.picks_sparse(n, nnz) {
-                        AmsBackend::Sparse
-                    } else {
-                        AmsBackend::Dense
-                    });
-                }
-                match self.backend.expect("decided above") {
-                    AmsBackend::Krylov => {
-                        // The Jacobian changed: refresh the preconditioner
-                        // (the operator is rebuilt regardless — GMRES must
-                        // multiply by the exact current matrix).
-                        let sjac = SparseMatrix::from_dense(jac);
-                        let pattern = IluPattern::analyze(&sjac);
-                        self.counters.preconditioner_builds += 1;
-                        let precond = Ilu0::factor(&pattern, &sjac);
-                        self.krylov = Some(KrylovState {
-                            mat: sjac,
-                            pattern,
-                            precond,
-                        });
-                        self.lu_valid = true;
-                    }
-                    AmsBackend::Sparse => {
-                        self.counters.lu_factorizations += 1;
-                        let sjac = SparseMatrix::from_dense(jac);
-                        let mut refactored = false;
-                        if let Some((sym, num)) = self.sparse.as_mut() {
-                            if sym.order() == n {
-                                match sym.refactor(&sjac, num) {
-                                    RefactorOutcome::Refactored => {
-                                        self.counters.numeric_refactors += 1;
-                                        refactored = true;
-                                    }
-                                    RefactorOutcome::Stale => {
-                                        self.counters.pattern_fallbacks += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if !refactored {
-                            self.counters.symbolic_analyses += 1;
-                            match SymbolicLu::analyze(&sjac) {
-                                Ok(pair) => self.sparse = Some(pair),
-                                Err(_) => {
-                                    self.sparse = None;
-                                    self.lu_valid = false;
-                                    return Err(SolveError::SingularJacobian { t: t_new });
-                                }
-                            }
-                        }
-                        self.lu_valid = true;
-                    }
-                    AmsBackend::Dense => {
-                        self.counters.lu_factorizations += 1;
-                        match self.lu.factorize(jac) {
-                            Ok(()) => self.lu_valid = true,
-                            Err(_) => {
-                                self.lu_valid = false;
-                                return Err(SolveError::SingularJacobian { t: t_new });
-                            }
-                        }
+                self.counters.lu_factorizations += 1;
+                match self.lu.factorize(jac) {
+                    Ok(()) => self.lu_valid = true,
+                    Err(_) => {
+                        self.lu_valid = false;
+                        return Err(SolveError::SingularJacobian { t: t_new });
                     }
                 }
             }
             delta.clear();
             delta.extend(r.iter().map(|v| -v));
-            match self.backend {
-                Some(AmsBackend::Krylov) => {
-                    let ks = match self.krylov.as_ref() {
-                        Some(ks) => ks,
-                        None => return Err(SolveError::SingularJacobian { t: t_new }),
-                    };
-                    let rhs = delta.clone();
-                    // Newton corrections start at zero by construction.
-                    for d in delta.iter_mut() {
-                        *d = 0.0;
-                    }
-                    let out = gmres_solve(
-                        &ks.mat,
-                        &ks.pattern,
-                        &ks.precond,
-                        &rhs,
-                        delta,
-                        &KRYLOV_AMS_GMRES,
-                    );
-                    self.counters.krylov_iterations += out.iterations;
-                    self.counters.krylov_restarts += out.restarts;
-                    if !out.converged {
-                        // Counted rescue rung: demote to the direct sparse
-                        // LU on the same CSC Jacobian.
-                        self.counters.krylov_fallbacks += 1;
-                        self.counters.lu_factorizations += 1;
-                        let mut refactored = false;
-                        if let Some((sym, num)) = self.sparse.as_mut() {
-                            if sym.order() == n {
-                                match sym.refactor(&ks.mat, num) {
-                                    RefactorOutcome::Refactored => {
-                                        self.counters.numeric_refactors += 1;
-                                        refactored = true;
-                                    }
-                                    RefactorOutcome::Stale => {
-                                        self.counters.pattern_fallbacks += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if !refactored {
-                            self.counters.symbolic_analyses += 1;
-                            match SymbolicLu::analyze(&ks.mat) {
-                                Ok(pair) => self.sparse = Some(pair),
-                                Err(_) => {
-                                    self.sparse = None;
-                                    self.lu_valid = false;
-                                    return Err(SolveError::SingularJacobian { t: t_new });
-                                }
-                            }
-                        }
-                        delta.clear();
-                        delta.extend_from_slice(&rhs);
-                        let (sym, num) = self.sparse.as_ref().expect("factors built above");
-                        sym.solve(num, delta);
-                    }
-                }
-                Some(AmsBackend::Sparse) => match self.sparse.as_ref() {
-                    Some((sym, num)) => sym.solve(num, delta),
-                    None => return Err(SolveError::SingularJacobian { t: t_new }),
-                },
-                _ => self.lu.solve(delta),
-            }
+            self.lu.solve(delta);
             let mut step_norm = 0.0f64;
             for i in 0..n {
                 x[i] += delta[i];
@@ -932,69 +764,6 @@ mod tests {
 
         // The reuse path must be bit-identical to refactoring every time.
         assert_eq!(fast_bits, slow_bits);
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense_on_two_pole_model() {
-        let model = TwoPoleGatedModel::from_db_and_hz(21.8, 0.8e6, 5.9e9);
-        let run = |kind| {
-            let mut solver = ImplicitSolver::new(SolverOptions {
-                solver: kind,
-                ..Default::default()
-            });
-            let mut st = TransientState::from_model(&model);
-            solver
-                .run(
-                    &model,
-                    0.0,
-                    1e-9,
-                    500,
-                    &mut st,
-                    |t| vec![0.01 * (t * 1e7).sin(), 1.0, 0.0],
-                    |_, _| {},
-                )
-                .unwrap();
-            (st.x.clone(), *solver.counters())
-        };
-        let (dense_x, dense_c) = run(SolverKind::Dense);
-        let (sparse_x, sparse_c) = run(SolverKind::Sparse);
-        for (a, b) in dense_x.iter().zip(&sparse_x) {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "dense {a} vs sparse {b}"
-            );
-        }
-        assert_eq!(dense_c.symbolic_analyses, 0);
-        assert!(sparse_c.symbolic_analyses >= 1, "{sparse_c}");
-        // The Jacobian pattern is fixed, so after the first analysis every
-        // new Jacobian refactors on the pinned pattern.
-        assert!(sparse_c.numeric_refactors >= 1, "{sparse_c}");
-        // Each non-reused factorization is either a pinned-pattern
-        // refactor or a fresh analysis (a fallback re-analyzes in the
-        // same pass).
-        assert_eq!(
-            sparse_c.lu_factorizations,
-            sparse_c.symbolic_analyses + sparse_c.numeric_refactors,
-            "{sparse_c}"
-        );
-
-        // Krylov tier: GMRES + ILU(0) over the same FD Jacobians, same
-        // trajectory within the parity band; every Jacobian change is a
-        // preconditioner build, and any stall is a counted direct-LU
-        // fallback rather than an error.
-        let (krylov_x, krylov_c) = run(SolverKind::Krylov);
-        for (a, b) in dense_x.iter().zip(&krylov_x) {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "dense {a} vs krylov {b}"
-            );
-        }
-        assert!(krylov_c.preconditioner_builds >= 1, "{krylov_c}");
-        assert!(krylov_c.krylov_iterations >= 1, "{krylov_c}");
-        assert_eq!(
-            krylov_c.lu_factorizations, krylov_c.krylov_fallbacks,
-            "direct factorizations only happen on the fallback rung: {krylov_c}"
-        );
     }
 
     #[test]

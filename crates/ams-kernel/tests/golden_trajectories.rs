@@ -11,7 +11,6 @@
 
 use ams_kernel::analog::{AnalogModel, FirstOrderLag, IdealGatedIntegrator, TwoPoleGatedModel};
 use ams_kernel::solver::{ImplicitSolver, Method, SolverOptions, TransientState};
-use sim_core::sparse::SolverKind;
 
 const STEPS: usize = 20_000;
 const H: f64 = 50e-12;
@@ -28,7 +27,6 @@ fn fnv(h: &mut u64, v: u64) {
 fn trajectory<M: AnalogModel>(model: &M, method: Method) -> u64 {
     let mut solver = ImplicitSolver::new(SolverOptions {
         method,
-        solver: SolverKind::Auto,
         ..Default::default()
     });
     let mut state = TransientState::from_model(model);

@@ -312,14 +312,12 @@ fn tiled_id_array_delayed(n_tiles: usize, delay: f64) -> (Circuit, Vec<NodeId>) 
 fn run_tiled_tran(
     n_tiles: usize,
     kind: SolverKind,
-    btf: bool,
     t_end: f64,
     dt: f64,
 ) -> (Vec<f64>, PerfCounters, f64) {
     let (ckt, probes) = tiled_id_array(n_tiles);
     let mut opts = TranOptions::default();
     opts.newton.solver = kind;
-    opts.newton.btf = btf;
     let mut sim = TransientSimulator::new(ckt, opts).expect("tiled I&D dcop");
     let mut finals = vec![0.0; probes.len()];
     let wall_s = timed(|| {
@@ -443,8 +441,8 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
     println!("sparse vs dense transient (tiled I&D arrays, dt = {dt:.0e} s):");
     let mut phases = Vec::new();
     for &n in sizes {
-        let (vd, cd, d_s) = run_tiled_tran(n, SolverKind::Dense, false, t_end, dt);
-        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
+        let (vd, cd, d_s) = run_tiled_tran(n, SolverKind::Dense, t_end, dt);
+        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
         for (a, b) in vd.iter().zip(&vs) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -487,8 +485,8 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
     let mut phases = Vec::new();
     let largest = *sizes.last().expect("non-empty tier list");
     for &n in sizes {
-        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vk, ck, k_s) = run_tiled_tran(n, SolverKind::Krylov, false, t_end, dt);
+        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
+        let (vk, ck, k_s) = run_tiled_tran(n, SolverKind::Krylov, t_end, dt);
         for (a, b) in vs.iter().zip(&vk) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -514,54 +512,6 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
             timed_phase(&format!("tran_krylov_{n}x_id"), ck, k_s)
                 .with("tiles", n as f64)
                 .with("speedup_vs_direct", speedup),
-        );
-    }
-    phases
-}
-
-/// Monolithic sparse LU vs the block-triangular-form path on tiled I&D
-/// arrays: one structural analysis per topology, independent per-block
-/// factors, matching waveforms. Disconnected tiles (plus vsource-driven
-/// gate decoupling) give the BTF extraction real blocks to find.
-fn btf_scaling(quick: bool) -> Vec<PerfPhase> {
-    let sizes: &[usize] = if quick { &[2] } else { &[2, 4, 8] };
-    let (t_end, dt) = if quick {
-        (0.5e-9, 10e-12)
-    } else {
-        (1e-9, 10e-12)
-    };
-    println!("monolithic sparse vs BTF transient (tiled I&D arrays, dt = {dt:.0e} s):");
-    let mut phases = Vec::new();
-    for &n in sizes {
-        let (vm, cm, m_s) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vb, cb, b_s) = run_tiled_tran(n, SolverKind::Sparse, true, t_end, dt);
-        for (a, b) in vm.iter().zip(&vb) {
-            assert!(
-                (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-                "BTF and monolithic transients diverged at {n} tile(s): {a} vs {b}"
-            );
-        }
-        assert!(
-            cb.structural_analyses >= 1,
-            "BTF path must run a structural analysis: {cb}"
-        );
-        assert!(
-            cb.btf_blocks > cb.structural_analyses,
-            "{n} disconnected tiles must decompose into more than one block \
-             per analysis: {cb}"
-        );
-        assert_eq!(
-            cm.structural_analyses, 0,
-            "monolithic baseline must not analyze structure: {cm}"
-        );
-        let speedup = m_s / b_s;
-        println!("  {n} tile(s): monolithic {cm} ({m_s:.3} s run)");
-        println!("  {n} tile(s): btf        {cb} ({b_s:.3} s run)");
-        println!("  -> btf speedup {speedup:.2}x (matching waveforms)");
-        phases.push(
-            timed_phase(&format!("tran_btf_{n}x_id"), cb, b_s)
-                .with("tiles", n as f64)
-                .with("speedup_vs_monolithic", speedup),
         );
     }
     phases
@@ -856,9 +806,6 @@ fn main() {
     for phase in sparse_vs_dense_scaling(quick) {
         report.push(phase);
     }
-    for phase in btf_scaling(quick) {
-        report.push(phase);
-    }
     for phase in krylov_vs_direct_scaling(quick) {
         report.push(phase);
     }
@@ -871,7 +818,4 @@ fn main() {
     let json = report.to_json();
     let path = uwb_ams_bench::write_result("BENCH_perf.json", &json);
     println!("\nwrote {}", path.display());
-    // The headline perf trajectory is also tracked at the repo root.
-    let root = uwb_ams_bench::write_repo_root_result("BENCH_perf.json", &json);
-    println!("wrote {}", root.display());
 }

@@ -21,17 +21,6 @@ pub fn write_result(name: &str, contents: &str) -> PathBuf {
     path
 }
 
-/// Writes `contents` to `<repo root>/name` (two levels above this crate)
-/// and returns the full path — for headline artifacts tracked in-tree,
-/// like the perf trajectory (`BENCH_perf.json`).
-pub fn write_repo_root_result(name: &str, contents: &str) -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name);
-    std::fs::write(&path, contents).expect("write repo-root result file");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -296,11 +296,6 @@ impl PerfReport {
                 c.lanes_retired_early
             ));
             s.push_str(&format!(
-                "\n      \"structural_analyses\": {},",
-                c.structural_analyses
-            ));
-            s.push_str(&format!("\n      \"btf_blocks\": {},", c.btf_blocks));
-            s.push_str(&format!(
                 "\n      \"krylov_iterations\": {},",
                 c.krylov_iterations
             ));
@@ -413,8 +408,6 @@ mod tests {
         counters.batched_refactors = 4;
         counters.batched_solves = 5;
         counters.lanes_retired_early = 6;
-        counters.structural_analyses = 2;
-        counters.btf_blocks = 7;
         counters.krylov_iterations = 11;
         counters.krylov_restarts = 2;
         counters.preconditioner_builds = 3;
@@ -441,8 +434,6 @@ mod tests {
         assert!(json.contains("\"batched_refactors\": 4"), "{json}");
         assert!(json.contains("\"batched_solves\": 5"), "{json}");
         assert!(json.contains("\"lanes_retired_early\": 6"), "{json}");
-        assert!(json.contains("\"structural_analyses\": 2"), "{json}");
-        assert!(json.contains("\"btf_blocks\": 7"), "{json}");
         assert!(json.contains("\"krylov_iterations\": 11"), "{json}");
         assert!(json.contains("\"krylov_restarts\": 2"), "{json}");
         assert!(json.contains("\"preconditioner_builds\": 3"), "{json}");

@@ -14,16 +14,14 @@
 //! * [`sparse`] — CSC [`SparseMatrix`] assembled from triplet stamps,
 //!   fill-reducing ordering, and the split symbolic/numeric LU
 //!   ([`SymbolicLu`] / [`NumericLu`]) that large MNA systems route
-//!   through (selected per engine by [`SolverKind`]),
+//!   through (selected for the circuit engine by [`SolverKind`]),
 //! * [`batched`] — [`BatchedLu`], the SoA multi-lane numeric
 //!   refactor/solve over one pinned [`SymbolicLu`] pattern that
 //!   Monte-Carlo campaigns batch structure-identical points through
 //!   (width policy via [`BatchWidth`] / `UWB_AMS_BATCH`),
 //! * [`structure`] — value-free analysis of the sparse pattern:
 //!   Hopcroft–Karp maximum matching plus coarse Dulmage–Mendelsohn
-//!   classification ([`StructureReport`], feeding the static ERC layer)
-//!   and block-triangular-form extraction with per-block LU
-//!   ([`BtfForm`] / [`BtfLu`]),
+//!   classification ([`StructureReport`], feeding the static ERC layer),
 //! * [`ilu`] / [`gmres`] — the iterative tier: a zero-fill incomplete-LU
 //!   preconditioner ([`Ilu0`]) built once per pinned sparsity pattern
 //!   (with a Jacobi fallback on factorization breakdown) and restarted
@@ -73,6 +71,6 @@ pub use linalg::{CMatrix, DMatrix, LuFactors, LuStats, Matrix, NumericFault, Sin
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-pub use structure::{BtfForm, BtfLu, DmClass, StructureReport};
+pub use structure::{DmClass, StructureReport};
 pub use time::SimTime;
 pub use trace::Probe;

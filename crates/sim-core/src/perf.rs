@@ -99,12 +99,6 @@ pub struct PerfCounters {
     /// Lanes that retired from a batch (converged, stale, or failed)
     /// while other lanes in the same group were still iterating.
     pub lanes_retired_early: u64,
-    /// Structural analyses of the sparse pattern (maximum matching + BTF
-    /// extraction; once per circuit topology when the BTF path is on).
-    pub structural_analyses: u64,
-    /// Diagonal blocks exposed by block-triangular-form extraction,
-    /// summed over structural analyses.
-    pub btf_blocks: u64,
     /// GMRES inner (Arnoldi) iterations across all Krylov solves.
     pub krylov_iterations: u64,
     /// GMRES restart cycles entered after an unconverged inner sweep.
@@ -148,8 +142,6 @@ impl PerfCounters {
         self.batched_refactors += other.batched_refactors;
         self.batched_solves += other.batched_solves;
         self.lanes_retired_early += other.lanes_retired_early;
-        self.structural_analyses += other.structural_analyses;
-        self.btf_blocks += other.btf_blocks;
         self.krylov_iterations += other.krylov_iterations;
         self.krylov_restarts += other.krylov_restarts;
         self.preconditioner_builds += other.preconditioner_builds;
@@ -201,7 +193,7 @@ impl std::fmt::Display for PerfCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} steps ({} rejected, {} lte evals, {} order switches), {} Newton iters, {} LU factorizations, {} LU reuses ({:.0}% reuse), {} symbolic / {} refactors / {} fallbacks, {} warm starts, {}/{} rescues, {} batched refactors / {} batched solves / {} early retires, {} structural analyses / {} btf blocks, {} krylov iters / {} restarts / {} precond builds / {} krylov fallbacks, {:.3} s wall",
+            "{} steps ({} rejected, {} lte evals, {} order switches), {} Newton iters, {} LU factorizations, {} LU reuses ({:.0}% reuse), {} symbolic / {} refactors / {} fallbacks, {} warm starts, {}/{} rescues, {} batched refactors / {} batched solves / {} early retires, {} krylov iters / {} restarts / {} precond builds / {} krylov fallbacks, {:.3} s wall",
             self.steps,
             self.steps_rejected,
             self.lte_evaluations,
@@ -219,8 +211,6 @@ impl std::fmt::Display for PerfCounters {
             self.batched_refactors,
             self.batched_solves,
             self.lanes_retired_early,
-            self.structural_analyses,
-            self.btf_blocks,
             self.krylov_iterations,
             self.krylov_restarts,
             self.preconditioner_builds,
@@ -253,8 +243,6 @@ mod tests {
             batched_refactors: 9,
             batched_solves: 10,
             lanes_retired_early: 11,
-            structural_analyses: 12,
-            btf_blocks: 13,
             krylov_iterations: 17,
             krylov_restarts: 18,
             preconditioner_builds: 19,
@@ -278,8 +266,6 @@ mod tests {
             batched_refactors: 90,
             batched_solves: 100,
             lanes_retired_early: 110,
-            structural_analyses: 120,
-            btf_blocks: 130,
             krylov_iterations: 170,
             krylov_restarts: 180,
             preconditioner_builds: 190,
@@ -304,8 +290,6 @@ mod tests {
         assert_eq!(a.batched_refactors, 99);
         assert_eq!(a.batched_solves, 110);
         assert_eq!(a.lanes_retired_early, 121);
-        assert_eq!(a.structural_analyses, 132);
-        assert_eq!(a.btf_blocks, 143);
         assert_eq!(a.krylov_iterations, 187);
         assert_eq!(a.krylov_restarts, 198);
         assert_eq!(a.preconditioner_builds, 209);

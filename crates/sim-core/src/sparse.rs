@@ -104,11 +104,13 @@ impl SparseScalar for Complex64 {
     }
 }
 
-/// Which linear-solver backend an engine should use.
+/// Which linear-solver backend the circuit engine (`spice`: DC, AC and
+/// transient) should use. The behavioural engine (`ams-kernel`) solves
+/// its order-1 and order-2 models on the dense kernel only.
 ///
 /// Resolved from the `UWB_AMS_SOLVER` environment variable (`auto`,
 /// `dense`, `sparse`, `krylov`; anything else falls back to `auto`) or
-/// set explicitly on the engines' option structs.
+/// set explicitly on the circuit engine's option structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Size/density heuristic: sparse for large, sparse-enough systems,

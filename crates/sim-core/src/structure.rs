@@ -12,17 +12,12 @@
 //!   classifies every row and column with the coarse
 //!   Dulmage–Mendelsohn decomposition ([`DmClass`]) so callers can name
 //!   the over-determined equations and under-determined unknowns.
-//! * **Can the factorization be decomposed?** Given a perfect matching,
-//!   Tarjan's SCC algorithm on the matched digraph yields the
-//!   *block-triangular form* ([`BtfForm`]): row/column permutations that
-//!   expose independent diagonal blocks. [`BtfLu`] factors each block
-//!   with its own [`SymbolicLu`] and solves the permuted system by block
-//!   back-substitution — fill-in can never cross a block boundary.
 //!
-//! The analyses are deterministic: identical patterns produce identical
-//! matchings, permutations and block structures on every run.
+//! The lint gate (E0301/E0302) is its one client: it reports the
+//! equations and unknowns a singular pattern leaves unmatched before any
+//! factorization runs. The analysis is deterministic: identical patterns
+//! produce identical matchings and classes on every run.
 
-use crate::sparse::{NumericLu, RefactorOutcome, SparseMatrix, SparseScalar, SymbolicLu};
 use std::collections::VecDeque;
 
 /// Sentinel for "not matched / not reached".
@@ -73,24 +68,6 @@ impl StructureReport {
             list.sort_unstable();
             list.dedup();
         }
-        Self::from_row_adjacency(n, adj)
-    }
-
-    /// Analyzes a compiled CSC pattern (`col_ptr`/`row_idx` as produced by
-    /// [`SparseMatrix`]).
-    pub fn from_pattern(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Self {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for c in 0..n {
-            for &r in &row_idx[col_ptr[c]..col_ptr[c + 1]] {
-                adj[r].push(c);
-            }
-        }
-        // CSC iteration visits columns in ascending order, so each row's
-        // list is already sorted and duplicate-free.
-        Self::from_row_adjacency(n, adj)
-    }
-
-    fn from_row_adjacency(n: usize, adj: Vec<Vec<usize>>) -> Self {
         let (col_of_row, row_of_col) = hopcroft_karp(n, &adj);
         let structural_rank = col_of_row.iter().filter(|&&c| c != NONE).count();
         let (row_class, col_class) = dm_coarse(n, &adj, &col_of_row, &row_of_col);
@@ -318,341 +295,9 @@ fn dm_coarse(
     (row_class, col_class)
 }
 
-/// Block-triangular form of a structurally nonsingular pattern: row and
-/// column permutations plus block boundaries such that the permuted
-/// matrix is block *upper* triangular — every entry lands in a diagonal
-/// block or strictly above it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BtfForm {
-    /// `row_perm[k]` = original row placed at permuted position `k`.
-    pub row_perm: Vec<usize>,
-    /// `col_perm[k]` = original column placed at permuted position `k`.
-    pub col_perm: Vec<usize>,
-    /// Block `b` spans permuted positions `block_ptr[b] .. block_ptr[b+1]`.
-    pub block_ptr: Vec<usize>,
-}
-
-impl BtfForm {
-    /// Extracts the BTF of a CSC pattern. Returns `None` when the pattern
-    /// has no perfect matching (structurally singular — run
-    /// [`StructureReport`] for the diagnosis instead).
-    pub fn from_pattern(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Option<BtfForm> {
-        let report = StructureReport::from_pattern(n, col_ptr, row_idx);
-        if !report.is_structurally_nonsingular() {
-            return None;
-        }
-        // Matched digraph on columns: entry (i, v) induces edge u -> v
-        // where u is the column matched to row i (self-loops dropped).
-        let mut dig: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for &i in &row_idx[col_ptr[v]..col_ptr[v + 1]] {
-                let u = report.col_of_row[i];
-                if u != v {
-                    dig[u].push(v);
-                }
-            }
-        }
-        // Tarjan emits each SCC after all SCCs it can reach; reversing the
-        // emission order therefore yields a topological order of the
-        // condensation, i.e. block *upper* triangular blocks.
-        let mut sccs = tarjan_sccs(n, &dig);
-        sccs.reverse();
-
-        let mut col_perm = Vec::with_capacity(n);
-        let mut block_ptr = Vec::with_capacity(sccs.len() + 1);
-        block_ptr.push(0);
-        for scc in &sccs {
-            col_perm.extend_from_slice(scc);
-            block_ptr.push(col_perm.len());
-        }
-        let row_perm: Vec<usize> = col_perm.iter().map(|&c| report.row_of_col[c]).collect();
-        Some(BtfForm {
-            row_perm,
-            col_perm,
-            block_ptr,
-        })
-    }
-
-    /// Number of diagonal blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.block_ptr.len() - 1
-    }
-
-    /// Order of the permuted system.
-    pub fn order(&self) -> usize {
-        self.row_perm.len()
-    }
-
-    /// Size of the largest diagonal block.
-    pub fn max_block(&self) -> usize {
-        self.block_ptr
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Iterative Tarjan SCC; returns the components in emission order
-/// (every SCC after all SCCs reachable from it).
-fn tarjan_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut index = vec![NONE; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut next = 0usize;
-    let mut call: Vec<(usize, usize)> = Vec::new();
-
-    for s in 0..n {
-        if index[s] != NONE {
-            continue;
-        }
-        call.push((s, 0));
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if index[w] == NONE {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable(); // deterministic within-block order
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// One diagonal block of a [`BtfLu`]: its local matrix (re-stamped from
-/// the parent values on every refactor), the pinned symbolic pattern and
-/// the numeric factors.
-#[derive(Debug, Clone)]
-struct BtfBlock<T> {
-    /// First permuted position of the block.
-    start: usize,
-    /// `(local_row, local_col, parent value index)` stamp sequence.
-    stamps: Vec<(usize, usize, usize)>,
-    mat: SparseMatrix<T>,
-    sym: SymbolicLu,
-    num: NumericLu<T>,
-}
-
-/// Block-triangular LU: the BTF permutation of a sparse matrix with one
-/// independent [`SymbolicLu`] per diagonal block, solved by block
-/// back-substitution. Produces the same solutions as a monolithic sparse
-/// LU (up to rounding) while confining fill-in to the diagonal blocks.
-///
-/// Off-diagonal values are read from the parent matrix at solve time, so
-/// callers keep assembling the *unpermuted* matrix exactly as for the
-/// monolithic path; [`refactor`](Self::refactor) re-stamps each block
-/// from the parent value array in O(nnz).
-#[derive(Debug, Clone)]
-pub struct BtfLu<T = f64> {
-    form: BtfForm,
-    /// Permuted position of each original row / column.
-    pos_of_row: Vec<usize>,
-    pos_of_col: Vec<usize>,
-    blocks: Vec<BtfBlock<T>>,
-    /// Off-diagonal entries `(perm_row, perm_col, parent value index)`
-    /// grouped by the block that owns the row.
-    offdiag: Vec<Vec<(usize, usize, usize)>>,
-    /// Permuted work vector reused across solves.
-    work: Vec<T>,
-}
-
-impl<T: SparseScalar> BtfLu<T> {
-    /// Runs the structural analysis and factors every diagonal block.
-    ///
-    /// Returns `None` when the matrix is not structurally nonsingular or
-    /// a diagonal block is numerically singular — callers fall back to
-    /// the monolithic factorization (which reports the failure properly).
-    pub fn analyze(a: &SparseMatrix<T>) -> Option<BtfLu<T>> {
-        let n = a.order();
-        let form = BtfForm::from_pattern(n, a.col_ptr(), a.row_idx())?;
-        let mut pos_of_row = vec![0usize; n];
-        let mut pos_of_col = vec![0usize; n];
-        for k in 0..n {
-            pos_of_row[form.row_perm[k]] = k;
-            pos_of_col[form.col_perm[k]] = k;
-        }
-        let nb = form.num_blocks();
-        let mut block_of = vec![0usize; n];
-        for (b, w) in form.block_ptr.windows(2).enumerate() {
-            block_of[w[0]..w[1]].fill(b);
-        }
-        // Route every parent entry to its diagonal block or the
-        // off-diagonal list of the block owning its row.
-        let mut stamps: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); nb];
-        let mut offdiag: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); nb];
-        for (c, &pc) in pos_of_col.iter().enumerate() {
-            for p in a.col_ptr()[c]..a.col_ptr()[c + 1] {
-                let r = a.row_idx()[p];
-                let pr = pos_of_row[r];
-                let (br, bc) = (block_of[pr], block_of[pc]);
-                if br == bc {
-                    let start = form.block_ptr[br];
-                    stamps[br].push((pr - start, pc - start, p));
-                } else {
-                    debug_assert!(br < bc, "BTF permutation is not upper triangular");
-                    offdiag[br].push((pr, pc, p));
-                }
-            }
-        }
-        let vals = a.values();
-        let mut blocks = Vec::with_capacity(nb);
-        for (b, stamps) in stamps.into_iter().enumerate() {
-            let start = form.block_ptr[b];
-            let size = form.block_ptr[b + 1] - start;
-            let mut mat = SparseMatrix::new(size);
-            mat.begin_assembly();
-            for &(lr, lc, p) in &stamps {
-                mat.add(lr, lc, vals[p]);
-            }
-            mat.finish_assembly();
-            let (sym, num) = SymbolicLu::analyze(&mat).ok()?;
-            blocks.push(BtfBlock {
-                start,
-                stamps,
-                mat,
-                sym,
-                num,
-            });
-        }
-        Some(BtfLu {
-            form,
-            pos_of_row,
-            pos_of_col,
-            blocks,
-            offdiag,
-            work: vec![T::ZERO; n],
-        })
-    }
-
-    /// The underlying permutation and block structure.
-    pub fn form(&self) -> &BtfForm {
-        &self.form
-    }
-
-    /// Number of diagonal blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.form.num_blocks()
-    }
-
-    /// Structural nonzeros across all block factors (L + U + diagonals).
-    pub fn factor_nnz(&self) -> usize {
-        self.blocks.iter().map(|b| b.sym.factor_nnz()).sum()
-    }
-
-    /// Re-stamps every diagonal block from the parent value array and
-    /// refactors it on its pinned pattern. Returns
-    /// [`RefactorOutcome::Stale`] when the parent changed shape or any
-    /// block's pinned pivot order degraded — re-run
-    /// [`analyze`](Self::analyze) (or fall back to the monolithic path).
-    pub fn refactor(&mut self, a: &SparseMatrix<T>) -> RefactorOutcome {
-        if a.order() != self.form.order() {
-            return RefactorOutcome::Stale;
-        }
-        let vals = a.values();
-        for block in &mut self.blocks {
-            block.mat.begin_assembly();
-            for &(lr, lc, p) in &block.stamps {
-                let Some(&v) = vals.get(p) else {
-                    return RefactorOutcome::Stale;
-                };
-                block.mat.add(lr, lc, v);
-            }
-            if block.mat.finish_assembly() {
-                // The replayed stamp sequence can never recompile; treat
-                // it as staleness out of caution.
-                return RefactorOutcome::Stale;
-            }
-            if block.sym.refactor(&block.mat, &mut block.num) == RefactorOutcome::Stale {
-                return RefactorOutcome::Stale;
-            }
-        }
-        RefactorOutcome::Refactored
-    }
-
-    /// Solves `A x = b` in place using the block factors; `a` must be the
-    /// same matrix the factors were built from (its values feed the
-    /// off-diagonal couplings).
-    pub fn solve(&mut self, a: &SparseMatrix<T>, b: &mut [T]) {
-        let n = self.form.order();
-        debug_assert_eq!(b.len(), n);
-        let vals = a.values();
-        // Permute the RHS into block order.
-        for k in 0..n {
-            self.work[k] = b[self.form.row_perm[k]];
-        }
-        // Back-substitute blocks from last to first: by the time block b
-        // is solved, every column to its right already holds x.
-        for bi in (0..self.blocks.len()).rev() {
-            for &(pr, pc, p) in &self.offdiag[bi] {
-                let contrib = vals[p] * self.work[pc];
-                self.work[pr] -= contrib;
-            }
-            let block = &self.blocks[bi];
-            let end = block.start + block.mat.order();
-            block
-                .sym
-                .solve(&block.num, &mut self.work[block.start..end]);
-        }
-        // Scatter back to original unknown order.
-        for k in 0..n {
-            b[self.form.col_perm[k]] = self.work[k];
-        }
-    }
-
-    /// Permuted position of original row `r` (for diagnostics).
-    pub fn row_position(&self, r: usize) -> usize {
-        self.pos_of_row[r]
-    }
-
-    /// Permuted position of original column `c` (for diagnostics).
-    pub fn col_position(&self, c: usize) -> usize {
-        self.pos_of_col[c]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn csc_of(n: usize, entries: &[(usize, usize, f64)]) -> SparseMatrix<f64> {
-        let mut m = SparseMatrix::new(n);
-        m.begin_assembly();
-        for &(r, c, v) in entries {
-            m.add(r, c, v);
-        }
-        m.finish_assembly();
-        m
-    }
 
     #[test]
     fn identity_is_structurally_nonsingular_one_block_each() {
@@ -660,19 +305,11 @@ mod tests {
         let rep = StructureReport::from_entries(5, &entries);
         assert!(rep.is_structurally_nonsingular());
         assert_eq!(rep.structural_rank(), 5);
-        let m = csc_of(
-            5,
-            &[
-                (0, 0, 1.0),
-                (1, 1, 1.0),
-                (2, 2, 1.0),
-                (3, 3, 1.0),
-                (4, 4, 1.0),
-            ],
-        );
-        let btf = BtfForm::from_pattern(5, m.col_ptr(), m.row_idx()).unwrap();
-        assert_eq!(btf.num_blocks(), 5);
-        assert_eq!(btf.max_block(), 1);
+        // Each row claims its own column: a 1×1 block apiece.
+        for i in 0..5 {
+            assert_eq!(rep.matched_col(i), Some(i));
+            assert_eq!(rep.row_class(i), DmClass::Square);
+        }
     }
 
     #[test]
@@ -741,127 +378,5 @@ mod tests {
             n - rep.unmatched_rows().len(),
             "rank accounting"
         );
-    }
-
-    #[test]
-    fn btf_finds_independent_blocks_and_orders_them_upper() {
-        // Two independent 2x2 blocks plus a one-way coupling:
-        // unknowns {0,1} feed {2,3} but not vice versa.
-        let m = csc_of(
-            4,
-            &[
-                (0, 0, 4.0),
-                (0, 1, 1.0),
-                (1, 0, 1.0),
-                (1, 1, 3.0),
-                (2, 2, 5.0),
-                (2, 3, 1.0),
-                (3, 2, 1.0),
-                (3, 3, 4.0),
-                (2, 0, 1.0), // coupling: block {2,3} depends on column 0
-            ],
-        );
-        let btf = BtfForm::from_pattern(4, m.col_ptr(), m.row_idx()).unwrap();
-        assert_eq!(btf.num_blocks(), 2);
-        // Upper-triangular check: every entry's row block <= column block.
-        let mut pos_r = [0; 4];
-        let mut pos_c = [0; 4];
-        for k in 0..4 {
-            pos_r[btf.row_perm[k]] = k;
-            pos_c[btf.col_perm[k]] = k;
-        }
-        let block_of = |k: usize| btf.block_ptr.partition_point(|&p| p <= k) - 1;
-        for (c, &pc) in pos_c.iter().enumerate() {
-            for &r in &m.row_idx()[m.col_ptr()[c]..m.col_ptr()[c + 1]] {
-                assert!(
-                    block_of(pos_r[r]) <= block_of(pc),
-                    "entry ({r},{c}) below the block diagonal"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn btf_lu_matches_monolithic_solve() {
-        // Three coupled blocks with deterministic values.
-        let mut entries = Vec::new();
-        let n = 9;
-        for b in 0..3 {
-            let o = 3 * b;
-            for i in 0..3 {
-                for j in 0..3 {
-                    let v = if i == j {
-                        10.0 + b as f64
-                    } else {
-                        1.0 / (1.0 + (i + 2 * j) as f64)
-                    };
-                    entries.push((o + i, o + j, v));
-                }
-            }
-        }
-        // One-way couplings: block 0 -> block 1 -> block 2 (rows of the
-        // later block reference columns of the earlier one).
-        entries.push((3, 1, 0.25));
-        entries.push((7, 4, 0.5));
-        let m = csc_of(n, &entries);
-
-        let mut btf = BtfLu::analyze(&m).expect("structurally nonsingular");
-        assert_eq!(btf.num_blocks(), 3);
-
-        let (sym, num) = SymbolicLu::analyze(&m).expect("nonsingular");
-        let b0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.0).collect();
-        let mut mono = b0.clone();
-        sym.solve(&num, &mut mono);
-        let mut blocked = b0.clone();
-        btf.solve(&m, &mut blocked);
-        for (a, b) in mono.iter().zip(&blocked) {
-            assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                "block solve diverged: {a} vs {b}"
-            );
-        }
-
-        // Refactor with scaled values and compare again.
-        let mut m2 = m.clone();
-        m2.begin_assembly();
-        for &(r, c, v) in &entries {
-            m2.add(r, c, v * 1.5);
-        }
-        assert!(!m2.finish_assembly(), "same stamp sequence");
-        assert_eq!(btf.refactor(&m2), RefactorOutcome::Refactored);
-        let (sym2, num2) = SymbolicLu::analyze(&m2).expect("nonsingular");
-        let mut mono2 = b0.clone();
-        sym2.solve(&num2, &mut mono2);
-        let mut blocked2 = b0;
-        btf.solve(&m2, &mut blocked2);
-        for (a, b) in mono2.iter().zip(&blocked2) {
-            assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                "post-refactor block solve diverged: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn btf_refuses_structurally_singular_patterns() {
-        // Column 1 is empty.
-        let m = csc_of(2, &[(0, 0, 1.0), (1, 0, 1.0)]);
-        assert!(BtfForm::from_pattern(2, m.col_ptr(), m.row_idx()).is_none());
-        assert!(BtfLu::analyze(&m).is_none());
-    }
-
-    #[test]
-    fn irreducible_pattern_is_one_block() {
-        // Full 3x3: a single SCC.
-        let mut entries = Vec::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                entries.push((i, j, if i == j { 3.0 } else { 1.0 }));
-            }
-        }
-        let m = csc_of(3, &entries);
-        let btf = BtfForm::from_pattern(3, m.col_ptr(), m.row_idx()).unwrap();
-        assert_eq!(btf.num_blocks(), 1);
-        assert_eq!(btf.max_block(), 3);
     }
 }

@@ -12,7 +12,6 @@ use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::gmres::{gmres_solve, GmresOptions};
 use sim_core::ilu::{Ilu0, IluPattern};
 use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-use sim_core::structure::BtfLu;
 
 /// GMRES controls for Krylov-backed Newton solves. The tolerance sits
 /// well below the Newton convergence tolerances and the parity gates, so
@@ -54,23 +53,6 @@ pub struct NewtonOptions {
     /// single-instance netlist in the workspace stays on the dense kernel
     /// — bit-exact vs the pre-sparse history.
     pub solver: SolverKind,
-    /// Route sparse solves through the block-triangular-form path: one
-    /// structural analysis per topology (maximum matching + Tarjan SCC,
-    /// counted in `structural_analyses`/`btf_blocks`), then per-block
-    /// factorizations whose fill-in cannot cross block boundaries. Falls
-    /// back to the monolithic sparse LU transparently when the pattern
-    /// has no perfect matching or a pinned block pivot degrades. Defaults
-    /// to the `UWB_AMS_BTF` environment override (`1`/`on`/`true`); off
-    /// keeps the sparse path bit-exact vs history.
-    pub btf: bool,
-}
-
-/// Reads the `UWB_AMS_BTF` environment override.
-fn btf_from_env() -> bool {
-    matches!(
-        std::env::var("UWB_AMS_BTF").ok().as_deref(),
-        Some("1" | "on" | "true")
-    )
 }
 
 impl Default for NewtonOptions {
@@ -83,7 +65,6 @@ impl Default for NewtonOptions {
             reuse_lu: true,
             numeric_guard: false,
             solver: SolverKind::from_env(),
-            btf: btf_from_env(),
         }
     }
 }
@@ -138,14 +119,6 @@ enum Backend {
         /// the first analysis (or after a structural recompile). Boxed so
         /// the enum stays close to the dense variant in size.
         factors: Option<Box<(SymbolicLu, NumericLu<f64>)>>,
-        /// Block-triangular factorization (the `NewtonOptions::btf` path);
-        /// `None` until the first structural analysis, after a structural
-        /// recompile, or after a fallback to the monolithic factors.
-        btf: Option<Box<BtfLu<f64>>>,
-        /// Structural analysis came back unusable for this topology (no
-        /// perfect matching or a numerically singular block): stop
-        /// retrying until the stamp pattern recompiles.
-        btf_unavailable: bool,
         /// Raw copy of the CSC values the cached factors eliminate —
         /// the sparse twin of the dense byte-compare reuse test.
         vals_cached: Vec<f64>,
@@ -193,8 +166,6 @@ impl NewtonWorkspace {
             Backend::Sparse {
                 mat: SparseMatrix::new(n),
                 factors: None,
-                btf: None,
-                btf_unavailable: false,
                 vals_cached: Vec::new(),
                 cache_valid: false,
                 dc: None,
@@ -342,8 +313,6 @@ pub(crate) fn newton_solve(
             Backend::Sparse {
                 mat,
                 factors,
-                btf,
-                btf_unavailable,
                 vals_cached,
                 cache_valid,
                 dc,
@@ -356,12 +325,10 @@ pub(crate) fn newton_solve(
                         assemble(circuit, layout, x, mode, &params, mat, rhs)?;
                         if mat.finish_assembly() {
                             // Stamp sequence diverged: the CSC structure
-                            // was recompiled, so the pinned pattern, block
-                            // structure, value cache and compiled stamps
-                            // are all meaningless.
+                            // was recompiled, so the pinned pattern, value
+                            // cache and compiled stamps are all
+                            // meaningless.
                             *factors = None;
-                            *btf = None;
-                            *btf_unavailable = false;
                             *cache_valid = false;
                             *dc = None;
                         }
@@ -391,95 +358,20 @@ pub(crate) fn newton_solve(
                 }
                 let reuse = opts.reuse_lu
                     && *cache_valid
-                    && (factors.is_some() || btf.is_some())
+                    && factors.is_some()
                     && mat.values() == &vals_cached[..];
                 if reuse {
                     counters.lu_reuses += 1;
                 } else {
                     vals_cached.clear();
                     vals_cached.extend_from_slice(mat.values());
-                    *cache_valid = true;
-                    let mut refactored = false;
-                    // The BTF path is tried first when requested; any
-                    // trouble falls through to the monolithic sparse LU
-                    // (which also owns the singularity reporting).
-                    if opts.btf && !*btf_unavailable {
-                        if let Some(b) = btf.as_deref_mut() {
-                            match b.refactor(mat) {
-                                RefactorOutcome::Refactored => {
-                                    counters.numeric_refactors += 1;
-                                    counters.lu_factorizations += 1;
-                                    refactored = true;
-                                }
-                                RefactorOutcome::Stale => {
-                                    counters.pattern_fallbacks += 1;
-                                    *btf = None;
-                                    *btf_unavailable = true;
-                                }
-                            }
-                        } else {
-                            counters.structural_analyses += 1;
-                            match BtfLu::analyze(mat) {
-                                Some(b) => {
-                                    counters.btf_blocks += b.num_blocks() as u64;
-                                    counters.lu_factorizations += 1;
-                                    *btf = Some(Box::new(b));
-                                    refactored = true;
-                                }
-                                None => *btf_unavailable = true,
-                            }
-                        }
-                    }
-                    if !refactored {
-                        if let Some((sym, num)) = factors.as_deref_mut() {
-                            match sym.refactor(mat, num) {
-                                RefactorOutcome::Refactored => {
-                                    counters.numeric_refactors += 1;
-                                    counters.lu_factorizations += 1;
-                                    refactored = true;
-                                }
-                                RefactorOutcome::Stale => {
-                                    counters.pattern_fallbacks += 1;
-                                }
-                            }
-                        }
-                    }
-                    if !refactored {
-                        counters.symbolic_analyses += 1;
-                        counters.lu_factorizations += 1;
-                        let analysed = match factors.as_deref() {
-                            Some((sym, _)) => sym.reanalyze(mat),
-                            None => SymbolicLu::analyze(mat),
-                        };
-                        match analysed {
-                            Ok(pair) => *factors = Some(Box::new(pair)),
-                            Err(e) => {
-                                *factors = None;
-                                *cache_valid = false;
-                                return Err(SpiceError::Singular {
-                                    analysis: "dcop",
-                                    order: e.order,
-                                    pivot: e.pivot,
-                                });
-                            }
-                        }
-                    }
+                    let factored = factor_sparse(mat, factors, counters);
+                    *cache_valid = factored.is_ok();
+                    factored?;
                 }
                 x_new.copy_from_slice(rhs);
-                if let Some(b) = btf.as_deref_mut() {
-                    b.solve(mat, x_new);
-                } else {
-                    match factors.as_deref() {
-                        Some((sym, num)) => sym.solve(num, x_new),
-                        None => {
-                            return Err(SpiceError::Singular {
-                                analysis: "dcop",
-                                order: n,
-                                pivot: n,
-                            })
-                        }
-                    }
-                }
+                let (sym, num) = factors.as_deref().expect("factored or reused above");
+                sym.solve(num, x_new);
             }
             Backend::Krylov {
                 mat,
@@ -565,38 +457,7 @@ pub(crate) fn newton_solve(
                     // path owns the singularity reporting exactly as the
                     // sparse backend does.
                     counters.krylov_fallbacks += 1;
-                    let mut refactored = false;
-                    if let Some((sym, num)) = factors.as_deref_mut() {
-                        match sym.refactor(mat, num) {
-                            RefactorOutcome::Refactored => {
-                                counters.numeric_refactors += 1;
-                                counters.lu_factorizations += 1;
-                                refactored = true;
-                            }
-                            RefactorOutcome::Stale => {
-                                counters.pattern_fallbacks += 1;
-                            }
-                        }
-                    }
-                    if !refactored {
-                        counters.symbolic_analyses += 1;
-                        counters.lu_factorizations += 1;
-                        let analysed = match factors.as_deref() {
-                            Some((sym, _)) => sym.reanalyze(mat),
-                            None => SymbolicLu::analyze(mat),
-                        };
-                        match analysed {
-                            Ok(pair) => *factors = Some(Box::new(pair)),
-                            Err(e) => {
-                                *factors = None;
-                                return Err(SpiceError::Singular {
-                                    analysis: "dcop",
-                                    order: e.order,
-                                    pivot: e.pivot,
-                                });
-                            }
-                        }
-                    }
+                    factor_sparse(mat, factors, counters)?;
                     x_new.copy_from_slice(rhs);
                     let (sym, num) = factors.as_deref().expect("factors built above");
                     sym.solve(num, x_new);
@@ -649,6 +510,47 @@ pub(crate) fn newton_solve(
         iterations: counters.newton_iterations as usize,
         delta: last_delta,
     })
+}
+
+/// Factors `mat` into `factors`: a numeric refactor on the pinned
+/// pattern when one exists and its pivots hold, else a fresh symbolic
+/// analysis (reusing the column order when the pattern is unchanged).
+/// Counts the work in `counters`; a singular matrix drops the factors.
+fn factor_sparse(
+    mat: &SparseMatrix<f64>,
+    factors: &mut Option<Box<(SymbolicLu, NumericLu<f64>)>>,
+    counters: &mut PerfCounters,
+) -> Result<(), SpiceError> {
+    if let Some((sym, num)) = factors.as_deref_mut() {
+        match sym.refactor(mat, num) {
+            RefactorOutcome::Refactored => {
+                counters.numeric_refactors += 1;
+                counters.lu_factorizations += 1;
+                return Ok(());
+            }
+            RefactorOutcome::Stale => counters.pattern_fallbacks += 1,
+        }
+    }
+    counters.symbolic_analyses += 1;
+    counters.lu_factorizations += 1;
+    let analysed = match factors.as_deref() {
+        Some((sym, _)) => sym.reanalyze(mat),
+        None => SymbolicLu::analyze(mat),
+    };
+    match analysed {
+        Ok(pair) => {
+            *factors = Some(Box::new(pair));
+            Ok(())
+        }
+        Err(e) => {
+            *factors = None;
+            Err(SpiceError::Singular {
+                analysis: "dcop",
+                order: e.order,
+                pivot: e.pivot,
+            })
+        }
+    }
 }
 
 /// A converged DC solution.
@@ -1590,39 +1492,6 @@ mod tests {
         assert!(NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Krylov).is_krylov());
         assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Auto).is_krylov());
         assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Sparse).is_krylov());
-    }
-
-    #[test]
-    fn btf_sparse_backend_matches_plain_sparse() {
-        let (c, vo) = cmos_inverter(0.9);
-        let solve = |btf| {
-            dcop_impl(
-                &c,
-                &[],
-                &NewtonOptions {
-                    solver: SolverKind::Sparse,
-                    btf,
-                    ..NewtonOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-        };
-        let plain = solve(false);
-        let btf = solve(true);
-        // One structural analysis per topology; the assembled pattern
-        // carries a full gmin diagonal so BTF always finds at least one
-        // block, and vsource-driven gates decouple more.
-        assert_eq!(btf.counters.structural_analyses, 1, "{}", btf.counters);
-        assert!(btf.counters.btf_blocks >= 1, "{}", btf.counters);
-        assert_eq!(plain.counters.structural_analyses, 0);
-        assert_eq!(plain.counters.btf_blocks, 0);
-        let layout = plain.layout();
-        for node in 0..layout.n_nodes() {
-            let (a, b) = (plain.voltage(NodeId(node)), btf.voltage(NodeId(node)));
-            assert!((a - b).abs() < 1e-9, "node {node}: plain {a} vs btf {b}");
-        }
-        assert!((plain.voltage(vo) - btf.voltage(vo)).abs() < 1e-9);
     }
 
     #[test]

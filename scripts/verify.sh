@@ -18,6 +18,10 @@ cargo test -q --release --test batched_parity
 echo "== Table 2 path in the optimised build (channel, AMS solver, receiver) =="
 cargo test -q --release -p uwb-phy -p ams-kernel -p uwb-txrx
 
+echo "== AMS steps allocate nothing whatever UWB_AMS_SOLVER says (the behavioural engine is dense-only) =="
+UWB_AMS_SOLVER=sparse cargo test -q --release -p uwb-txrx --test step_allocations
+UWB_AMS_SOLVER=krylov cargo test -q --release -p uwb-txrx --test step_allocations
+
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
     cargo test -q -p "$crate" --features proptests --test proptests
@@ -44,9 +48,8 @@ cargo run --release --quiet --example run_deck -- --self-check
 UWB_AMS_SOLVER=dense cargo test -q --release --test deck_corpus
 UWB_AMS_SOLVER=sparse cargo test -q --release --test deck_corpus
 
-echo "== structural analysis (DM/BTF gate + permuted-LU parity) =="
+echo "== structural analysis (Dulmage-Mendelsohn gate, E0301/E0302) =="
 cargo test -q --release --test structural
-UWB_AMS_BTF=1 cargo run --release --quiet --example run_deck -- --self-check
 
 echo "== adaptive transient (order harness, breakpoint landing, off-parity) =="
 cargo test -q --release --test integration_order --test adaptive_breakpoints

@@ -1,21 +1,16 @@
-//! Structural-solvability acceptance: the DM/BTF analyzer end to end.
+//! Structural-solvability acceptance: the Dulmage–Mendelsohn analyzer
+//! end to end.
 //!
-//! Three layers, one file:
+//! Two layers, one file:
 //!
 //! * the **gate**: the committed structurally-singular golden deck is
 //!   denied by the ERC gate with a named `E0301`/`E0302` — the failure
 //!   is a diagnostic pointing at node `x`, never a runtime
 //!   `SpiceError::Singular` from three layers down;
 //! * the **corpus**: every healthy golden deck carries zero structural
-//!   diagnostics (the analyzer does not cry wolf);
-//! * the **permutation**: the BTF-permuted LU reproduces the monolithic
-//!   sparse LU to ≤1e-12 relative at the linear-algebra level, and the
-//!   full dcop agrees across `btf` on/off on a real library cell.
+//!   diagnostics (the analyzer does not cry wolf).
 
-use sim_core::sparse::{RefactorOutcome, SparseMatrix, SymbolicLu};
-use sim_core::structure::{BtfLu, StructureReport};
-use spice::library::cmos_inverter;
-use spice::{dcop_with_opts, NewtonOptions, SolverKind};
+use spice::SolverKind;
 use uwb_ams_core::erc::FlowError;
 use uwb_ams_core::{run_deck_checked_with, ErcConfig};
 
@@ -102,100 +97,5 @@ fn corpus_decks_carry_no_structural_diagnostics() {
                 out.report.render()
             );
         }
-    }
-}
-
-/// A 9×9 three-block upper-block-triangular system: dense 3×3 diagonal
-/// blocks, coupling entries only from earlier blocks into later ones, so
-/// Tarjan finds exactly three SCCs.
-fn three_block_system() -> (SparseMatrix<f64>, Vec<f64>) {
-    let n = 9;
-    let mut state = 0xD1B54A32D192ED03u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
-    let mut m = SparseMatrix::new(n);
-    m.begin_assembly();
-    for b in 0..3 {
-        let base = 3 * b;
-        for r in base..base + 3 {
-            for c in base..base + 3 {
-                let v = next() + if r == c { 4.0 } else { 0.0 };
-                m.add(r, c, v);
-            }
-            // Couple forward only: block b feeds blocks > b.
-            for c in base + 3..n {
-                if (r + c) % 2 == 0 {
-                    m.add(r, c, next());
-                }
-            }
-        }
-    }
-    m.finish_assembly();
-    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-    (m, b)
-}
-
-/// The BTF-permuted factorization must reproduce the monolithic sparse
-/// LU to ≤1e-12 relative, block structure notwithstanding — including
-/// after a same-pattern numeric refactor.
-#[test]
-fn btf_solve_matches_monolithic_sparse_lu_to_1e12() {
-    let (m, rhs) = three_block_system();
-
-    let report = StructureReport::from_pattern(m.order(), m.col_ptr(), m.row_idx());
-    assert!(report.is_structurally_nonsingular());
-
-    let (sym, num) = SymbolicLu::analyze(&m).expect("diagonally dominant");
-    let mut x_mono = rhs.clone();
-    sym.solve(&num, &mut x_mono);
-
-    let mut btf = BtfLu::analyze(&m).expect("nonsingular pattern");
-    assert_eq!(btf.num_blocks(), 3, "three SCCs, three BTF blocks");
-    let mut x_btf = rhs.clone();
-    btf.solve(&m, &mut x_btf);
-    for (i, (a, b)) in x_mono.iter().zip(&x_btf).enumerate() {
-        let scale = a.abs().max(1e-30);
-        assert!(
-            (a - b).abs() <= 1e-12 * scale,
-            "x[{i}]: monolithic {a:?} vs btf {b:?}"
-        );
-    }
-
-    // Same values restamped → same structure → the pinned-pattern
-    // refactor path must reproduce the same answers.
-    let (m2, _) = three_block_system();
-    assert!(matches!(btf.refactor(&m2), RefactorOutcome::Refactored));
-    let mut x_re = rhs;
-    btf.solve(&m2, &mut x_re);
-    for (i, (a, b)) in x_btf.iter().zip(&x_re).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "refactor changed x[{i}]");
-    }
-}
-
-/// End-to-end dcop agreement on a real nonlinear cell: the BTF path and
-/// the plain sparse path run separate Newton iterations (different
-/// elimination orders round differently), so the requirement is
-/// fixed-point agreement, not bit parity.
-#[test]
-fn btf_dcop_agrees_with_plain_sparse_on_the_inverter() {
-    let (ckt, _, _) = cmos_inverter(0.9);
-    let base = NewtonOptions {
-        solver: SolverKind::Sparse,
-        btf: false,
-        ..NewtonOptions::default()
-    };
-    let plain = dcop_with_opts(&ckt, &[], &base, None).expect("plain sparse converges");
-    let btf = dcop_with_opts(&ckt, &[], &NewtonOptions { btf: true, ..base }, None)
-        .expect("btf sparse converges");
-    assert!(btf.counters.structural_analyses >= 1, "BTF actually ran");
-    assert!(btf.counters.btf_blocks >= 1);
-    assert_eq!(plain.counters.structural_analyses, 0);
-    for (id, node) in ckt.nodes() {
-        let (a, b) = (plain.voltage(id), btf.voltage(id));
-        assert!((a - b).abs() < 1e-9, "v({node}): plain {a} vs btf {b}");
     }
 }
