@@ -6,7 +6,7 @@
 //! the same regime this solver targets.
 
 use crate::analog::AnalogModel;
-use crate::linalg::{DMatrix, LuFactors};
+use crate::linalg::{lu_solve, lu_sweep};
 use crate::perf::{PerfCounters, StepClock};
 use std::fmt;
 
@@ -127,6 +127,11 @@ impl TransientState {
     }
 }
 
+/// Largest model order whose Newton step runs on arrays of a compile-time
+/// length. Every library model has order 1 or 2; higher orders run the
+/// same body on heap buffers.
+const MAX_FIXED_ORDER: usize = 4;
+
 /// Fixed-step implicit solver.
 #[derive(Debug, Clone, Default)]
 pub struct ImplicitSolver {
@@ -135,51 +140,98 @@ pub struct ImplicitSolver {
     /// Work counters (steps, Newton iterations, LU work, wall time) —
     /// the same [`PerfCounters`] type the circuit simulator threads.
     counters: PerfCounters,
-    /// Cached LU of the last factored Newton Jacobian.
-    lu: LuFactors,
-    /// Whether `lu` factors the Jacobian cached in `buffers`.
-    lu_valid: bool,
-    /// Newton buffers, built on the first step. Boxed so the solver keeps
-    /// its size: a larger `ImplicitSolver` outgrows the allocator's fast
-    /// size classes and makes an I&D block several times slower to build.
+    /// What a step keeps for the next, built on the first step. Boxed so
+    /// the solver keeps its size: a larger `ImplicitSolver` outgrows the
+    /// allocator's fast size classes and makes an I&D block several times
+    /// slower to build.
     buffers: Option<Box<StepBuffers>>,
 }
 
-/// The buffers [`ImplicitSolver::step`] works in, sized on the first step
-/// and kept, so a running solver allocates nothing per step. The state
-/// vectors trade places with the [`TransientState`] on commit.
+/// What [`ImplicitSolver::step`] keeps across steps, sized on the first
+/// step so a running solver allocates nothing per step: the last factored
+/// Jacobian and its factors, and for models above [`MAX_FIXED_ORDER`] the
+/// Newton work space.
 #[derive(Debug, Clone, Default)]
 struct StepBuffers {
+    /// Whether `lu` and `piv` factor `jac_cached`.
+    lu_valid: bool,
     /// The last factored Jacobian, for the reuse compare.
     jac_cached: Vec<f64>,
-    /// Newton iterate, committed as the new state.
-    x: Vec<f64>,
-    /// `ẋ` of the iterate, committed with it.
-    xdot: Vec<f64>,
-    /// Residual at the iterate.
-    r: Vec<f64>,
-    /// Residual at a perturbed iterate (finite differences).
-    r_pert: Vec<f64>,
-    /// Finite-difference Jacobian; every entry is rewritten per build.
-    jac: DMatrix,
-    /// Newton update.
-    delta: Vec<f64>,
+    /// Its packed LU factors.
+    lu: Vec<f64>,
+    /// Its row swaps.
+    piv: Vec<usize>,
+    /// [`Work`] of an order above [`MAX_FIXED_ORDER`], back to back; empty
+    /// otherwise.
+    work: Vec<f64>,
 }
 
 impl StepBuffers {
-    /// Sizes the buffers for an order-`n` model.
+    /// Sizes the buffers for an order-`n` model; resizing drops the
+    /// factors.
     fn resize(&mut self, n: usize) {
-        if self.x.len() != n {
-            for v in [
-                &mut self.x,
-                &mut self.xdot,
-                &mut self.r,
-                &mut self.r_pert,
-                &mut self.delta,
-            ] {
-                v.resize(n, 0.0);
+        if self.piv.len() == n {
+            return;
+        }
+        *self = StepBuffers {
+            lu_valid: false,
+            jac_cached: vec![0.0; n * n],
+            lu: vec![0.0; n * n],
+            piv: vec![0; n],
+            work: if n > MAX_FIXED_ORDER {
+                vec![0.0; n * (n + 5)]
+            } else {
+                Vec::new()
+            },
+        };
+    }
+}
+
+/// The Newton work space of one step of an order-`n` model.
+struct Work<'a> {
+    /// Newton iterate, committed as the new state.
+    x: &'a mut [f64],
+    /// `ẋ` of the iterate, committed with it.
+    xdot: &'a mut [f64],
+    /// Residual at the iterate.
+    r: &'a mut [f64],
+    /// Residual at a perturbed iterate (finite differences).
+    r_pert: &'a mut [f64],
+    /// Newton update.
+    delta: &'a mut [f64],
+    /// Finite-difference Jacobian, row-major (`n²`); every entry is
+    /// rewritten per build.
+    jac: &'a mut [f64],
+}
+
+/// `ẋ` as a function of the iterate, for one step of width `h` from the
+/// previous point.
+struct Derive<'a> {
+    method: Method,
+    h: f64,
+    x_prev: &'a [f64],
+    xdot_prev: &'a [f64],
+}
+
+impl Derive<'_> {
+    /// Writes `ẋ(x)` into `xdot`. Always inlined: the Newton body calls it
+    /// from three places, and out of line its loops lose their constant
+    /// bounds.
+    #[inline(always)]
+    fn apply(&self, x: &[f64], xdot: &mut [f64]) {
+        let h = self.h;
+        match self.method {
+            Method::BackwardEuler => {
+                for ((d, &x), &xp) in xdot.iter_mut().zip(x).zip(self.x_prev) {
+                    *d = (x - xp) / h;
+                }
             }
-            self.jac = DMatrix::zeros(n, n);
+            Method::Trapezoidal => {
+                let prev = self.x_prev.iter().zip(self.xdot_prev);
+                for ((d, &x), (&xp, &dp)) in xdot.iter_mut().zip(x).zip(prev) {
+                    *d = 2.0 * (x - xp) / h - dp;
+                }
+            }
         }
     }
 }
@@ -230,6 +282,9 @@ impl ImplicitSolver {
         out
     }
 
+    /// Sizes the kept buffers and runs the Newton step at the model's
+    /// order: on arrays of that length up to [`MAX_FIXED_ORDER`], on the
+    /// boxed work space above it.
     fn step_inner<M: AnalogModel + ?Sized>(
         &mut self,
         model: &M,
@@ -240,10 +295,94 @@ impl ImplicitSolver {
     ) -> Result<(), SolveError> {
         let n = model.dim();
         debug_assert_eq!(state.x.len(), n);
+        self.buffers.get_or_insert_with(Box::default).resize(n);
+        match n {
+            1 => self.step_fixed::<1, M>(model, t, h, u, state),
+            2 => self.step_fixed::<2, M>(model, t, h, u, state),
+            3 => self.step_fixed::<3, M>(model, t, h, u, state),
+            4 => self.step_fixed::<4, M>(model, t, h, u, state),
+            _ => {
+                let buffers = self.buffers.as_deref_mut().expect("sized above");
+                // Taken out for the step so the body can borrow the
+                // solver; an empty `Vec` takes no allocation.
+                let mut work = std::mem::take(&mut buffers.work);
+                let (x, rest) = work.split_at_mut(n);
+                let (xdot, rest) = rest.split_at_mut(n);
+                let (r, rest) = rest.split_at_mut(n);
+                let (r_pert, rest) = rest.split_at_mut(n);
+                let (delta, jac) = rest.split_at_mut(n);
+                let w = Work {
+                    x,
+                    xdot,
+                    r,
+                    r_pert,
+                    delta,
+                    jac,
+                };
+                let out = self.newton(model, t, h, u, state, n, w);
+                self.buffers.as_deref_mut().expect("sized above").work = work;
+                out
+            }
+        }
+    }
+
+    /// The Newton step of an order-`N` model, on arrays: the compiler
+    /// sees every loop bound.
+    fn step_fixed<const N: usize, M: AnalogModel + ?Sized>(
+        &mut self,
+        model: &M,
+        t: f64,
+        h: f64,
+        u: &[f64],
+        state: &mut TransientState,
+    ) -> Result<(), SolveError> {
+        let (mut x, mut xdot, mut r, mut r_pert, mut delta) =
+            ([0.0; N], [0.0; N], [0.0; N], [0.0; N], [0.0; N]);
+        let mut jac = [[0.0; N]; N];
+        let w = Work {
+            x: &mut x,
+            xdot: &mut xdot,
+            r: &mut r,
+            r_pert: &mut r_pert,
+            delta: &mut delta,
+            jac: jac.as_flattened_mut(),
+        };
+        self.newton(model, t, h, u, state, N, w)
+    }
+
+    /// The one Newton body, for an order-`n` model in the work space `w`.
+    /// Inlined into each caller, so at a fixed order every loop bound is
+    /// a constant.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn newton<M: AnalogModel + ?Sized>(
+        &mut self,
+        model: &M,
+        t: f64,
+        h: f64,
+        u: &[f64],
+        state: &mut TransientState,
+        n: usize,
+        w: Work<'_>,
+    ) -> Result<(), SolveError> {
+        let x = &mut w.x[..n];
+        let xdot = &mut w.xdot[..n];
+        let r = &mut w.r[..n];
+        let r_pert = &mut w.r_pert[..n];
+        let delta = &mut w.delta[..n];
+        let jac = &mut w.jac[..n * n];
+        let StepBuffers {
+            lu_valid,
+            jac_cached,
+            lu,
+            piv,
+            ..
+        } = self.buffers.as_deref_mut().expect("sized by step_inner");
+        let (jac_cached, lu) = (&mut jac_cached[..n * n], &mut lu[..n * n]);
         let t_new = t + h;
         // The state is only written on commit, so it serves as the
         // previous point throughout the step.
-        let (x_prev, xdot_prev) = (&state.x, &state.xdot);
+        let (x_prev, xdot_prev) = (&state.x[..n], &state.xdot[..n]);
         // Trapezoidal needs a consistent derivative history; the first step
         // (and the first step after a break) runs Backward Euler instead.
         let method = if state.bootstrapped {
@@ -253,30 +392,13 @@ impl ImplicitSolver {
         };
 
         // ẋ(x) for the chosen discretisation.
-        let derive = |x: &[f64], xdot: &mut [f64]| match method {
-            Method::BackwardEuler => {
-                for i in 0..n {
-                    xdot[i] = (x[i] - x_prev[i]) / h;
-                }
-            }
-            Method::Trapezoidal => {
-                for i in 0..n {
-                    xdot[i] = 2.0 * (x[i] - x_prev[i]) / h - xdot_prev[i];
-                }
-            }
+        let derive = Derive {
+            method,
+            h,
+            x_prev,
+            xdot_prev,
         };
 
-        let buffers = self.buffers.get_or_insert_with(Box::default);
-        buffers.resize(n);
-        let StepBuffers {
-            jac_cached,
-            x,
-            xdot,
-            r,
-            r_pert,
-            jac,
-            delta,
-        } = &mut **buffers;
         x.copy_from_slice(x_prev);
         // Zero at the start of every step (not per residual call), so a
         // model that leaves an entry unwritten reads what it always read.
@@ -287,7 +409,7 @@ impl ImplicitSolver {
         let mut converged = false;
         for _ in 0..self.options.max_newton {
             self.counters.newton_iterations += 1;
-            derive(x, xdot);
+            derive.apply(x, xdot);
             model.residual(t_new, x, xdot, u, r);
             if r.iter().any(|v| !v.is_finite()) {
                 return Err(SolveError::NonFiniteResidual { t: t_new });
@@ -302,34 +424,32 @@ impl ImplicitSolver {
                 let dx = self.options.fd_eps * (1.0 + x[j].abs());
                 let saved = x[j];
                 x[j] = saved + dx;
-                derive(x, xdot);
+                derive.apply(x, xdot);
                 model.residual(t_new, x, xdot, u, r_pert);
                 x[j] = saved;
                 for i in 0..n {
-                    jac[(i, j)] = (r_pert[i] - r[i]) / dx;
+                    jac[i * n + j] = (r_pert[i] - r[i]) / dx;
                 }
             }
             // Factor (or reuse) the Jacobian and solve for the Newton update.
             // When consecutive builds produce byte-identical Jacobians — e.g.
             // a linear model replayed from the same state — the cached LU is
             // reused and the update is bit-identical by construction.
-            if self.options.reuse_lu && self.lu_valid && jac.data() == &jac_cached[..] {
+            if self.options.reuse_lu && *lu_valid && *jac == *jac_cached {
                 self.counters.lu_reuses += 1;
             } else {
-                jac_cached.clear();
-                jac_cached.extend_from_slice(jac.data());
+                jac_cached.copy_from_slice(jac);
+                lu.copy_from_slice(jac);
                 self.counters.lu_factorizations += 1;
-                match self.lu.factorize(jac) {
-                    Ok(()) => self.lu_valid = true,
-                    Err(_) => {
-                        self.lu_valid = false;
-                        return Err(SolveError::SingularJacobian { t: t_new });
-                    }
+                *lu_valid = lu_sweep(lu, piv, n).is_ok();
+                if !*lu_valid {
+                    return Err(SolveError::SingularJacobian { t: t_new });
                 }
             }
-            delta.clear();
-            delta.extend(r.iter().map(|v| -v));
-            self.lu.solve(delta);
+            for i in 0..n {
+                delta[i] = -r[i];
+            }
+            lu_solve(lu, piv, n, delta);
             let mut step_norm = 0.0f64;
             for i in 0..n {
                 x[i] += delta[i];
@@ -345,7 +465,7 @@ impl ImplicitSolver {
         }
         if !converged {
             // One more evaluation to check whether the last update landed.
-            derive(x, xdot);
+            derive.apply(x, xdot);
             model.residual(t_new, x, xdot, u, r);
             let res_norm = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             // Negated comparison on purpose: a NaN norm must count as
@@ -358,9 +478,9 @@ impl ImplicitSolver {
                 });
             }
         }
-        derive(x, xdot);
-        std::mem::swap(&mut state.x, x);
-        std::mem::swap(&mut state.xdot, xdot);
+        derive.apply(x, xdot);
+        state.x.copy_from_slice(x);
+        state.xdot.copy_from_slice(xdot);
         state.bootstrapped = true;
         self.counters.steps += 1;
         Ok(())

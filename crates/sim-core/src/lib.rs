@@ -9,7 +9,9 @@
 //!
 //! * [`linalg`] — dense real ([`DMatrix`]) and complex ([`CMatrix`])
 //!   matrices, partial-pivot LU with reusable cached factors
-//!   ([`LuFactors`]), and [`SingularMatrixError`] reporting where
+//!   ([`LuFactors`]) over one slice-level sweep and solve
+//!   ([`linalg::lu_sweep`], [`linalg::lu_solve`]) that the behavioural
+//!   engine calls directly, and [`SingularMatrixError`] reporting where
 //!   elimination broke down,
 //! * [`sparse`] — CSC [`SparseMatrix`] assembled from triplet stamps,
 //!   fill-reducing ordering, and the split symbolic/numeric LU

@@ -3,7 +3,7 @@
 //! Equation systems in this workspace are small — a handful of states per
 //! behavioural block, tens of MNA unknowns per netlist — so dense
 //! partial-pivot Gaussian elimination is simpler than and competitive with
-//! sparse machinery. One elimination implementation lives here; the
+//! sparse machinery. One factoring sweep lives here ([`lu_sweep`]); the
 //! behavioural solver, the MNA analyses and the reusable-factor fast path
 //! all call into it, so their solutions agree bit-for-bit.
 
@@ -19,9 +19,8 @@ use num_complex::Complex64;
 pub(crate) const PIVOT_MIN: f64 = 1e-300;
 
 /// Smallest order [`LuFactors`] replays a pattern plan for. Below it the
-/// dense sweep takes fewer operations than a replay's loads and checks
-/// (the behavioural solver's order-2 and order-3 Jacobians), and the
-/// plan's buffers would outweigh the matrix.
+/// dense sweep takes fewer operations than a replay's loads and checks,
+/// and the plan's buffers would outweigh the matrix.
 pub(crate) const REPLAY_MIN_ORDER: usize = 8;
 
 /// A dense row-major matrix of `f64`.
@@ -288,9 +287,9 @@ pub fn check_finite_vec(v: &[f64], stage: &'static str) -> Result<(), NumericFau
 
 /// Solves `A x = b` in place by Gaussian elimination with partial pivoting.
 ///
-/// `a` is destroyed; `b` is overwritten with the solution. This is the one
-/// dense real elimination in the workspace — [`DMatrix::solve_in_place`]
-/// and the engines' Newton loops all route through it.
+/// `a` is destroyed; `b` is overwritten with the solution, reduced
+/// alongside `a` rather than from stored factors. The engines' Newton
+/// loops factor with [`lu_sweep`] instead.
 ///
 /// # Errors
 ///
@@ -635,42 +634,7 @@ impl LuFactors {
             std::mem::swap(&mut self.piv, &mut rs.prev_piv);
             prev_complete = std::mem::replace(&mut rs.piv_complete, false);
         }
-        let lu = &mut self.lu;
-        for col in 0..n {
-            let mut piv = col;
-            let mut mag = lu[col * n + col].abs();
-            for (r, row) in lu.chunks_exact(n).enumerate().skip(col + 1) {
-                let m = row[col].abs();
-                if m > mag {
-                    mag = m;
-                    piv = r;
-                }
-            }
-            if mag < PIVOT_MIN {
-                return Err(SingularMatrixError {
-                    order: n,
-                    pivot: col,
-                });
-            }
-            self.piv[col] = piv;
-            if piv != col {
-                let (top, bottom) = lu.split_at_mut(piv * n);
-                top[col * n..(col + 1) * n].swap_with_slice(&mut bottom[..n]);
-            }
-            let (upper, lower) = lu.split_at_mut((col + 1) * n);
-            let pivot_row = &upper[col * n..];
-            let pivot = pivot_row[col];
-            for row in lower.chunks_exact_mut(n) {
-                let f = row[col] / pivot;
-                row[col] = f;
-                if f == 0.0 {
-                    continue;
-                }
-                for (x, &v) in row[col + 1..].iter_mut().zip(&pivot_row[col + 1..]) {
-                    *x -= f * v;
-                }
-            }
-        }
+        lu_sweep(&mut self.lu, &mut self.piv, n)?;
         if let Some(rs) = self.replay.as_deref_mut() {
             rs.piv_complete = true;
             let planned = rs.has_plan && rs.plan.piv() == &self.piv[..];
@@ -706,30 +670,102 @@ impl LuFactors {
             rs.plan.solve(&self.lu, b);
             return;
         }
-        let n = self.n;
-        assert_eq!(b.len(), n);
-        // Apply the recorded row swaps, then forward/back substitution.
-        for (col, &piv) in self.piv.iter().enumerate() {
-            if piv != col {
-                b.swap(col, piv);
+        assert_eq!(b.len(), self.n);
+        lu_solve(&self.lu, &self.piv, self.n, b);
+    }
+}
+
+/// Factors the order-`n` row-major matrix in `lu[..n²]` in place by the
+/// dense partial-pivot sweep: packed L (unit diagonal, below) and U (on
+/// and above the diagonal), with the row swap of each column in
+/// `piv[..n]`. The pivot is the first entry of largest magnitude at or
+/// below the diagonal; rows whose multiplier is `0.0` are not updated.
+///
+/// This is the one copy of the sweep: [`LuFactors`] and the behavioural
+/// engine's Newton step both call it, so their factors agree bit for bit.
+///
+/// # Errors
+///
+/// Returns [`SingularMatrixError`] when the pivot chosen for a column is
+/// smaller than `1e-300` in magnitude; `piv` then holds the swaps of the
+/// columns before it.
+///
+/// # Panics
+///
+/// Panics if `lu` holds fewer than `n²` entries or `piv` fewer than `n`.
+#[inline(always)]
+pub fn lu_sweep(lu: &mut [f64], piv: &mut [usize], n: usize) -> Result<(), SingularMatrixError> {
+    let (lu, piv) = (&mut lu[..n * n], &mut piv[..n]);
+    for col in 0..n {
+        let mut p = col;
+        let mut mag = lu[col * n + col].abs();
+        for (r, row) in lu.chunks_exact(n).enumerate().skip(col + 1) {
+            let m = row[col].abs();
+            if m > mag {
+                mag = m;
+                p = r;
             }
         }
-        for col in 0..n {
-            let bc = b[col];
-            if bc != 0.0 {
-                let rows = self.lu[(col + 1) * n..].chunks_exact(n);
-                for (x, row) in b[col + 1..].iter_mut().zip(rows) {
-                    *x -= row[col] * bc;
-                }
+        if mag < PIVOT_MIN {
+            return Err(SingularMatrixError {
+                order: n,
+                pivot: col,
+            });
+        }
+        piv[col] = p;
+        if p != col {
+            let (top, bottom) = lu.split_at_mut(p * n);
+            top[col * n..(col + 1) * n].swap_with_slice(&mut bottom[..n]);
+        }
+        let (upper, lower) = lu.split_at_mut((col + 1) * n);
+        let pivot_row = &upper[col * n..];
+        let pivot = pivot_row[col];
+        for row in lower.chunks_exact_mut(n) {
+            let f = row[col] / pivot;
+            row[col] = f;
+            if f == 0.0 {
+                continue;
+            }
+            for (x, &v) in row[col + 1..].iter_mut().zip(&pivot_row[col + 1..]) {
+                *x -= f * v;
             }
         }
-        for (col, row) in self.lu.chunks_exact(n).enumerate().rev() {
-            let mut acc = b[col];
-            for (&u, &x) in row[col + 1..].iter().zip(&b[col + 1..]) {
-                acc -= u * x;
-            }
-            b[col] = acc / row[col];
+    }
+    Ok(())
+}
+
+/// Solves `A·x = b` with the factors and row swaps [`lu_sweep`] left in
+/// `lu` and `piv`, overwriting `b[..n]` with `x`: the swaps, then forward
+/// substitution by columns (skipping zero entries), then back
+/// substitution by rows.
+///
+/// # Panics
+///
+/// Panics if `lu` holds fewer than `n²` entries, or `piv` or `b` fewer
+/// than `n`.
+#[inline(always)]
+pub fn lu_solve(lu: &[f64], piv: &[usize], n: usize, b: &mut [f64]) {
+    let (lu, piv, b) = (&lu[..n * n], &piv[..n], &mut b[..n]);
+    for (col, &p) in piv.iter().enumerate() {
+        if p != col {
+            b.swap(col, p);
         }
+    }
+    for col in 0..n {
+        let bc = b[col];
+        if bc != 0.0 {
+            let rows = lu[(col + 1) * n..].chunks_exact(n);
+            for (x, row) in b[col + 1..].iter_mut().zip(rows) {
+                *x -= row[col] * bc;
+            }
+        }
+    }
+    for (col, row) in lu.chunks_exact(n).enumerate().rev() {
+        let mut acc = b[col];
+        for (&u, &x) in row[col + 1..].iter().zip(&b[col + 1..]) {
+            acc -= u * x;
+        }
+        b[col] = acc / row[col];
     }
 }
 

@@ -387,29 +387,6 @@ impl<T: SparseScalar> SparseMatrix<T> {
 }
 
 impl SparseMatrix<f64> {
-    /// Builds a sparse matrix from the nonzero entries of a dense one
-    /// (plus every diagonal slot, so Jacobians keep a pivotable pattern
-    /// even when a diagonal entry is momentarily zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn from_dense(a: &DMatrix) -> Self {
-        let n = a.order();
-        let mut m = SparseMatrix::new(n);
-        m.begin_assembly();
-        for r in 0..n {
-            for c in 0..n {
-                let v = a.get(r, c);
-                if v != 0.0 || r == c {
-                    m.add(r, c, v);
-                }
-            }
-        }
-        m.finish_assembly();
-        m
-    }
-
     /// Scans the compiled values for the first non-finite entry, reporting
     /// its original `(row, col)` position — the sparse counterpart of
     /// [`crate::linalg::check_finite_matrix`].
@@ -1049,9 +1026,14 @@ mod tests {
     fn reanalyze_orders_a_changed_pattern_afresh() {
         let (s, _) = seeded_sparse(17, 5);
         let (sym, _) = SymbolicLu::analyze(&s).unwrap();
-        let mut d = s.to_dense();
-        d.add(0, 9, 0.5);
-        let other = SparseMatrix::from_dense(&d);
+        // `s`'s stamps plus one off its pattern.
+        let mut other = SparseMatrix::new(17);
+        other.begin_assembly();
+        for ((&r, &c), &v) in s.trows.iter().zip(&s.tcols).zip(&s.tvals) {
+            other.add(r, c, v);
+        }
+        other.add(0, 9, 0.5);
+        assert!(other.finish_assembly());
         assert_eq!(other.nnz(), s.nnz() + 1);
         assert_eq!(
             sym.reanalyze(&other).unwrap(),
@@ -1104,18 +1086,6 @@ mod tests {
         for (a, b) in x.iter().zip(&xd) {
             assert!((*a - *b).norm() <= 1e-12 * b.norm().max(1.0));
         }
-    }
-
-    #[test]
-    fn from_dense_round_trips() {
-        let (_, d) = seeded_sparse(9, 11);
-        let s = SparseMatrix::from_dense(&d);
-        for r in 0..9 {
-            for c in 0..9 {
-                assert_eq!(s.get(r, c), d.get(r, c));
-            }
-        }
-        assert_eq!(s.to_dense(), d);
     }
 
     #[test]

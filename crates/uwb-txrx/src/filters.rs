@@ -1,12 +1,47 @@
 //! Streaming one- and two-pole filters used inside the analog front-end
 //! blocks (bandwidth limits, band-pass noise shaping).
 
+/// A constant derived from the sample period, recomputed only when `dt`
+/// changes (compared by bits). Every stream runs at one rate, so this
+/// takes the per-sample division or `exp` out of the filter updates.
+///
+/// It is a cache, not part of a filter's identity: any two compare equal.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PerDt<T> {
+    /// `dt.to_bits()` and the value computed from it.
+    last: Option<(u64, T)>,
+}
+
+impl<T: Copy> PerDt<T> {
+    /// The value for `dt`: the cached one when `dt` has the bits it was
+    /// computed for, else `f(dt)`, which is then kept.
+    #[inline]
+    pub(crate) fn get(&mut self, dt: f64, f: impl FnOnce(f64) -> T) -> T {
+        match self.last {
+            Some((bits, v)) if bits == dt.to_bits() => v,
+            _ => {
+                let v = f(dt);
+                self.last = Some((dt.to_bits(), v));
+                v
+            }
+        }
+    }
+}
+
+impl<T> PartialEq for PerDt<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// First-order low-pass: `y' = (x − y)/τ`, discretised with Backward Euler
 /// at the sample period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnePoleLowPass {
     tau: f64,
     y: f64,
+    /// `dt/τ` and `1 + dt/τ`.
+    coeffs: PerDt<(f64, f64)>,
 }
 
 impl OnePoleLowPass {
@@ -20,14 +55,19 @@ impl OnePoleLowPass {
         OnePoleLowPass {
             tau: 1.0 / (2.0 * std::f64::consts::PI * fc),
             y: 0.0,
+            coeffs: PerDt::default(),
         }
     }
 
     /// Processes one sample taken `dt` seconds after the previous one.
     pub fn process(&mut self, x: f64, dt: f64) -> f64 {
         // BE: y_new = (y + dt/tau x)/(1 + dt/tau)
-        let a = dt / self.tau;
-        self.y = (self.y + a * x) / (1.0 + a);
+        let tau = self.tau;
+        let (a, one_plus_a) = self.coeffs.get(dt, |dt| {
+            let a = dt / tau;
+            (a, 1.0 + a)
+        });
+        self.y = (self.y + a * x) / one_plus_a;
         self.y
     }
 
@@ -100,6 +140,31 @@ impl BandPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_coefficients_match_the_per_sample_formula() {
+        let fc = 2e9;
+        let tau = 1.0 / (2.0 * std::f64::consts::PI * fc);
+        let mut f = OnePoleLowPass::new(fc);
+        let mut y = 0.0f64;
+        for i in 0..1000 {
+            // The period changes every few samples, so the cache refills.
+            let dt = if i % 7 < 3 { 50e-12 } else { 25e-12 };
+            let x = (i as f64 * 0.37).sin();
+            let a = dt / tau;
+            y = (y + a * x) / (1.0 + a);
+            assert_eq!(f.process(x, dt).to_bits(), y.to_bits(), "sample {i}");
+        }
+    }
+
+    #[test]
+    fn the_cache_is_not_part_of_equality() {
+        let fresh = OnePoleLowPass::new(1e6);
+        let mut warmed = fresh;
+        warmed.process(0.0, 1e-9);
+        assert_eq!(fresh, warmed);
+        assert_ne!(fresh, OnePoleLowPass::new(2e6));
+    }
 
     #[test]
     fn lowpass_settles_to_dc() {

@@ -4,7 +4,7 @@
 //! plus the effects the paper keeps even at this level (saturation in every
 //! stage, quantised VGA gain steps via the AGC DAC).
 
-use crate::filters::BandPass;
+use crate::filters::{BandPass, PerDt};
 
 /// Low-noise amplifier: fixed gain, band-pass response, saturation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,6 +160,8 @@ impl Squarer {
 pub struct PeakDetector {
     tau: f64,
     peak: f64,
+    /// The per-sample release factor `exp(−dt/τ)`.
+    decay: PerDt<f64>,
 }
 
 impl PeakDetector {
@@ -170,7 +172,11 @@ impl PeakDetector {
     /// Panics unless `tau > 0`.
     pub fn new(tau: f64) -> Self {
         assert!(tau > 0.0, "decay must be positive");
-        PeakDetector { tau, peak: 0.0 }
+        PeakDetector {
+            tau,
+            peak: 0.0,
+            decay: PerDt::default(),
+        }
     }
 
     /// Tracks `|x|`: instant attack, exponential release.
@@ -179,7 +185,8 @@ impl PeakDetector {
         if mag >= self.peak {
             self.peak = mag;
         } else {
-            self.peak *= (-dt / self.tau).exp();
+            let tau = self.tau;
+            self.peak *= self.decay.get(dt, |dt| (-dt / tau).exp());
         }
         self.peak
     }
@@ -305,6 +312,23 @@ mod tests {
         assert!((p - 0.8 * (-1.0f64).exp()).abs() < 0.01, "decayed to {p}");
         pd.reset();
         assert_eq!(pd.peak(), 0.0);
+    }
+
+    #[test]
+    fn peak_decay_is_the_per_sample_exponential() {
+        let tau = 10e-9;
+        let mut pd = PeakDetector::new(tau);
+        let mut peak = pd.process(1.0, 1e-9);
+        for i in 0..200 {
+            let dt = if i % 5 < 2 { 1e-9 } else { 0.5e-9 };
+            peak *= (-dt / tau).exp();
+            assert_eq!(pd.process(0.0, dt).to_bits(), peak.to_bits(), "sample {i}");
+        }
+        let mut fresh = PeakDetector::new(tau);
+        fresh.process(1.0, 1e-9);
+        pd.reset();
+        pd.process(1.0, 1e-9);
+        assert_eq!(pd, fresh, "the cached decay is not part of equality");
     }
 
     #[test]

@@ -17,10 +17,14 @@ cargo test -q --release --test batched_parity
 
 echo "== Table 2 path in the optimised build (channel, AMS solver, receiver) =="
 cargo test -q --release -p uwb-phy -p ams-kernel -p uwb-txrx
+# order-3 and order-6 goldens: pivot row swaps, the heap-buffer orders and the two failing steps
+cargo test -q --release -p ams-kernel --test general_order
 
 echo "== AMS steps allocate nothing whatever UWB_AMS_SOLVER says (the behavioural engine is dense-only) =="
-UWB_AMS_SOLVER=sparse cargo test -q --release -p uwb-txrx --test step_allocations
-UWB_AMS_SOLVER=krylov cargo test -q --release -p uwb-txrx --test step_allocations
+for solver in sparse krylov; do
+    UWB_AMS_SOLVER=$solver cargo test -q --release -p uwb-txrx --test step_allocations
+    UWB_AMS_SOLVER=$solver cargo test -q --release -p ams-kernel --test general_order allocate_nothing
+done
 
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
