@@ -36,13 +36,18 @@
 //!    waveforms asserted, the Krylov work counters recorded, and the
 //!    Krylov speedup at the largest tier asserted ≥ 1.0×.
 //!
+//! 8. **AWGN draw (uwb-phy)** — a 319k-sample Table 2 receive window
+//!    noised by the per-sample `standard_normal` loop and by the chunked
+//!    `Awgn::add_to` from the same seed; identical bits asserted and the
+//!    speedup recorded.
+//!
 //! `UWB_AMS_BENCH=full` raises the campaign to fig6's full 2000
 //! bits/point; `--quick` shrinks everything to a smoke run (and skips
 //! the campaign-scaling phase).
 
 use ams_kernel::analog::IdealGatedIntegrator;
 use ams_kernel::solver::{ImplicitSolver, SolverOptions, TransientState};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spice::circuit::{Circuit, NodeId, SourceWave};
 use spice::library::{integrate_dump, IntegrateDumpParams};
@@ -53,6 +58,8 @@ use uwb_ams_core::executor::worker_threads;
 use uwb_ams_core::metrics::BerCampaign;
 use uwb_ams_core::montecarlo::{IdMismatchCampaign, McDcCampaign, McSample};
 use uwb_ams_core::report::{PerfPhase, PerfReport};
+use uwb_phy::noise::{standard_normal, Awgn};
+use uwb_phy::waveform::Waveform;
 use uwb_txrx::integrator::{build_integrator, Fidelity};
 
 /// Serial-vs-parallel on the Fig 6 campaign; returns the two phases.
@@ -782,6 +789,55 @@ fn batched_campaign(quick: bool) -> Vec<PerfPhase> {
     ]
 }
 
+/// Samples in the AWGN phases' window: half of one Table 2 exchange's
+/// two receive windows.
+const AWGN_WINDOW: usize = 319_123;
+
+/// Noises one AWGN window from a fixed seed, per sample or in bulk;
+/// returns the sample bits and the best-of-5 wall time.
+fn run_awgn(bulk: bool) -> (Vec<u64>, f64) {
+    let awgn = Awgn::new(1e-18);
+    let mut best = f64::INFINITY;
+    let mut bits = Vec::new();
+    for _ in 0..5 {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let mut w = Waveform::zeros(20e9, AWGN_WINDOW);
+        let wall_s = timed(|| {
+            if bulk {
+                awgn.add_to(&mut w, &mut rng);
+            } else {
+                let sigma = awgn.sigma(w.sample_rate());
+                for s in w.samples_mut() {
+                    *s += sigma * standard_normal(&mut rng);
+                }
+            }
+        });
+        best = best.min(wall_s);
+        bits = w.samples().iter().map(|x| x.to_bits()).collect();
+    }
+    (bits, best)
+}
+
+/// The per-sample AWGN loop against the chunked `add_to`; two phases.
+fn awgn_bulk_draw() -> Vec<PerfPhase> {
+    let (bits_loop, loop_s) = run_awgn(false);
+    let (bits_bulk, bulk_s) = run_awgn(true);
+    assert_eq!(bits_loop, bits_bulk, "bulk AWGN must not change bits");
+    let speedup = loop_s / bulk_s;
+    let ns = |s: f64| s * 1e9 / AWGN_WINDOW as f64;
+    println!("AWGN draw ({AWGN_WINDOW} samples, best of 5):");
+    println!("  per sample: {:.1} ns/sample", ns(loop_s));
+    println!("  bulk      : {:.1} ns/sample", ns(bulk_s));
+    println!("  -> speedup {speedup:.2}x (bit-identical samples)");
+    let samples = AWGN_WINDOW as f64;
+    vec![
+        PerfPhase::timed("phy_awgn_per_sample", loop_s).with("samples", samples),
+        PerfPhase::timed("phy_awgn_bulk", bulk_s)
+            .with("samples", samples)
+            .with("speedup", speedup),
+    ]
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let full = std::env::var("UWB_AMS_BENCH").as_deref() == Ok("full");
@@ -813,6 +869,9 @@ fn main() {
         report.push(phase);
     }
     for phase in batched_campaign(quick) {
+        report.push(phase);
+    }
+    for phase in awgn_bulk_draw() {
         report.push(phase);
     }
     let json = report.to_json();

@@ -8,6 +8,7 @@
 //! over the CM1 LOS model with the recommended path loss — both regenerated
 //! here with seedable RNG.
 
+use crate::noise::standard_normal;
 use crate::waveform::Waveform;
 use rand::Rng;
 
@@ -193,7 +194,7 @@ fn sample_gamma(rng: &mut impl Rng, k: f64, theta: f64) -> f64 {
     let d = k - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        let x: f64 = sample_standard_normal(rng);
+        let x: f64 = standard_normal(rng);
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;
@@ -203,13 +204,6 @@ fn sample_gamma(rng: &mut impl Rng, k: f64, theta: f64) -> f64 {
             return d * v * theta;
         }
     }
-}
-
-/// Standard normal via Box-Muller.
-fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Nakagami-m amplitude with mean-square Ω.

@@ -1,19 +1,20 @@
 //! Property tests (opt-in, `--features proptests`) on the physical-layer
 //! invariants: packet energy scaling, noiseless demodulation round-trips,
 //! unit-energy pulses, TG4a channel invariants, erfc/Q identities,
-//! ranging statistics, waveform superposition and the channel convolved
-//! straight into a receive window.
+//! ranging statistics, waveform superposition, the channel convolved
+//! straight into a receive window and the chunked AWGN draw.
 //!
 //! The generator is a deterministic xorshift so failures replay by seed —
 //! no external proptest crate (the vendored ChaCha8 shim still provides
 //! the channel realisations' own RNG).
 #![cfg(feature = "proptests")]
 
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use uwb_phy::ber::{erfc, q_function};
 use uwb_phy::channel::{realize, Tg4aModel};
 use uwb_phy::modulation::{demodulate_energy, modulate, Packet, PpmConfig};
+use uwb_phy::noise::{standard_normal, Awgn};
 use uwb_phy::pulse::PulseShape;
 use uwb_phy::ranging::RangingStats;
 use uwb_phy::waveform::Waveform;
@@ -280,5 +281,40 @@ fn channel_apply_into_matches_add_at_of_apply() {
         want.add_at(&ch.apply(&tx), offset);
         let bits = |w: &Waveform| w.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want), "case {case} (seed {seed:#x})");
+    }
+}
+
+/// The chunked `Awgn::add_to` is bit for bit the per-sample
+/// `standard_normal` loop, and leaves the generator at the same place —
+/// whatever the window length, starting word, noise level or signal.
+#[test]
+fn awgn_add_to_matches_the_per_sample_loop() {
+    let mut rng = XorShift(0x0a96_b175_feed_5eed);
+    for case in 0..60 {
+        let seed = rng.0;
+        let len = rng.below(2_000) as usize;
+        let offset = rng.below(40);
+        let awgn = Awgn::new(10f64.powf(rng.range(-20.0, -14.0)));
+        let fs = rng.range(1e9, 40e9);
+        let samples: Vec<f64> = (0..len).map(|_| rng.range(-1e-3, 1e-3)).collect();
+        let mut bulk_rng = ChaCha8Rng::seed_from_u64(rng.next());
+        for _ in 0..offset {
+            bulk_rng.next_u32();
+        }
+        let mut loop_rng = bulk_rng.clone();
+        let mut got = Waveform::new(fs, samples);
+        let mut want = got.clone();
+        awgn.add_to(&mut got, &mut bulk_rng);
+        let sigma = awgn.sigma(fs);
+        for s in want.samples_mut() {
+            *s += sigma * standard_normal(&mut loop_rng);
+        }
+        let bits = |w: &Waveform| w.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "case {case} (seed {seed:#x})");
+        assert_eq!(
+            bulk_rng.next_u64(),
+            loop_rng.next_u64(),
+            "case {case} (seed {seed:#x}): generator position"
+        );
     }
 }

@@ -168,33 +168,35 @@ pub fn twr_iteration(
 
     // True SFD flight reference inside a packet.
     let sfd_offset = cfg.preamble_len as f64 * ppm.symbol_period;
+    // Both nodes send the same payload, so one packet serves both legs.
+    let air = tx.transmit(&payload);
 
     // --- Leg 1: A → B.
     let ch_ab = realize(cfg.model, cfg.distance, rng);
     let tof = ch_ab.propagation_delay;
-    let air_a = tx.transmit(&payload);
     // The channel bakes the propagation delay into its output, so placing
     // it at lead_in means A's transmission *starts* at lead_in (global t=0
     // is B's listen start) and its first sample reaches B at lead_in + tof.
-    let rx_b_wave = observed_waveform(cfg, &ch_ab, &air_a, 0.0, rng);
+    let rx_b_wave = observed_waveform(cfg, &ch_ab, &air, 0.0, rng);
     let a_tx_start = cfg.lead_in;
     let a_sfd_tx_time = a_tx_start + sfd_offset;
 
     let mut rx_b = Receiver::new(cfg.receiver.clone(), make_integrator());
     let rep_b = rx_b.receive(&rx_b_wave, cfg.payload_bits)?;
+    // Free B's window before A's is built: an exchange holds one at a time.
+    drop(rx_b_wave);
     let anchor_b = rep_b.sfd_anchor.expect("receive() always anchors");
     let responder_anchor_error = anchor_b - (a_sfd_tx_time + tof);
 
     // --- Leg 2: B → A, reply SFD emitted processing_time after B's anchor.
     let b_sfd_tx_time = anchor_b + cfg.processing_time;
     let ch_ba = realize(cfg.model, cfg.distance, rng);
-    let air_b = tx.transmit(&payload);
     // A starts listening (its own lead-in) so that the reply lands after
     // its noise-estimation span. In A's local waveform, B's transmission
     // starts at lead_in (the channel again carries the tof internally), so
     // A's listen start in global time is:
     let a_listen_start = b_sfd_tx_time - sfd_offset - cfg.lead_in;
-    let rx_a_wave = observed_waveform(cfg, &ch_ba, &air_b, 0.0, rng);
+    let rx_a_wave = observed_waveform(cfg, &ch_ba, &air, 0.0, rng);
     let mut rx_a = Receiver::new(cfg.receiver.clone(), make_integrator());
     let rep_a = rx_a.receive(&rx_a_wave, cfg.payload_bits)?;
     let anchor_a_local = rep_a.sfd_anchor.expect("receive() always anchors");

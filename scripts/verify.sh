@@ -15,8 +15,8 @@ echo "== solver kernels and campaigns in the optimised build (what perfbench mea
 cargo test -q --release -p sim-core -p spice -p uwb-ams-core
 cargo test -q --release --test batched_parity
 
-echo "== Table 2 path in the optimised build (channel, AMS solver, receiver) =="
-cargo test -q --release -p uwb-phy -p ams-kernel -p uwb-txrx
+echo "== Table 2 path in the optimised build (bulk keystream, AWGN, channel, AMS solver, receiver) =="
+cargo test -q --release -p rand -p rand_chacha -p uwb-phy -p ams-kernel -p uwb-txrx
 # order-3 and order-6 goldens: pivot row swaps, the heap-buffer orders and the two failing steps
 cargo test -q --release -p ams-kernel --test general_order
 
