@@ -2,7 +2,7 @@
 //! paths of *both* engines, measured and written to a single merged
 //! `results/BENCH_perf.json`.
 //!
-//! Three experiments:
+//! Eight experiments, in the order they run:
 //!
 //! 1. **Campaign scaling** — the Fig 6 BER campaign run serially and then
 //!    fanned over the worker pool ([`worker_threads`], overridable with
@@ -16,26 +16,24 @@
 //!    finite-difference Jacobian rebuilds byte-identically each step and
 //!    the shared `sim-core` LU cache kicks in. Both engines report the
 //!    same [`PerfCounters`] type, so the phases land in one report.
-//!
-//! 4. **Sparse vs dense scaling** — transients of tiled N×I&D arrays on
+//! 4. **Fixed vs adaptive stepping** — a tiled-I&D transient with the UWB
+//!    frame shape (idle stretch, then the pulse), on a fixed grid and
+//!    under the LTE controller; the controller must match the fixed
+//!    grid's accuracy against a finer reference with at most half the
+//!    accepted steps.
+//! 5. **Sparse vs dense scaling** — transients of tiled N×I&D arrays on
 //!    the dense LU and on the sparse symbolic/numeric-split LU
 //!    (`UWB_AMS_SOLVER` forced per run), with matching waveforms
 //!    asserted and the speedup recorded per size.
-//! 5. **Monte-Carlo warm start** — the I&D mismatch campaign with
+//! 6. **Monte-Carlo warm start** — the I&D mismatch campaign with
 //!    warm-start chains on vs off; `warm_start_hits` and the Newton
 //!    iteration ratio land in the report.
-//! 6. **Batched campaign kernel** — a tiled-I&D mismatch campaign run
+//! 7. **Batched campaign kernel** — a tiled-I&D mismatch campaign run
 //!    through the legacy per-point loop (`UWB_AMS_BATCH` semantics:
 //!    `Off`) and the multi-lane batched kernel; per-point metrics must
 //!    agree, the batched run must report batched counters, and the
 //!    headline campaign points/s pair (plus the speedup, asserted
 //!    ≥ 1.0×) lands in the report.
-//! 7. **Direct vs Krylov scaling** — transients of 64/256/1024-tile I&D
-//!    arrays on the direct sparse LU and on the GMRES+ILU(0) iterative
-//!    tier (`SolverKind::Krylov` forced per run), with matching
-//!    waveforms asserted, the Krylov work counters recorded, and the
-//!    Krylov speedup at the largest tier asserted ≥ 1.0×.
-//!
 //! 8. **AWGN draw (uwb-phy)** — a 319k-sample Table 2 receive window
 //!    noised by the per-sample `standard_normal` loop and by the chunked
 //!    `Awgn::add_to` from the same seed; identical bits asserted and the
@@ -474,56 +472,6 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
     phases
 }
 
-/// Direct sparse LU vs the GMRES+ILU(0) Krylov tier on large tiled I&D
-/// arrays. The direct path refactors the Jacobian on every Newton
-/// iteration; the Krylov tier builds one ILU(0) preconditioner on the
-/// pinned pattern and rides it stale, paying only sparse mat-vecs per
-/// solve — the trade that pays off as the order grows. Waveform parity
-/// is asserted at every size; at the largest tier the Krylov run must
-/// not be slower than direct sparse.
-fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
-    let sizes: &[usize] = &[64, 256, 1024];
-    let (t_end, dt) = if quick {
-        (60e-12, 20e-12)
-    } else {
-        (0.2e-9, 20e-12)
-    };
-    println!("direct sparse vs Krylov transient (tiled I&D arrays, dt = {dt:.0e} s):");
-    let mut phases = Vec::new();
-    let largest = *sizes.last().expect("non-empty tier list");
-    for &n in sizes {
-        let (vs, cs, s_s) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
-        let (vk, ck, k_s) = run_tiled_tran(n, SolverKind::Krylov, t_end, dt);
-        for (a, b) in vs.iter().zip(&vk) {
-            assert!(
-                (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-                "Krylov and direct transients diverged at {n} tile(s): {a} vs {b}"
-            );
-        }
-        assert!(
-            ck.krylov_iterations > 0 && ck.preconditioner_builds >= 1,
-            "Krylov run must go through GMRES+ILU(0): {ck}"
-        );
-        let speedup = s_s / k_s;
-        println!("  {n} tile(s): direct {cs} ({s_s:.3} s run)");
-        println!("  {n} tile(s): krylov {ck} ({k_s:.3} s run)");
-        println!("  -> krylov speedup {speedup:.2}x (matching waveforms)");
-        if n == largest {
-            assert!(
-                speedup >= 1.0,
-                "Krylov tier regressed below direct sparse at {n} tiles: {speedup:.2}x"
-            );
-        }
-        phases.push(timed_phase(&format!("tran_direct_{n}x_id"), cs, s_s).with("tiles", n as f64));
-        phases.push(
-            timed_phase(&format!("tran_krylov_{n}x_id"), ck, k_s)
-                .with("tiles", n as f64)
-                .with("speedup_vs_direct", speedup),
-        );
-    }
-    phases
-}
-
 /// Monte-Carlo DC campaign with warm-start chains on vs off (off =
 /// one-point streams, so every point cold-starts); returns two phases.
 fn mc_warm_start(quick: bool) -> Vec<PerfPhase> {
@@ -860,9 +808,6 @@ fn main() {
         report.push(phase);
     }
     for phase in sparse_vs_dense_scaling(quick) {
-        report.push(phase);
-    }
-    for phase in krylov_vs_direct_scaling(quick) {
         report.push(phase);
     }
     for phase in mc_warm_start(quick) {

@@ -296,22 +296,6 @@ impl PerfReport {
                 c.lanes_retired_early
             ));
             s.push_str(&format!(
-                "\n      \"krylov_iterations\": {},",
-                c.krylov_iterations
-            ));
-            s.push_str(&format!(
-                "\n      \"krylov_restarts\": {},",
-                c.krylov_restarts
-            ));
-            s.push_str(&format!(
-                "\n      \"preconditioner_builds\": {},",
-                c.preconditioner_builds
-            ));
-            s.push_str(&format!(
-                "\n      \"krylov_fallbacks\": {},",
-                c.krylov_fallbacks
-            ));
-            s.push_str(&format!(
                 "\n      \"steps_per_s\": {},",
                 json_f64(c.steps_per_second())
             ));
@@ -400,6 +384,7 @@ mod tests {
         counters.steps_rejected = 8;
         counters.lte_evaluations = 108;
         counters.order_switches = 3;
+        counters.newton_iterations = 7;
         counters.lu_factorizations = 1;
         counters.lu_reuses = 99;
         counters.symbolic_analyses = 1;
@@ -408,10 +393,6 @@ mod tests {
         counters.batched_refactors = 4;
         counters.batched_solves = 5;
         counters.lanes_retired_early = 6;
-        counters.krylov_iterations = 11;
-        counters.krylov_restarts = 2;
-        counters.preconditioner_builds = 3;
-        counters.krylov_fallbacks = 1;
         counters.wall = std::time::Duration::from_millis(50);
         r.push(PerfPhase::from_counters("tran_fast_path", counters));
         r.push(PerfPhase::timed("mc_campaign", 2.0).with_points(500.0));
@@ -423,6 +404,9 @@ mod tests {
         assert!(json.contains("\"steps_rejected\": 8"), "{json}");
         assert!(json.contains("\"lte_evaluations\": 108"), "{json}");
         assert!(json.contains("\"order_switches\": 3"), "{json}");
+        assert!(json.contains("\"newton_iterations\": 7"), "{json}");
+        assert!(json.contains("\"lu_factorizations\": 1"), "{json}");
+        assert!(json.contains("\"lu_reuses\": 99"), "{json}");
         assert!(json.contains("\"lu_reuse_ratio\": 0.99"), "{json}");
         assert!(json.contains("\"symbolic_analyses\": 1"), "{json}");
         assert!(json.contains("\"numeric_refactors\": 3"), "{json}");
@@ -434,11 +418,8 @@ mod tests {
         assert!(json.contains("\"batched_refactors\": 4"), "{json}");
         assert!(json.contains("\"batched_solves\": 5"), "{json}");
         assert!(json.contains("\"lanes_retired_early\": 6"), "{json}");
-        assert!(json.contains("\"krylov_iterations\": 11"), "{json}");
-        assert!(json.contains("\"krylov_restarts\": 2"), "{json}");
-        assert!(json.contains("\"preconditioner_builds\": 3"), "{json}");
-        assert!(json.contains("\"krylov_fallbacks\": 1"), "{json}");
         assert!(json.contains("\"wall_s\": 0.05"), "{json}");
+        assert!(json.contains("\"steps_per_s\": 2000"), "{json}");
         // Campaign throughput is first-class: emitted only for phases
         // that recorded a point count.
         assert!(json.contains("\"points\": 500"), "{json}");

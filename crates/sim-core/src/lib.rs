@@ -16,7 +16,8 @@
 //! * [`sparse`] — CSC [`SparseMatrix`] assembled from triplet stamps,
 //!   fill-reducing ordering, and the split symbolic/numeric LU
 //!   ([`SymbolicLu`] / [`NumericLu`]) that large MNA systems route
-//!   through (selected for the circuit engine by [`SolverKind`]),
+//!   through (selected for the circuit engine by [`SolverKind`]; the
+//!   dense LU is its only other backend),
 //! * [`batched`] — [`BatchedLu`], the SoA multi-lane numeric
 //!   refactor/solve over one pinned [`SymbolicLu`] pattern that
 //!   Monte-Carlo campaigns batch structure-identical points through
@@ -24,13 +25,6 @@
 //! * [`structure`] — value-free analysis of the sparse pattern:
 //!   Hopcroft–Karp maximum matching plus coarse Dulmage–Mendelsohn
 //!   classification ([`StructureReport`], feeding the static ERC layer),
-//! * [`ilu`] / [`gmres`] — the iterative tier: a zero-fill incomplete-LU
-//!   preconditioner ([`Ilu0`]) built once per pinned sparsity pattern
-//!   (with a Jacobi fallback on factorization breakdown) and restarted
-//!   GMRES(m) ([`gmres_solve`]) over the same [`SparseMatrix`], generic
-//!   over `f64`/`Complex64` via [`KrylovScalar`]; selected by
-//!   [`SolverKind::Krylov`] / `UWB_AMS_SOLVER=krylov`, with
-//!   non-convergence demoting to the direct sparse LU (counted),
 //! * [`perf`] — [`PerfCounters`]: steps, Newton iterations, LU
 //!   factorizations vs cached reuses, wall time,
 //! * [`time`] — [`SimTime`], the femtosecond-resolution instant/duration,
@@ -53,8 +47,6 @@
 pub mod batched;
 pub mod diag;
 pub mod faultinject;
-pub mod gmres;
-pub mod ilu;
 pub mod linalg;
 mod lu_replay;
 pub mod perf;
@@ -67,8 +59,6 @@ pub mod trace;
 pub use batched::{BatchWidth, BatchedLu, LaneOutcome};
 pub use diag::{Severity, SourceSpan};
 pub use faultinject::{waveform_checksum, FaultKind, FaultSchedule, FaultSpec};
-pub use gmres::{gmres_solve, GmresOptions, GmresOutcome, KrylovScalar};
-pub use ilu::{Ilu0, IluPattern, PrecondKind};
 pub use linalg::{CMatrix, DMatrix, LuFactors, LuStats, Matrix, NumericFault, SingularMatrixError};
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};

@@ -99,16 +99,6 @@ pub struct PerfCounters {
     /// Lanes that retired from a batch (converged, stale, or failed)
     /// while other lanes in the same group were still iterating.
     pub lanes_retired_early: u64,
-    /// GMRES inner (Arnoldi) iterations across all Krylov solves.
-    pub krylov_iterations: u64,
-    /// GMRES restart cycles entered after an unconverged inner sweep.
-    pub krylov_restarts: u64,
-    /// ILU(0)/Jacobi preconditioner (re)builds on the pinned pattern.
-    pub preconditioner_builds: u64,
-    /// Krylov solves that did not converge (or broke down) and were
-    /// transparently demoted to the direct sparse LU — a counted rescue
-    /// rung, never a new failure mode.
-    pub krylov_fallbacks: u64,
     /// Wall-clock time spent inside `step()` (transient only). Sampled:
     /// the engines time one step in [`WALL_SAMPLE`] through [`StepClock`]
     /// and count it `WALL_SAMPLE` times, so this is an estimate of the
@@ -142,10 +132,6 @@ impl PerfCounters {
         self.batched_refactors += other.batched_refactors;
         self.batched_solves += other.batched_solves;
         self.lanes_retired_early += other.lanes_retired_early;
-        self.krylov_iterations += other.krylov_iterations;
-        self.krylov_restarts += other.krylov_restarts;
-        self.preconditioner_builds += other.preconditioner_builds;
-        self.krylov_fallbacks += other.krylov_fallbacks;
         self.wall += other.wall;
     }
 
@@ -193,7 +179,7 @@ impl std::fmt::Display for PerfCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} steps ({} rejected, {} lte evals, {} order switches), {} Newton iters, {} LU factorizations, {} LU reuses ({:.0}% reuse), {} symbolic / {} refactors / {} fallbacks, {} warm starts, {}/{} rescues, {} batched refactors / {} batched solves / {} early retires, {} krylov iters / {} restarts / {} precond builds / {} krylov fallbacks, {:.3} s wall",
+            "{} steps ({} rejected, {} lte evals, {} order switches), {} Newton iters, {} LU factorizations, {} LU reuses ({:.0}% reuse), {} symbolic / {} refactors / {} fallbacks, {} warm starts, {}/{} rescues, {} batched refactors / {} batched solves / {} early retires, {:.3} s wall",
             self.steps,
             self.steps_rejected,
             self.lte_evaluations,
@@ -211,10 +197,6 @@ impl std::fmt::Display for PerfCounters {
             self.batched_refactors,
             self.batched_solves,
             self.lanes_retired_early,
-            self.krylov_iterations,
-            self.krylov_restarts,
-            self.preconditioner_builds,
-            self.krylov_fallbacks,
             self.wall.as_secs_f64()
         )
     }
@@ -243,10 +225,6 @@ mod tests {
             batched_refactors: 9,
             batched_solves: 10,
             lanes_retired_early: 11,
-            krylov_iterations: 17,
-            krylov_restarts: 18,
-            preconditioner_builds: 19,
-            krylov_fallbacks: 20,
             wall: Duration::from_millis(10),
         };
         let b = PerfCounters {
@@ -266,10 +244,6 @@ mod tests {
             batched_refactors: 90,
             batched_solves: 100,
             lanes_retired_early: 110,
-            krylov_iterations: 170,
-            krylov_restarts: 180,
-            preconditioner_builds: 190,
-            krylov_fallbacks: 200,
             wall: Duration::from_millis(100),
         };
         a.merge(&b);
@@ -290,10 +264,6 @@ mod tests {
         assert_eq!(a.batched_refactors, 99);
         assert_eq!(a.batched_solves, 110);
         assert_eq!(a.lanes_retired_early, 121);
-        assert_eq!(a.krylov_iterations, 187);
-        assert_eq!(a.krylov_restarts, 198);
-        assert_eq!(a.preconditioner_builds, 209);
-        assert_eq!(a.krylov_fallbacks, 220);
         assert_eq!(a.wall, Duration::from_millis(110));
     }
 

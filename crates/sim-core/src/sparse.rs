@@ -49,13 +49,6 @@ pub const REFACTOR_PIVOT_RATIO: f64 = 1e-3;
 /// and production-size netlists cross it quickly.
 pub const SPARSE_AUTO_MIN_ORDER: usize = 64;
 
-/// Matrix order at which the `auto` heuristic promotes a sparse-eligible
-/// system from direct LU to the preconditioned-Krylov tier. Chosen far
-/// above every golden netlist and every pre-existing bench workload (the
-/// 8-tile I&D array assembles ~350 unknowns) so the default path stays
-/// bit-exact with history; the 64-tile-and-up scaling arrays cross it.
-pub const KRYLOV_AUTO_MIN_ORDER: usize = 2048;
-
 /// Scalar abstraction shared by the real and complex sparse eliminations.
 ///
 /// `mag` follows the dense kernel's per-type pivot convention: absolute
@@ -109,21 +102,17 @@ impl SparseScalar for Complex64 {
 /// its order-1 and order-2 models on the dense kernel only.
 ///
 /// Resolved from the `UWB_AMS_SOLVER` environment variable (`auto`,
-/// `dense`, `sparse`, `krylov`; anything else falls back to `auto`) or
-/// set explicitly on the circuit engine's option structs.
+/// `dense`, `sparse`; anything else falls back to `auto`) or set
+/// explicitly on the circuit engine's option structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Size/density heuristic: sparse for large, sparse-enough systems,
-    /// Krylov for very large ones.
+    /// Size/density heuristic: sparse for large, sparse-enough systems.
     #[default]
     Auto,
     /// Always the dense kernel (bit-exact vs the pre-sparse workspace).
     Dense,
     /// Always the sparse kernel (even for tiny systems; used by tests).
     Sparse,
-    /// Preconditioned restarted GMRES over the sparse assembly, with a
-    /// transparent counted fallback to the direct sparse LU.
-    Krylov,
 }
 
 impl SolverKind {
@@ -132,7 +121,6 @@ impl SolverKind {
         match value {
             Some("dense") => SolverKind::Dense,
             Some("sparse") => SolverKind::Sparse,
-            Some("krylov") => SolverKind::Krylov,
             _ => SolverKind::Auto,
         }
     }
@@ -150,22 +138,10 @@ impl SolverKind {
     pub fn picks_sparse(self, n: usize, nnz_estimate: usize) -> bool {
         match self {
             SolverKind::Dense => false,
-            SolverKind::Sparse | SolverKind::Krylov => true,
+            SolverKind::Sparse => true,
             SolverKind::Auto => {
                 n >= SPARSE_AUTO_MIN_ORDER && nnz_estimate.saturating_mul(4) <= n * n
             }
-        }
-    }
-
-    /// Decides whether the Krylov tier should handle an order-`n` system.
-    /// `Auto` promotes only very large sparse-eligible systems
-    /// ([`KRYLOV_AUTO_MIN_ORDER`]) so every pre-existing workload keeps
-    /// its direct solver — and its exact bit patterns — unchanged.
-    pub fn picks_krylov(self, n: usize, nnz_estimate: usize) -> bool {
-        match self {
-            SolverKind::Dense | SolverKind::Sparse => false,
-            SolverKind::Krylov => true,
-            SolverKind::Auto => n >= KRYLOV_AUTO_MIN_ORDER && self.picks_sparse(n, nnz_estimate),
         }
     }
 }
@@ -1093,8 +1069,9 @@ mod tests {
         assert_eq!(SolverKind::parse(Some("dense")), SolverKind::Dense);
         assert_eq!(SolverKind::parse(Some("sparse")), SolverKind::Sparse);
         assert_eq!(SolverKind::parse(Some("auto")), SolverKind::Auto);
-        assert_eq!(SolverKind::parse(Some("krylov")), SolverKind::Krylov);
         assert_eq!(SolverKind::parse(Some("bogus")), SolverKind::Auto);
+        // A name that no backend carries falls back like any unknown value.
+        assert_eq!(SolverKind::parse(Some("krylov")), SolverKind::Auto);
         assert_eq!(SolverKind::parse(None), SolverKind::Auto);
         // Heuristic: order floor and 25 % density cap.
         assert!(!SolverKind::Auto.picks_sparse(40, 200), "I&D stays dense");
@@ -1102,23 +1079,11 @@ mod tests {
         assert!(!SolverKind::Auto.picks_sparse(128, 128 * 128));
         assert!(SolverKind::Sparse.picks_sparse(2, 4));
         assert!(!SolverKind::Dense.picks_sparse(1000, 3000));
-
-        assert!(
-            SolverKind::Krylov.picks_sparse(2, 4),
-            "krylov assembles sparse"
-        );
-        assert!(SolverKind::Krylov.picks_krylov(2, 4));
-        assert!(!SolverKind::Dense.picks_krylov(10_000, 50_000));
-        assert!(!SolverKind::Sparse.picks_krylov(10_000, 50_000));
-        assert!(
-            !SolverKind::Auto.picks_krylov(512, 3000),
-            "existing tiled benches stay on direct sparse"
-        );
-        assert!(SolverKind::Auto.picks_krylov(4096, 40_000));
-        assert!(
-            !SolverKind::Auto.picks_krylov(4096, 4096 * 2048),
-            "near-dense systems never promote"
-        );
+        // Large orders land on the direct sparse LU; near-dense
+        // systems of any order stay dense.
+        assert!(SolverKind::Auto.picks_sparse(512, 3000));
+        assert!(SolverKind::Auto.picks_sparse(4096, 40_000));
+        assert!(!SolverKind::Auto.picks_sparse(4096, 4096 * 2048));
     }
 
     #[test]

@@ -381,133 +381,6 @@ fn structure_change_recompiles_and_solves() {
     }
 }
 
-/// GMRES + ILU(0) agrees with the dense LU to backward-stable tolerance
-/// on random diagonally-dominant systems.
-#[test]
-fn gmres_with_ilu_agrees_with_dense_on_random_systems() {
-    use sim_core::gmres::{gmres_solve, GmresOptions};
-    use sim_core::ilu::{Ilu0, IluPattern};
-    let mut rng = XorShift(0x6a1e_5eed_0000_0005);
-    for _case in 0..150 {
-        let seed = rng.0;
-        let n = 2 + rng.below(30) as usize;
-        let (triplets, b) = random_system(&mut rng, n);
-        let dense = dense_of(&triplets, n, 1.0);
-        let x_dense = sim_core::linalg::solve(&dense, &b).expect("dominant system is solvable");
-
-        let mut m = SparseMatrix::new(n);
-        stamp(&mut m, &triplets, 1.0);
-        let pattern = IluPattern::analyze(&m);
-        let pre = Ilu0::factor(&pattern, &m);
-        let mut x = vec![0.0; n];
-        let out = gmres_solve(&m, &pattern, &pre, &b, &mut x, &GmresOptions::default());
-        assert!(
-            out.converged,
-            "seed {seed:#x}: GMRES must converge on a dominant system: {out:?}"
-        );
-        assert_close(&x, &x_dense, 1e-9, "gmres vs dense", seed);
-
-        // Preconditioner reuse across a same-pattern perturbation (the
-        // stale-ILU ride the engines take between Newton iterations):
-        // the operator is exact, so the answer must still match dense.
-        let scale = rng.range(0.8, 1.2);
-        stamp(&mut m, &triplets, scale);
-        let perturbed = dense_of(&triplets, n, scale);
-        let x_pdense =
-            sim_core::linalg::solve(&perturbed, &b).expect("dominant system stays solvable");
-        let mut x_stale = vec![0.0; n];
-        let out = gmres_solve(
-            &m,
-            &pattern,
-            &pre,
-            &b,
-            &mut x_stale,
-            &GmresOptions::default(),
-        );
-        assert!(
-            out.converged,
-            "seed {seed:#x}: stale preconditioner must still converge: {out:?}"
-        );
-        assert_close(&x_stale, &x_pdense, 1e-9, "stale-ILU gmres vs dense", seed);
-    }
-}
-
-/// A restart budget smaller than the Krylov dimension forces restarts —
-/// GMRES must still reach the answer, and must report the restarts.
-#[test]
-fn gmres_forced_restart_converges_and_counts() {
-    use sim_core::gmres::{gmres_solve, GmresOptions};
-    use sim_core::ilu::{Ilu0, IluPattern};
-    let mut rng = XorShift(0x4e57_a47a_0000_0006);
-    let mut restarted_cases = 0usize;
-    for _case in 0..40 {
-        let seed = rng.0;
-        let n = 12 + rng.below(20) as usize;
-        let (triplets, b) = random_system(&mut rng, n);
-        let dense = dense_of(&triplets, n, 1.0);
-        let x_dense = sim_core::linalg::solve(&dense, &b).expect("dominant system is solvable");
-        let mut m = SparseMatrix::new(n);
-        stamp(&mut m, &triplets, 1.0);
-        // Identity preconditioner: ILU(0) is near-exact on these patterns
-        // and would converge inside one sweep, hiding the restart path.
-        let pattern = IluPattern::analyze(&m);
-        let pre = Ilu0::identity();
-        let opts = GmresOptions {
-            restart: 3,
-            max_restarts: 200,
-            tol: 1e-12,
-        };
-        let mut x = vec![0.0; n];
-        let out = gmres_solve(&m, &pattern, &pre, &b, &mut x, &opts);
-        assert!(out.converged, "seed {seed:#x}: {out:?}");
-        if out.restarts > 0 {
-            restarted_cases += 1;
-        }
-        assert_close(&x, &x_dense, 1e-8, "restarted gmres vs dense", seed);
-    }
-    assert!(
-        restarted_cases > 0,
-        "a 3-vector basis must force at least one restart somewhere"
-    );
-}
-
-/// An exhausted iteration budget must come back `converged: false` — the
-/// signal the engines' rescue rung turns into a counted direct-LU
-/// fallback — and the direct sparse path must still solve the point.
-#[test]
-fn gmres_exhausted_budget_reports_for_fallback() {
-    use sim_core::gmres::{gmres_solve, GmresOptions};
-    use sim_core::ilu::{Ilu0, IluPattern};
-    let mut rng = XorShift(0xfa11_bacc_0000_0007);
-    for _case in 0..40 {
-        let seed = rng.0;
-        let n = 16 + rng.below(16) as usize;
-        let (triplets, b) = random_system(&mut rng, n);
-        let mut m = SparseMatrix::new(n);
-        stamp(&mut m, &triplets, 1.0);
-        let pattern = IluPattern::analyze(&m);
-        let pre = Ilu0::identity();
-        // One 1-vector cycle at an unreachable tolerance: starved.
-        let opts = GmresOptions {
-            restart: 1,
-            max_restarts: 0,
-            tol: 1e-300,
-        };
-        let mut x = vec![0.0; n];
-        let out = gmres_solve(&m, &pattern, &pre, &b, &mut x, &opts);
-        assert!(
-            !out.converged,
-            "seed {seed:#x}: a starved budget cannot converge: {out:?}"
-        );
-        // The fallback rung: direct sparse LU solves what GMRES could not.
-        let (sym, num) = SymbolicLu::analyze(&m).expect("dominant system is solvable");
-        let mut x_direct = b.clone();
-        sym.solve(&num, &mut x_direct);
-        let x_dense = sim_core::linalg::solve(&dense_of(&triplets, n, 1.0), &b).expect("solvable");
-        assert_close(&x_direct, &x_dense, 1e-10, "fallback direct vs dense", seed);
-    }
-}
-
 /// A value for the replay property: mostly generic, sometimes drawn from a
 /// tiny set so pivot magnitudes tie, sometimes exactly zero inside the
 /// pattern.

@@ -12,8 +12,6 @@ use crate::mna::{estimate_nnz, switch_conductance, MnaLayout};
 use crate::mosfet::eval_mosfet;
 use crate::perf::PerfCounters;
 use num_complex::Complex64;
-use sim_core::gmres::gmres_solve;
-use sim_core::ilu::{Ilu0, IluPattern};
 use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
 
 /// Result of an AC sweep: one complex solution vector per frequency.
@@ -401,9 +399,7 @@ fn assemble_ac<M: AcStamp>(
 /// frequency); the sparse path assembles one locked triplet structure,
 /// runs the symbolic analysis at the first frequency and numerically
 /// refactors on the pinned pattern for every later one (a stale pivot
-/// falls back to a fresh analysis); the Krylov path runs complex
-/// GMRES + ILU(0) with one preconditioner per sweep and a counted
-/// direct-LU fallback per stalled frequency.
+/// falls back to a fresh analysis).
 ///
 /// # Errors
 ///
@@ -419,97 +415,7 @@ pub fn ac_analysis_at_with(
     let mut solutions = Vec::with_capacity(freqs.len());
     let mut counters = PerfCounters::new();
 
-    if solver.picks_krylov(n, estimate_nnz(circuit, &layout)) {
-        // Krylov tier: one ILU(0) preconditioner per sweep — built at the
-        // first frequency and reused (stale) across the remaining points,
-        // since the pattern is pinned and only the jωC terms move. A
-        // frequency where the stale preconditioner stalls GMRES gets one
-        // fresh rebuild, then the counted direct-LU fallback.
-        let mut mat: SparseMatrix<Complex64> = SparseMatrix::new(n);
-        let mut pattern: Option<IluPattern> = None;
-        let mut precond: Option<Ilu0<Complex64>> = None;
-        let mut precond_vals: Vec<Complex64> = Vec::new();
-        let mut factors: Option<(SymbolicLu, NumericLu<Complex64>)> = None;
-        for &f in freqs {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            let mut rhs = vec![Complex64::new(0.0, 0.0); n];
-            mat.begin_assembly();
-            assemble_ac(circuit, &layout, op, omega, &mut mat, &mut rhs)?;
-            if mat.finish_assembly() {
-                pattern = None;
-                precond = None;
-                precond_vals.clear();
-                factors = None;
-            }
-            let pat = pattern.get_or_insert_with(|| IluPattern::analyze(&mat));
-            if precond.is_none() {
-                counters.preconditioner_builds += 1;
-                precond = Some(Ilu0::factor(pat, &mat));
-                precond_vals.clear();
-                precond_vals.extend_from_slice(mat.values());
-            }
-            let gopts = crate::dcop::KRYLOV_NEWTON_GMRES;
-            let mut x = vec![Complex64::new(0.0, 0.0); n];
-            let mut out = gmres_solve(
-                &mat,
-                pat,
-                precond.as_ref().expect("preconditioner built above"),
-                &rhs,
-                &mut x,
-                &gopts,
-            );
-            counters.krylov_iterations += out.iterations;
-            counters.krylov_restarts += out.restarts;
-            if !out.converged && mat.values() != &precond_vals[..] {
-                counters.preconditioner_builds += 1;
-                precond = Some(Ilu0::factor(pat, &mat));
-                precond_vals.clear();
-                precond_vals.extend_from_slice(mat.values());
-                x.fill(Complex64::new(0.0, 0.0));
-                out = gmres_solve(
-                    &mat,
-                    pat,
-                    precond.as_ref().expect("preconditioner rebuilt above"),
-                    &rhs,
-                    &mut x,
-                    &gopts,
-                );
-                counters.krylov_iterations += out.iterations;
-                counters.krylov_restarts += out.restarts;
-            }
-            if out.converged {
-                solutions.push(x);
-            } else {
-                counters.krylov_fallbacks += 1;
-                let mut refactored = false;
-                if let Some((sym, num)) = factors.as_mut() {
-                    match sym.refactor(&mat, num) {
-                        RefactorOutcome::Refactored => {
-                            counters.numeric_refactors += 1;
-                            counters.lu_factorizations += 1;
-                            refactored = true;
-                        }
-                        RefactorOutcome::Stale => {
-                            counters.pattern_fallbacks += 1;
-                        }
-                    }
-                }
-                if !refactored {
-                    counters.symbolic_analyses += 1;
-                    counters.lu_factorizations += 1;
-                    factors =
-                        Some(SymbolicLu::analyze(&mat).map_err(|e| SpiceError::Singular {
-                            analysis: "ac",
-                            order: e.order,
-                            pivot: e.pivot,
-                        })?);
-                }
-                let (sym, num) = factors.as_ref().expect("factors built above");
-                sym.solve(num, &mut rhs);
-                solutions.push(rhs);
-            }
-        }
-    } else if solver.picks_sparse(n, estimate_nnz(circuit, &layout)) {
+    if solver.picks_sparse(n, estimate_nnz(circuit, &layout)) {
         let mut mat: SparseMatrix<Complex64> = SparseMatrix::new(n);
         let mut factors: Option<(SymbolicLu, NumericLu<Complex64>)> = None;
         for &f in freqs {
@@ -682,26 +588,6 @@ mod tests {
             sc.symbolic_analyses + sc.numeric_refactors,
             freqs.len() as u64,
             "{sc}"
-        );
-
-        // Krylov: complex GMRES + ILU(0), same answers, at most a few
-        // preconditioner builds across the whole sweep (one in the common
-        // case; stalls may refresh it), stalls demoted to counted
-        // fallbacks rather than errors.
-        let krylov = ac_analysis_at_with(&c, &op, &freqs, SolverKind::Krylov).unwrap();
-        for (i, _) in freqs.iter().enumerate() {
-            let (a, b) = (dense.voltage(i, vo), krylov.voltage(i, vo));
-            assert!(
-                (a - b).norm() <= 1e-9 * b.norm().max(1.0),
-                "freq {i}: dense {a:?} vs krylov {b:?}"
-            );
-        }
-        let kc = krylov.counters();
-        assert!(kc.preconditioner_builds >= 1, "{kc}");
-        assert!(kc.krylov_iterations >= 1, "{kc}");
-        assert!(
-            kc.preconditioner_builds as usize <= freqs.len(),
-            "at most one build (plus one refresh per stall) per frequency: {kc}"
         );
     }
 

@@ -9,20 +9,7 @@ use crate::mna::{
 };
 use crate::perf::PerfCounters;
 use sim_core::batched::{BatchedLu, LaneOutcome};
-use sim_core::gmres::{gmres_solve, GmresOptions};
-use sim_core::ilu::{Ilu0, IluPattern};
 use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-
-/// GMRES controls for Krylov-backed Newton solves. The tolerance sits
-/// well below the Newton convergence tolerances and the parity gates, so
-/// a converged Krylov correction is interchangeable with a direct solve;
-/// the restart budget is kept modest because an unconverged solve demotes
-/// to the direct sparse LU anyway (counted, never fatal).
-pub(crate) const KRYLOV_NEWTON_GMRES: GmresOptions = GmresOptions {
-    restart: 30,
-    max_restarts: 10,
-    tol: 1e-12,
-};
 
 /// Newton iteration controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,10 +88,10 @@ pub(crate) struct NewtonWorkspace {
 /// The linear-solver half of a [`NewtonWorkspace`]: dense matrix + cached
 /// partial-pivot LU (the legacy path, bit-exact vs history) or triplet
 /// sparse matrix + split symbolic/numeric LU. The dense backend assembles
-/// through the compiled Newton step; the sparse ones through the one-shot
-/// [`assemble`], which gives them the same stamp sequence, except that
-/// the sparse backend's DC solves run the stamps compiled onto its locked
-/// pattern ([`CscProgram`]) once a first assembly has locked it.
+/// through the compiled Newton step; the sparse one through the one-shot
+/// [`assemble`], which gives it the same stamp sequence, except that its
+/// DC solves run the stamps compiled onto its locked pattern
+/// ([`CscProgram`]) once a first assembly has locked it.
 #[derive(Debug, Clone)]
 enum Backend {
     Dense {
@@ -128,23 +115,6 @@ enum Backend {
         /// pattern, and after a structural recompile.
         dc: Option<Box<(CscProgram, CscLane)>>,
     },
-    Krylov {
-        mat: SparseMatrix<f64>,
-        /// CSR view + diagonal pointers for ILU(0); analyzed once per
-        /// pinned pattern, dropped on a structural recompile.
-        ilu_pattern: Option<Box<IluPattern>>,
-        /// Current preconditioner. Allowed to go stale across Newton
-        /// iterations (the operator is always the exact current matrix,
-        /// so staleness only costs GMRES iterations); refreshed when a
-        /// stale-preconditioned solve stalls.
-        precond: Option<Box<Ilu0<f64>>>,
-        /// Raw copy of the CSC values `precond` was factored from — the
-        /// staleness test.
-        precond_vals: Vec<f64>,
-        /// Direct sparse factors for the counted fallback rung; built
-        /// lazily the first time GMRES fails to converge.
-        factors: Option<Box<(SymbolicLu, NumericLu<f64>)>>,
-    },
 }
 
 impl NewtonWorkspace {
@@ -154,15 +124,7 @@ impl NewtonWorkspace {
         let n = layout.size();
         let nnz = estimate_nnz(circuit, layout);
         let (x, rhs, x_new) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let backend = if kind.picks_krylov(n, nnz) {
-            Backend::Krylov {
-                mat: SparseMatrix::new(n),
-                ilu_pattern: None,
-                precond: None,
-                precond_vals: Vec::new(),
-                factors: None,
-            }
-        } else if kind.picks_sparse(n, nnz) {
+        let backend = if kind.picks_sparse(n, nnz) {
             Backend::Sparse {
                 mat: SparseMatrix::new(n),
                 factors: None,
@@ -222,12 +184,6 @@ impl NewtonWorkspace {
     #[cfg(test)]
     pub(crate) fn is_sparse(&self) -> bool {
         matches!(self.backend, Backend::Sparse { .. })
-    }
-
-    /// `true` when this workspace routes solves through the Krylov tier.
-    #[cfg(test)]
-    pub(crate) fn is_krylov(&self) -> bool {
-        matches!(self.backend, Backend::Krylov { .. })
     }
 }
 
@@ -372,96 +328,6 @@ pub(crate) fn newton_solve(
                 x_new.copy_from_slice(rhs);
                 let (sym, num) = factors.as_deref().expect("factored or reused above");
                 sym.solve(num, x_new);
-            }
-            Backend::Krylov {
-                mat,
-                ilu_pattern,
-                precond,
-                precond_vals,
-                factors,
-            } => {
-                assemble(circuit, layout, x, mode, &params, mat, rhs)?;
-                if mat.finish_assembly() {
-                    // Structural recompile: pattern-derived state is stale.
-                    *ilu_pattern = None;
-                    *precond = None;
-                    precond_vals.clear();
-                    *factors = None;
-                }
-                if opts.numeric_guard {
-                    if let Err(fault) = mat
-                        .check_finite()
-                        .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
-                    {
-                        return Err(SpiceError::Numeric {
-                            analysis: "dcop",
-                            fault,
-                        });
-                    }
-                }
-                let pattern = ilu_pattern.get_or_insert_with(|| Box::new(IluPattern::analyze(mat)));
-                if precond.is_none() {
-                    counters.preconditioner_builds += 1;
-                    *precond = Some(Box::new(Ilu0::factor(pattern, mat)));
-                    precond_vals.clear();
-                    precond_vals.extend_from_slice(mat.values());
-                }
-                let gopts = KRYLOV_NEWTON_GMRES;
-                // Correction form: solve A·d = rhs − A·x from a zero
-                // guess. The Krylov space is the one a warm-started
-                // full-value solve would explore, but the convergence
-                // test becomes relative to the correction's own scale —
-                // a full-value ‖b‖·tol would leave the (tiny, near
-                // Newton convergence) update with almost no relative
-                // accuracy and let the iterate drift off the direct
-                // backends' trajectory.
-                let ax = mat.mul_vec(x);
-                let residual: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
-                let mut delta = vec![0.0; n];
-                let mut out = gmres_solve(
-                    mat,
-                    pattern,
-                    precond.as_deref().expect("preconditioner built above"),
-                    &residual,
-                    &mut delta,
-                    &gopts,
-                );
-                counters.krylov_iterations += out.iterations;
-                counters.krylov_restarts += out.restarts;
-                if !out.converged && mat.values() != &precond_vals[..] {
-                    // The preconditioner was stale; refresh it once and
-                    // retry before escalating to the direct rung.
-                    counters.preconditioner_builds += 1;
-                    *precond = Some(Box::new(Ilu0::factor(pattern, mat)));
-                    precond_vals.clear();
-                    precond_vals.extend_from_slice(mat.values());
-                    delta.fill(0.0);
-                    out = gmres_solve(
-                        mat,
-                        pattern,
-                        precond.as_deref().expect("preconditioner rebuilt above"),
-                        &residual,
-                        &mut delta,
-                        &gopts,
-                    );
-                    counters.krylov_iterations += out.iterations;
-                    counters.krylov_restarts += out.restarts;
-                }
-                if out.converged {
-                    for ((xn, &xi), d) in x_new.iter_mut().zip(x.iter()).zip(&delta) {
-                        *xn = xi + d;
-                    }
-                } else {
-                    // Counted rescue rung: demote this solve to the direct
-                    // sparse LU. Never a new failure mode — the direct
-                    // path owns the singularity reporting exactly as the
-                    // sparse backend does.
-                    counters.krylov_fallbacks += 1;
-                    factor_sparse(mat, factors, counters)?;
-                    x_new.copy_from_slice(rhs);
-                    let (sym, num) = factors.as_deref().expect("factors built above");
-                    sym.solve(num, x_new);
-                }
             }
         }
         if linear {
@@ -1451,47 +1317,6 @@ mod tests {
         assert!(NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Sparse).is_sparse());
         assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Auto).is_sparse());
         assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Dense).is_sparse());
-    }
-
-    #[test]
-    fn krylov_backend_matches_dense_operating_point() {
-        let (c, vo) = cmos_inverter(0.9);
-        let solve = |kind| {
-            dcop_impl(
-                &c,
-                &[],
-                &NewtonOptions {
-                    solver: kind,
-                    ..NewtonOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-        };
-        let dense = solve(SolverKind::Dense);
-        let krylov = solve(SolverKind::Krylov);
-        assert!(
-            krylov.counters.preconditioner_builds >= 1,
-            "{}",
-            krylov.counters
-        );
-        assert!(
-            krylov.counters.krylov_iterations >= 1,
-            "{}",
-            krylov.counters
-        );
-        let layout = dense.layout();
-        for node in 0..layout.n_nodes() {
-            let (a, b) = (dense.voltage(NodeId(node)), krylov.voltage(NodeId(node)));
-            assert!((a - b).abs() < 1e-9, "node {node}: dense {a} vs krylov {b}");
-        }
-        assert!((dense.voltage(vo) - krylov.voltage(vo)).abs() < 1e-9);
-        // Backend selection: explicit krylov forces the tier, auto keeps
-        // this tiny circuit on the dense kernel.
-        let layout = MnaLayout::new(&c);
-        assert!(NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Krylov).is_krylov());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Auto).is_krylov());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Sparse).is_krylov());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! `--self-check` runs the committed golden corpus (`tests/decks/*.cir`)
-//! through the ERC gate and all three solver backends (dense LU, sparse
-//! LU, GMRES + ILU(0)), asserting cross-backend agreement, and exits
-//! non-zero on any failure — `scripts/verify.sh` runs it.
+//! through the ERC gate and both solver backends (dense LU, sparse LU),
+//! asserting that they agree, and exits non-zero on any failure —
+//! `scripts/verify.sh` runs it.
 
 use spice::deck::DeckRun;
 use spice::SolverKind;
@@ -196,7 +196,7 @@ fn summarize(run: &DeckRun) {
 }
 
 /// The corpus stage: every golden deck must pass the gate and agree
-/// across the dense, sparse and Krylov backends.
+/// across the dense and sparse backends.
 fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
     let decks: [(&str, &str); 8] = [
         ("rc_ladder", include_str!("../tests/decks/rc_ladder.cir")),
@@ -222,20 +222,18 @@ fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
         match (
             run_deck_checked_with(deck, cfg, name, SolverKind::Dense),
             run_deck_checked_with(deck, cfg, name, SolverKind::Sparse),
-            run_deck_checked_with(deck, cfg, name, SolverKind::Krylov),
         ) {
-            (Ok(dense), Ok(sparse), Ok(krylov)) => {
-                let worst = backend_divergence(&dense.run, &sparse.run)
-                    .max(backend_divergence(&sparse.run, &krylov.run));
+            (Ok(dense), Ok(sparse)) => {
+                let worst = backend_divergence(&dense.run, &sparse.run);
                 let ok = worst < 1e-5;
                 println!(
-                    "{name:<20} gate pass, dense/sparse/krylov max |Δv| = {worst:.2e} {}",
+                    "{name:<20} gate pass, dense/sparse max |Δv| = {worst:.2e} {}",
                     if ok { "" } else { "** DIVERGED **" }
                 );
                 failed |= !ok;
             }
-            (d, s, k) => {
-                for (tag, r) in [("dense", d), ("sparse", s), ("krylov", k)] {
+            (d, s) => {
+                for (tag, r) in [("dense", d), ("sparse", s)] {
                     if let Err(e) = r {
                         eprintln!("{name} ({tag}): {e}");
                     }

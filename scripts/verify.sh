@@ -21,10 +21,8 @@ cargo test -q --release -p rand -p rand_chacha -p uwb-phy -p ams-kernel -p uwb-t
 cargo test -q --release -p ams-kernel --test general_order
 
 echo "== AMS steps allocate nothing whatever UWB_AMS_SOLVER says (the behavioural engine is dense-only) =="
-for solver in sparse krylov; do
-    UWB_AMS_SOLVER=$solver cargo test -q --release -p uwb-txrx --test step_allocations
-    UWB_AMS_SOLVER=$solver cargo test -q --release -p ams-kernel --test general_order allocate_nothing
-done
+UWB_AMS_SOLVER=sparse cargo test -q --release -p uwb-txrx --test step_allocations
+UWB_AMS_SOLVER=sparse cargo test -q --release -p ams-kernel --test general_order allocate_nothing
 
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
@@ -47,7 +45,7 @@ UWB_AMS_BATCH=1 cargo test -q --test batched_parity
 echo "== ERC self-check (library cells + flow partitions) =="
 cargo run --release --quiet --example erc_check -- --self-check
 
-echo "== deck corpus (golden decks through ERC + dense/sparse/krylov backends) =="
+echo "== deck corpus (golden decks through ERC + dense/sparse backends) =="
 cargo run --release --quiet --example run_deck -- --self-check
 UWB_AMS_SOLVER=dense cargo test -q --release --test deck_corpus
 UWB_AMS_SOLVER=sparse cargo test -q --release --test deck_corpus
@@ -61,12 +59,7 @@ UWB_AMS_ADAPTIVE=off cargo test -q --release --test deck_corpus
 UWB_AMS_ADAPTIVE=on cargo test -q --release --test deck_corpus
 UWB_AMS_ADAPTIVE=on cargo run --release --quiet --example run_deck -- --self-check
 
-echo "== krylov tier (GMRES+ILU(0) deck parity + corpus on the iterative tier) =="
-cargo test -q --release --test krylov_parity
-UWB_AMS_SOLVER=krylov cargo test -q --release --test deck_corpus
-UWB_AMS_SOLVER=krylov cargo run --release --quiet --example run_deck -- --self-check
-
-echo "== krylov guard (default auto path stays bit-exact on the direct tiers) =="
+echo "== golden vectors + sparse parity in the optimised build (dense and sparse LU as perfbench builds them) =="
 cargo test -q --release --test golden_kernel --test sparse_parity
 
 echo "== perf bench smoke (sparse scaling + MC warm start, --quick) =="

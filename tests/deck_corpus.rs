@@ -175,6 +175,7 @@ fn assert_runs_agree(name: &str, dense: &DeckRun, sparse: &DeckRun) {
 /// on both backends, asserting agreement, for every committed deck.
 #[test]
 fn corpus_gates_and_agrees_across_backends() {
+    let mut saw_ac = false;
     for (name, deck) in corpus() {
         let dense = run_deck_checked_with(deck, &ErcConfig::default(), name, SolverKind::Dense)
             .unwrap_or_else(|e| panic!("{name} (dense): {e}"));
@@ -186,7 +187,9 @@ fn corpus_gates_and_agrees_across_backends() {
             dense.report.render()
         );
         assert_runs_agree(name, &dense.run, &sparse.run);
+        saw_ac |= dense.run.ac.is_some();
     }
+    assert!(saw_ac, "corpus must include at least one .ac deck");
 }
 
 /// The deck-path I&D transient must match the Rust-API golden trace: the
