@@ -5,9 +5,8 @@
 //! Eight experiments, in the order they run:
 //!
 //! 1. **Campaign scaling** — the Fig 6 BER campaign run serially and then
-//!    fanned over the worker pool ([`worker_threads`], overridable with
-//!    `UWB_AMS_THREADS`). The two runs must produce bit-identical BER
-//!    points; the speedup is recorded.
+//!    fanned over the worker pool ([`worker_threads`]). The two runs must
+//!    produce bit-identical BER points; the speedup is recorded.
 //! 2. **Transient fast path (spice)** — a linear deck stepped with LU
 //!    reuse off and on. The reusing run must factorize exactly once after
 //!    DC and produce an identical final state.
@@ -23,15 +22,14 @@
 //!    accepted steps.
 //! 5. **Sparse vs dense scaling** — transients of tiled N×I&D arrays on
 //!    the dense LU and on the sparse symbolic/numeric-split LU
-//!    (`UWB_AMS_SOLVER` forced per run), with matching waveforms
+//!    (`NewtonOptions::solver` forced per run), with matching waveforms
 //!    asserted and the speedup recorded per size.
 //! 6. **Monte-Carlo warm start** — the I&D mismatch campaign with
 //!    warm-start chains on vs off; `warm_start_hits` and the Newton
 //!    iteration ratio land in the report.
 //! 7. **Batched campaign kernel** — a tiled-I&D mismatch campaign run
-//!    through the legacy per-point loop (`UWB_AMS_BATCH` semantics:
-//!    `Off`) and the multi-lane batched kernel; per-point metrics must
-//!    agree, the batched run must report batched counters, and the
+//!    through the legacy per-point loop (`BatchWidth::Off`) and the
+//!    multi-lane batched kernel; per-point metrics must agree, the batched run must report batched counters, and the
 //!    headline campaign points/s pair (plus the speedup, asserted
 //!    ≥ 1.0×) lands in the report.
 //! 8. **AWGN draw (uwb-phy)** — a 319k-sample Table 2 receive window
@@ -643,7 +641,7 @@ fn tiled_mismatch_sample(
 }
 
 /// The headline phase: a Monte-Carlo DC campaign over a tiled I&D array
-/// run through the legacy per-point loop (`UWB_AMS_BATCH=off`) and then
+/// run through the legacy per-point loop (`BatchWidth::Off`) and then
 /// through the batched campaign kernel, single-threaded both ways so the
 /// ratio isolates the kernel. Campaign points/sec is the metric; the two
 /// runs must agree on every point to solver tolerance.

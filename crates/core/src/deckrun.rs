@@ -8,12 +8,13 @@
 //! composes the full pipeline: lex → AST → hierarchical elaboration
 //! ([`spice::netlist::parse_deck`]) → deck-level lint
 //! ([`lint::lint_deck`]) → [`ErcConfig`] gate → analyses
-//! ([`spice::deck::run_deck_with`]) on an explicit solver backend.
+//! ([`spice::deck::run_deck_with_tran`]).
 
 use crate::erc::{ErcConfig, FlowError};
 use crate::flow::Phase;
 use lint::Report;
-use spice::deck::{run_deck_with, DeckRun};
+use spice::deck::{run_deck_with_tran, DeckRun};
+use spice::tran::AdaptiveOptions;
 use spice::SolverKind;
 
 /// The outcome of a gated deck run: the lint report that was accepted and
@@ -27,7 +28,7 @@ pub struct CheckedDeckRun {
 }
 
 /// Lints `deck`, applies the ERC gate, and only then runs its analyses
-/// with the backend taken from the `UWB_AMS_SOLVER` environment override.
+/// on the default settings ([`SolverKind::Auto`], fixed-step transients).
 ///
 /// # Errors
 ///
@@ -38,11 +39,18 @@ pub fn run_deck_checked(
     cfg: &ErcConfig,
     artefact: &str,
 ) -> Result<CheckedDeckRun, FlowError> {
-    run_deck_checked_with(deck, cfg, artefact, SolverKind::from_env())
+    run_deck_checked_with(
+        deck,
+        cfg,
+        artefact,
+        SolverKind::Auto,
+        AdaptiveOptions::off(),
+    )
 }
 
-/// [`run_deck_checked`] with an explicit linear-solver backend — the hook
-/// the verify corpus uses to assert dense/sparse agreement on one deck.
+/// [`run_deck_checked`] with an explicit linear-solver backend and
+/// adaptive transient controller — the hook the verify corpus uses to
+/// assert dense/sparse and fixed/adaptive agreement on one deck.
 ///
 /// # Errors
 ///
@@ -52,10 +60,11 @@ pub fn run_deck_checked_with(
     cfg: &ErcConfig,
     artefact: &str,
     solver: SolverKind,
+    adaptive: AdaptiveOptions,
 ) -> Result<CheckedDeckRun, FlowError> {
     let (_, report) = lint::lint_deck(deck, artefact)?;
     let report = cfg.gate(Phase::III, report)?;
-    let run = run_deck_with(deck, solver)?;
+    let run = run_deck_with_tran(deck, solver, adaptive)?;
     Ok(CheckedDeckRun { report, run })
 }
 
@@ -110,10 +119,11 @@ mod tests {
     #[test]
     fn both_backends_agree_on_a_hierarchical_deck() {
         let deck = ".subckt leg a b r=2k\nRl a b {r}\n.ends\nV1 in 0 DC 1\nX1 in out leg\nX2 out 0 leg r=1k\n.op\n.print v(out)\n";
-        let dense =
-            run_deck_checked_with(deck, &ErcConfig::default(), "legs", SolverKind::Dense).unwrap();
-        let sparse =
-            run_deck_checked_with(deck, &ErcConfig::default(), "legs", SolverKind::Sparse).unwrap();
+        let cfg = ErcConfig::default();
+        let run = |solver| {
+            run_deck_checked_with(deck, &cfg, "legs", solver, AdaptiveOptions::off()).unwrap()
+        };
+        let (dense, sparse) = (run(SolverKind::Dense), run(SolverKind::Sparse));
         let node = dense.run.circuit.find_node("out").unwrap();
         let vd = dense.run.op.voltage(node);
         let vs = sparse.run.op.voltage(node);

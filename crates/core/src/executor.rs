@@ -17,20 +17,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the worker-pool size.
-pub const THREADS_ENV: &str = "UWB_AMS_THREADS";
-
-/// Worker threads to use for campaigns: the `UWB_AMS_THREADS` environment
-/// variable when set to a positive integer, else the machine's available
-/// parallelism (1 if that cannot be determined).
+/// Worker threads to use for campaigns: the machine's available
+/// parallelism (1 if that cannot be determined). Campaigns that need
+/// another count take it as an argument.
 pub fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

@@ -714,7 +714,7 @@ mod tests {
 
     #[test]
     fn campaign_demotes_rescued_points_to_warnings() {
-        use spice::{FaultKind, FaultSchedule, RescuePolicy};
+        use spice::{FaultKind, FaultSchedule};
         use uwb_txrx::integrator::CircuitIntegrator;
         // An injected Newton divergence inside one sweep point must not fail
         // the campaign: the rescue ladder absorbs it, the point is demoted
@@ -728,11 +728,6 @@ mod tests {
         let curve = c
             .run("circuit", || {
                 let mut integ = CircuitIntegrator::with_defaults()?;
-                // Pin the policy explicitly so the test is independent of
-                // the UWB_AMS_RESCUE environment override.
-                integ
-                    .simulator_mut()
-                    .set_rescue_policy(RescuePolicy::default());
                 integ.simulator_mut().set_fault_schedule(
                     FaultSchedule::new(7).with_fault(5, FaultKind::NewtonDivergence),
                 );

@@ -109,7 +109,7 @@ pub struct McDcCampaign {
     /// Number of Monte-Carlo samples.
     pub points: usize,
     /// Number of warm-start chains (fixed independent of the thread
-    /// count; this, not `UWB_AMS_THREADS`, defines the chain structure).
+    /// count; this, not the worker count, defines the chain structure).
     pub streams: usize,
     /// Campaign seed.
     pub seed: u64,
@@ -136,24 +136,11 @@ impl McDcCampaign {
     where
         F: Fn(usize, &mut ChaCha8Rng) -> Result<McSample, SpiceError> + Sync,
     {
-        self.run_with_threads(worker_threads(), build)
+        self.run_with_batch(worker_threads(), BatchWidth::Auto, build)
     }
 
-    /// [`Self::run`] with an explicit thread count. Output is
-    /// bit-identical for any `threads` value.
-    ///
-    /// # Errors
-    ///
-    /// The lowest-indexed [`SpiceError`] from `build` or a DC solve.
-    pub fn run_with_threads<F>(&self, threads: usize, build: F) -> Result<McDcResult, SpiceError>
-    where
-        F: Fn(usize, &mut ChaCha8Rng) -> Result<McSample, SpiceError> + Sync,
-    {
-        self.run_with_batch(threads, BatchWidth::from_env(), build)
-    }
-
-    /// [`Self::run_with_threads`] with an explicit batch-width policy
-    /// (normally resolved from `UWB_AMS_BATCH`).
+    /// [`Self::run`] with an explicit thread count and batch-width policy.
+    /// Output is bit-identical for any `threads` value.
     ///
     /// With batching engaged, each warm-start chain's non-leading points
     /// are grouped with its neighbour chains' points of the same rank into
@@ -502,8 +489,12 @@ mod tests {
             streams: 4,
             seed: 42,
         };
-        let serial = campaign.run_with_threads(1, inverter_sample).unwrap();
-        let parallel = campaign.run_with_threads(4, inverter_sample).unwrap();
+        let serial = campaign
+            .run_with_batch(1, BatchWidth::Auto, inverter_sample)
+            .unwrap();
+        let parallel = campaign
+            .run_with_batch(4, BatchWidth::Auto, inverter_sample)
+            .unwrap();
         assert_eq!(serial.points.len(), 8);
         for (a, b) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(a.index, b.index);
@@ -526,7 +517,9 @@ mod tests {
             streams: 2,
             seed: 7,
         };
-        let result = campaign.run_with_threads(2, inverter_sample).unwrap();
+        let result = campaign
+            .run_with_batch(2, BatchWidth::Auto, inverter_sample)
+            .unwrap();
         // 2 streams of 3 points: the 2 leading points are cold, the
         // other 4 must hit the warm-start fast path.
         assert_eq!(result.counters.warm_start_hits, 4);
@@ -559,7 +552,7 @@ mod tests {
             streams: 4,
             seed: 1,
         }
-        .run_with_threads(2, inverter_sample)
+        .run_with_batch(2, BatchWidth::Auto, inverter_sample)
         .unwrap();
         assert!(result.points.is_empty());
         assert_eq!(result.metric_mean(), 0.0);

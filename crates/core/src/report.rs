@@ -1,6 +1,7 @@
 //! Paper-shaped outputs: aligned tables (like Table 1 / Table 2) and
 //! series (like the BER curves and AC responses of Figures 4-6).
 
+use lint::json_string;
 use std::fmt;
 
 /// A printable table.
@@ -319,25 +320,6 @@ impl PerfReport {
         s.push_str("\n  ]\n}\n");
         s
     }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// JSON number (non-finite values become null — JSON has no NaN/Inf).

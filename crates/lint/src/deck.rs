@@ -73,7 +73,8 @@ pub fn lint_analyses(
                         format!(
                             "fixed .tran step {:e} s is coarser than this source's {kind} \
                              ({feature:e} s); edges will be smeared or skipped unless adaptive \
-                             stepping (UWB_AMS_ADAPTIVE=on) lands on the breakpoints",
+                             stepping (run_deck --adaptive, AdaptiveOptions::on()) lands on \
+                             the breakpoints",
                             tran.tstep
                         ),
                     )

@@ -1,9 +1,34 @@
 //! Minimal recursive-descent JSON reader (RFC 8259 subset, no external
 //! dependencies) — the inverse of [`crate::Report::to_json`]'s hand-rolled
 //! writer, used by [`crate::Report::from_json`] and by tools that consume
-//! the `--json` output of the example binaries.
+//! the `--json` output of the example binaries — plus [`json_string`], the
+//! string escaper those writers share.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Escapes a string into a JSON string literal (RFC 8259, quotes
+/// included): `"`, `\` and the named control characters get their short
+/// escapes, any other control character a `\u00XX` escape.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -51,6 +51,7 @@ mod structural;
 pub use circuit::lint_circuit;
 pub use deck::lint_deck;
 pub use graph::{lint_graph, BlockGraph, PortKind};
+pub use json::json_string;
 pub use sim_core::{Severity, SourceSpan};
 
 use std::fmt;
@@ -101,7 +102,7 @@ pub enum LintCode {
     /// `W0113` — a fixed `.tran` step coarser than the fastest source
     /// feature (PULSE rise/fall/width, PWL segment): edges will be
     /// smeared or skipped unless adaptive breakpoint stepping
-    /// (`UWB_AMS_ADAPTIVE=on`) is enabled.
+    /// (`run_deck --adaptive`, `AdaptiveOptions::on()`) is enabled.
     SmearedSourceEdge,
     /// `E0201` — a block input port whose net has no driver.
     UnconnectedPort,
@@ -494,28 +495,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// Escapes a string into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A minimal union-find over `n` indices (path halving + union by size).
 #[derive(Debug, Clone)]
 pub(crate) struct UnionFind {
@@ -637,8 +616,12 @@ mod tests {
     fn json_round_trips() {
         let mut r = Report::new("deck \"x\"");
         r.push(
-            Diagnostic::new(LintCode::VoltageSourceLoop, "V2", "loop via V1\nand ground")
-                .with_span(SourceSpan::line_of("deck.cir", 7)),
+            Diagnostic::new(
+                LintCode::VoltageSourceLoop,
+                "V2",
+                "loop via V1\nand ground\u{1}",
+            )
+            .with_span(SourceSpan::line_of("deck.cir", 7)),
         );
         r.push(
             Diagnostic::new(

@@ -373,7 +373,7 @@ fn w0113_smeared_source_edge() {
     let d = only_diag(&r, LintCode::SmearedSourceEdge);
     assert_eq!(d.severity, Severity::Warning);
     assert_eq!(d.subject, "v1");
-    assert!(d.message.contains("UWB_AMS_ADAPTIVE"), "{}", d.message);
+    assert!(d.message.contains("run_deck --adaptive"), "{}", d.message);
     assert!(
         !r.has_errors(),
         "a smeared edge is advisory: {}",

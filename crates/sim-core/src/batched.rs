@@ -22,7 +22,7 @@
 //! **bit-identical** to per-point scalar solves at any batch width, and a
 //! lane retiring mid-batch (converged, stale, or simply masked off)
 //! cannot perturb any surviving lane. The campaign layers above rely on
-//! this to keep Monte-Carlo output independent of `UWB_AMS_BATCH`.
+//! this to keep Monte-Carlo output independent of the batch width.
 //!
 //! A lane whose pinned pivot degrades (the scalar
 //! [`RefactorOutcome::Stale`] condition) is reported per lane; the caller
@@ -33,15 +33,10 @@ use crate::sparse::{
     RefactorOutcome, SparseMatrix, SparseScalar, SymbolicLu, PIVOT_MIN, REFACTOR_PIVOT_RATIO,
 };
 
-/// Environment variable selecting the campaign batch width
-/// (`auto` | `off` | `1` | `N`).
-pub const BATCH_ENV: &str = "UWB_AMS_BATCH";
-
 /// Default lane count when [`BatchWidth::Auto`] decides to batch.
 pub const AUTO_BATCH_WIDTH: usize = 8;
 
-/// Campaign batch-width policy, resolved from the `UWB_AMS_BATCH`
-/// environment variable or set explicitly on campaign structs.
+/// Campaign batch-width policy, passed to each campaign run.
 ///
 /// * `Auto` — batch sparse-eligible campaigns at [`AUTO_BATCH_WIDTH`]
 ///   lanes; small/dense campaigns keep the legacy per-point path.
@@ -62,23 +57,6 @@ pub enum BatchWidth {
 }
 
 impl BatchWidth {
-    /// Parses a `UWB_AMS_BATCH` value; `None` or unknown → [`Auto`](Self::Auto).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::trim) {
-            Some("off") | Some("0") => BatchWidth::Off,
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => BatchWidth::Fixed(n),
-                _ => BatchWidth::Auto,
-            },
-            None => BatchWidth::Auto,
-        }
-    }
-
-    /// Reads the `UWB_AMS_BATCH` environment override.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var(BATCH_ENV).ok().as_deref())
-    }
-
     /// Resolves the policy to a concrete lane count (`None` = legacy
     /// per-point path). `eligible` is the campaign's sparse-eligibility
     /// (`Auto` only batches when the shared-symbolic kernel pays off);
@@ -509,14 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_parse_and_resolve() {
-        assert_eq!(BatchWidth::parse(None), BatchWidth::Auto);
-        assert_eq!(BatchWidth::parse(Some("auto")), BatchWidth::Auto);
-        assert_eq!(BatchWidth::parse(Some("bogus")), BatchWidth::Auto);
-        assert_eq!(BatchWidth::parse(Some("off")), BatchWidth::Off);
-        assert_eq!(BatchWidth::parse(Some("0")), BatchWidth::Off);
-        assert_eq!(BatchWidth::parse(Some("1")), BatchWidth::Fixed(1));
-        assert_eq!(BatchWidth::parse(Some("16")), BatchWidth::Fixed(16));
+    fn batch_width_resolve() {
+        assert_eq!(BatchWidth::default(), BatchWidth::Auto);
         // Auto batches only sparse-eligible campaigns, at the default width.
         assert_eq!(BatchWidth::Auto.resolve(false, 8), None);
         assert_eq!(BatchWidth::Auto.resolve(true, 8), Some(8));

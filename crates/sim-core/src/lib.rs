@@ -21,7 +21,7 @@
 //! * [`batched`] — [`BatchedLu`], the SoA multi-lane numeric
 //!   refactor/solve over one pinned [`SymbolicLu`] pattern that
 //!   Monte-Carlo campaigns batch structure-identical points through
-//!   (width policy via [`BatchWidth`] / `UWB_AMS_BATCH`),
+//!   (width policy via [`BatchWidth`]),
 //! * [`structure`] — value-free analysis of the sparse pattern:
 //!   Hopcroft–Karp maximum matching plus coarse Dulmage–Mendelsohn
 //!   classification ([`StructureReport`], feeding the static ERC layer),

@@ -98,12 +98,9 @@ impl SparseScalar for Complex64 {
 }
 
 /// Which linear-solver backend the circuit engine (`spice`: DC, AC and
-/// transient) should use. The behavioural engine (`ams-kernel`) solves
+/// transient) should use, set on its option structs (`Auto` unless a
+/// caller says otherwise). The behavioural engine (`ams-kernel`) solves
 /// its order-1 and order-2 models on the dense kernel only.
-///
-/// Resolved from the `UWB_AMS_SOLVER` environment variable (`auto`,
-/// `dense`, `sparse`; anything else falls back to `auto`) or set
-/// explicitly on the circuit engine's option structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Size/density heuristic: sparse for large, sparse-enough systems.
@@ -116,20 +113,6 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Parses a `UWB_AMS_SOLVER` value; `None` or unknown → [`Auto`](Self::Auto).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some("dense") => SolverKind::Dense,
-            Some("sparse") => SolverKind::Sparse,
-            _ => SolverKind::Auto,
-        }
-    }
-
-    /// Reads the `UWB_AMS_SOLVER` environment override.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("UWB_AMS_SOLVER").ok().as_deref())
-    }
-
     /// Decides whether the sparse path should handle an order-`n` system
     /// with an estimated `nnz_estimate` structural nonzeros. `Auto`
     /// requires both a big-enough order ([`SPARSE_AUTO_MIN_ORDER`]) and a
@@ -1065,14 +1048,8 @@ mod tests {
     }
 
     #[test]
-    fn solver_kind_parse_and_heuristic() {
-        assert_eq!(SolverKind::parse(Some("dense")), SolverKind::Dense);
-        assert_eq!(SolverKind::parse(Some("sparse")), SolverKind::Sparse);
-        assert_eq!(SolverKind::parse(Some("auto")), SolverKind::Auto);
-        assert_eq!(SolverKind::parse(Some("bogus")), SolverKind::Auto);
-        // A name that no backend carries falls back like any unknown value.
-        assert_eq!(SolverKind::parse(Some("krylov")), SolverKind::Auto);
-        assert_eq!(SolverKind::parse(None), SolverKind::Auto);
+    fn solver_kind_heuristic() {
+        assert_eq!(SolverKind::default(), SolverKind::Auto);
         // Heuristic: order floor and 25 % density cap.
         assert!(!SolverKind::Auto.picks_sparse(40, 200), "I&D stays dense");
         assert!(SolverKind::Auto.picks_sparse(128, 600));

@@ -122,21 +122,7 @@ pub fn ac_analysis(
     freqs: &[f64],
 ) -> Result<AcSweep, SpiceError> {
     let op = dcop_with(circuit, externals)?;
-    ac_analysis_at(circuit, &op, freqs)
-}
-
-/// AC sweep around an already-computed operating point, with the solver
-/// backend taken from the `UWB_AMS_SOLVER` environment override.
-///
-/// # Errors
-///
-/// [`SpiceError::Singular`] if the complex MNA matrix cannot be factored.
-pub fn ac_analysis_at(
-    circuit: &Circuit,
-    op: &DcSolution,
-    freqs: &[f64],
-) -> Result<AcSweep, SpiceError> {
-    ac_analysis_at_with(circuit, op, freqs, SolverKind::from_env())
+    ac_analysis_at_with(circuit, &op, freqs, SolverKind::Auto)
 }
 
 /// A complex matrix that AC stamps accumulate into — the complex twin of
@@ -394,7 +380,8 @@ fn assemble_ac<M: AcStamp>(
     Ok(())
 }
 
-/// [`ac_analysis_at`] with an explicit solver backend. The dense path is
+/// AC sweep around an already-computed operating point on an explicit
+/// solver backend. The dense path is
 /// unchanged vs history (fresh [`CMatrix`] + full factorization per
 /// frequency); the sparse path assembles one locked triplet structure,
 /// runs the symbolic analysis at the first frequency and numerically

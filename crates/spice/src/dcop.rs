@@ -35,10 +35,9 @@ pub struct NewtonOptions {
     /// policy switches it on (see [`crate::rescue::RescuePolicy`]).
     pub numeric_guard: bool,
     /// Linear-solver backend: dense kernel, sparse symbolic/numeric LU, or
-    /// the size/density heuristic. Defaults to the `UWB_AMS_SOLVER`
-    /// environment override (`auto` when unset), under which every
-    /// single-instance netlist in the workspace stays on the dense kernel
-    /// — bit-exact vs the pre-sparse history.
+    /// the size/density heuristic. Defaults to [`SolverKind::Auto`], under
+    /// which every single-instance netlist in the workspace stays on the
+    /// dense kernel — bit-exact vs the pre-sparse history.
     pub solver: SolverKind,
 }
 
@@ -51,7 +50,7 @@ impl Default for NewtonOptions {
             max_step: 0.5,
             reuse_lu: true,
             numeric_guard: false,
-            solver: SolverKind::from_env(),
+            solver: SolverKind::Auto,
         }
     }
 }

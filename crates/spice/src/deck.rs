@@ -3,9 +3,10 @@
 //! [`run_deck`] parses a netlist through the full front-end pipeline and
 //! honours its `.op`, `.dc`, `.tran`, `.ac`, `.print` and `.ic` cards,
 //! returning the requested waveforms — the closest thing to handing a deck
-//! to Eldo on the command line. [`run_deck_with`] pins the linear-solver
-//! backend explicitly, which is how the verify corpus asserts dense/sparse
-//! cross-backend agreement without racing on environment variables.
+//! to Eldo on the command line. [`run_deck_with_tran`] takes the
+//! linear-solver backend and the adaptive transient controller as
+//! arguments, which is how the verify corpus asserts dense/sparse and
+//! fixed/adaptive agreement on one deck.
 
 use crate::ac::{ac_analysis_at_with, log_sweep, AcSweep};
 use crate::ast::{parse_ast, AnalysisCard};
@@ -205,8 +206,8 @@ pub fn dc_sweep_values(card: &DcCard) -> Vec<f64> {
     (0..=n).map(|i| card.start + step * i as f64).collect()
 }
 
-/// Parses and runs a deck with the solver backend taken from the
-/// `UWB_AMS_SOLVER` environment override.
+/// Parses and runs a deck on the default settings: the
+/// [`SolverKind::Auto`] backend and fixed-step transients.
 ///
 /// # Errors
 ///
@@ -233,25 +234,13 @@ pub fn dc_sweep_values(card: &DcCard) -> Vec<f64> {
 /// # }
 /// ```
 pub fn run_deck(deck: &str) -> Result<DeckRun, SpiceError> {
-    run_deck_with(deck, SolverKind::from_env())
+    run_deck_with_tran(deck, SolverKind::Auto, AdaptiveOptions::off())
 }
 
-/// [`run_deck`] with an explicit linear-solver backend: DC operating
-/// point always; `.dc` sweeps warm-started point-to-point; `.tran` with
-/// `.ic` node forcing; `.ac` around the operating point.
-///
-/// # Errors
-///
-/// Propagates parse and analysis failures.
-#[allow(clippy::too_many_lines)]
-pub fn run_deck_with(deck: &str, solver: SolverKind) -> Result<DeckRun, SpiceError> {
-    run_deck_with_tran(deck, solver, AdaptiveOptions::from_env())
-}
-
-/// [`run_deck_with`] with the adaptive transient controller pinned
-/// explicitly (instead of resolving `UWB_AMS_ADAPTIVE`), so harnesses can
-/// compare the fixed-step and adaptive paths without racing on the
-/// environment.
+/// [`run_deck`] with an explicit linear-solver backend and adaptive
+/// transient controller: DC operating point always; `.dc` sweeps
+/// warm-started point-to-point; `.tran` with `.ic` node forcing; `.ac`
+/// around the operating point.
 ///
 /// Under the adaptive controller the `.tran` loop runs
 /// [`TransientSimulator::run_adaptive`] against the deck's breakpoint

@@ -66,15 +66,13 @@ pub mod tran;
 // working.
 pub use sim_core::{linalg, perf};
 
-pub use ac::{ac_analysis, ac_analysis_at, ac_analysis_at_with, log_sweep, AcSweep};
+pub use ac::{ac_analysis, ac_analysis_at_with, log_sweep, AcSweep};
 pub use circuit::{Circuit, Element, NodeId, SourceWave};
 pub use dcop::{
     dcop, dcop_batch, dcop_batch_with, dcop_with, dcop_with_guess, dcop_with_opts, BatchPoint,
     BatchReport, BatchWorkspace, CampaignKernel, DcSolution, NewtonOptions,
 };
-pub use deck::{
-    run_deck, run_deck_with, run_deck_with_tran, DcSweep, DeckAnalyses, DeckRun, TranTrace,
-};
+pub use deck::{run_deck, run_deck_with_tran, DcSweep, DeckAnalyses, DeckRun, TranTrace};
 pub use error::{ParseDiagnostic, SpiceError};
 pub use lexer::parse_value;
 pub use mna::{dc_pattern, MnaLayout, MnaUnknown};

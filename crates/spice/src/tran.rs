@@ -14,7 +14,7 @@
 //! Backward Euler (order 1) and the trapezoidal rule (order 2). Source
 //! breakpoints (PULSE edges, PWL corners, SIN delay) are landed on exactly
 //! via [`collect_breakpoints`]. The controller is opt-in
-//! (`UWB_AMS_ADAPTIVE`, default off) and composes *over* the existing
+//! ([`TranOptions::adaptive`], default off) and composes *over* the existing
 //! rescue ladder, which stays the terminal fallback when a Newton solve
 //! fails outright.
 
@@ -117,16 +117,6 @@ impl AdaptiveOptions {
             ..Self::on()
         }
     }
-
-    /// Resolves the `UWB_AMS_ADAPTIVE` environment override: `on`/`1`/`true`
-    /// enables the controller; anything else (including unset) keeps the
-    /// bit-exact fixed-step default.
-    pub fn from_env() -> Self {
-        match std::env::var("UWB_AMS_ADAPTIVE") {
-            Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true") => Self::on(),
-            _ => Self::off(),
-        }
-    }
 }
 
 impl Default for AdaptiveOptions {
@@ -146,13 +136,12 @@ pub struct TranOptions {
     pub method: Method,
     /// Convergence-rescue policy: timestep-cut backoff for the transient,
     /// the homotopy ladder for the initial operating point, and the
-    /// numeric NaN/Inf guards. The default resolves `UWB_AMS_RESCUE`
-    /// (so CI can run the whole suite with rescue off); use
+    /// numeric NaN/Inf guards. Defaults to the full ladder; use
     /// [`RescuePolicy::off`] for the bit-exact legacy behaviour.
     pub rescue: RescuePolicy,
     /// Adaptive LTE step/order controller, consumed by
-    /// [`TransientSimulator::run_adaptive`]. The default resolves
-    /// `UWB_AMS_ADAPTIVE` (off unless set); fixed-step entry points
+    /// [`TransientSimulator::run_adaptive`]. Defaults to
+    /// [`AdaptiveOptions::off`]; fixed-step entry points
     /// ([`step`](TransientSimulator::step) /
     /// [`run_until`](TransientSimulator::run_until)) ignore it entirely.
     pub adaptive: AdaptiveOptions,
@@ -167,8 +156,8 @@ impl Default for TranOptions {
             },
             gmin: GMIN_FINAL,
             method: Method::BackwardEuler,
-            rescue: RescuePolicy::from_env(),
-            adaptive: AdaptiveOptions::from_env(),
+            rescue: RescuePolicy::default(),
+            adaptive: AdaptiveOptions::off(),
         }
     }
 }
@@ -555,15 +544,6 @@ impl TransientSimulator {
     /// warning channel instead of failing a campaign point.
     pub fn rescue_events(&self) -> u64 {
         self.counters.rescue_successes + self.dc_counters.rescue_successes
-    }
-
-    /// Overrides the rescue policy after construction. Lets harnesses pin
-    /// behaviour independent of the `UWB_AMS_RESCUE` environment override
-    /// baked into [`TranOptions::default`]. Also re-derives the Newton
-    /// numeric guard from the new policy.
-    pub fn set_rescue_policy(&mut self, policy: RescuePolicy) {
-        self.opts.rescue = policy;
-        self.opts.newton.numeric_guard = policy.enabled && policy.numeric_guards;
     }
 
     /// Arms a deterministic fault-injection schedule: faults fire at the

@@ -271,23 +271,20 @@ pub struct CircuitIntegrator {
 }
 
 impl CircuitIntegrator {
-    /// Builds the circuit integrator and solves its operating point.
+    /// Builds the circuit integrator on the transient settings `opts`
+    /// (solver backend, rescue policy) and solves its operating point.
     ///
     /// # Errors
     ///
     /// Propagates DC convergence failures.
-    pub fn new(params: &IntegrateDumpParams) -> Result<Self, IntegratorError> {
+    pub fn new(params: &IntegrateDumpParams, opts: TranOptions) -> Result<Self, IntegratorError> {
         let bench = integrate_dump_testbench(params)?;
         let mut externals = vec![0.0; bench.circuit.num_externals];
         externals[bench.slot_inp] = bench.input_cm;
         externals[bench.slot_inm] = bench.input_cm;
         externals[bench.slot_controlp] = params.vdd;
         externals[bench.slot_controlm] = 0.0;
-        let sim = TransientSimulator::with_externals(
-            bench.circuit.clone(),
-            TranOptions::default(),
-            externals,
-        )?;
+        let sim = TransientSimulator::with_externals(bench.circuit.clone(), opts, externals)?;
         Ok(CircuitIntegrator {
             sim,
             bench,
@@ -301,7 +298,7 @@ impl CircuitIntegrator {
     ///
     /// Propagates DC convergence failures.
     pub fn with_defaults() -> Result<Self, IntegratorError> {
-        Self::new(&IntegrateDumpParams::default())
+        Self::new(&IntegrateDumpParams::default(), TranOptions::default())
     }
 
     /// Access to the underlying transistor-level simulator (probing).

@@ -325,14 +325,6 @@ impl Receiver {
         let open = self.window_open(rx);
         let v = self.integrate_windowed(rx, symbol, open, w)?;
         let code = self.adc_code(v);
-        if std::env::var_os("UWB_AMS_AGC_TRACE").is_some() {
-            eprintln!(
-                "agc: v_int={v:.4e} code={code} peak={:.3} vga={} pga={:?}",
-                self.peak.peak(),
-                self.frontend.vga.code(),
-                self.pga.as_ref().map(|p| p.code())
-            );
-        }
         match self.cfg.two_stage_agc {
             None => {
                 // Baseline: one loop, VGA driven by the ADC code.

@@ -6,15 +6,22 @@
 //! cargo run --release --example run_deck -- --no-erc deck.cir   # escape hatch
 //! cargo run --release --example run_deck -- --erc-strict deck.cir
 //! cargo run --release --example run_deck -- --json deck.cir     # machine-readable
+//! cargo run --release --example run_deck -- --adaptive deck.cir # LTE-controlled .tran
 //! cargo run --release --example run_deck -- --self-check        # CI gate
 //! ```
 //!
+//! `--adaptive` runs `.tran` under the adaptive step/order controller,
+//! which lands on every source breakpoint (the remedy lint W0113 names);
+//! without it the transient steps on the fixed `tstep` grid.
+//!
 //! `--self-check` runs the committed golden corpus (`tests/decks/*.cir`)
 //! through the ERC gate and both solver backends (dense LU, sparse LU),
-//! asserting that they agree, and exits non-zero on any failure —
-//! `scripts/verify.sh` runs it.
+//! fixed-step and adaptive, asserting that the backends agree, and exits
+//! non-zero on any failure — `scripts/verify.sh` runs it.
 
+use lint::json_string;
 use spice::deck::DeckRun;
+use spice::tran::AdaptiveOptions;
 use spice::SolverKind;
 use uwb_ams_core::erc::{ErcConfig, FlowError};
 use uwb_ams_core::run_deck_checked_with;
@@ -25,12 +32,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return self_check(&cfg);
     }
     let json = rest.iter().any(|a| a == "--json");
-    let Some(path) = rest.iter().find(|a| *a != "--json") else {
-        eprintln!("usage: run_deck [--no-erc|--erc-strict] [--json] <deck.cir>");
+    let adaptive = if rest.iter().any(|a| a == "--adaptive") {
+        AdaptiveOptions::on()
+    } else {
+        AdaptiveOptions::off()
+    };
+    let Some(path) = rest
+        .iter()
+        .find(|a| !matches!(a.as_str(), "--json" | "--adaptive"))
+    else {
+        eprintln!("usage: run_deck [--no-erc|--erc-strict] [--json] [--adaptive] <deck.cir>");
         std::process::exit(2);
     };
     let deck = std::fs::read_to_string(path)?;
-    match run_deck_checked_with(&deck, &cfg, path, SolverKind::from_env()) {
+    match run_deck_checked_with(&deck, &cfg, path, SolverKind::Auto, adaptive) {
         Ok(out) => {
             if json {
                 println!(
@@ -60,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if json {
                 println!(
                     "{{\"deck\":{},\"error\":{}}}",
-                    json_str(path),
-                    json_str(&e.to_string())
+                    json_string(path),
+                    json_string(&e.to_string())
                 );
             } else {
                 eprintln!("{path}: {e}");
@@ -81,9 +96,9 @@ fn summarize_json(
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("{");
-    let _ = write!(s, "\"deck\":{},", json_str(path));
+    let _ = write!(s, "\"deck\":{},", json_string(path));
     if let Some(e) = error {
-        let _ = write!(s, "\"error\":{},", json_str(e));
+        let _ = write!(s, "\"error\":{},", json_string(e));
     }
     let _ = write!(s, "\"report\":{}", report.to_json());
     if let Some(run) = run {
@@ -105,7 +120,7 @@ fn summarize_json(
                     s.push(',');
                 }
                 first = false;
-                let _ = write!(s, "{}:{}", json_str(name), run.op.voltage(id));
+                let _ = write!(s, "{}:{}", json_string(name), run.op.voltage(id));
             }
         }
         s.push_str("}}");
@@ -113,7 +128,7 @@ fn summarize_json(
             let _ = write!(
                 s,
                 ",\"dc\":{{\"source\":{},\"points\":{},\"warm_start_hits\":{}}}",
-                json_str(&dc.source),
+                json_string(&dc.source),
                 dc.values.len(),
                 dc.warm_start_hits
             );
@@ -126,7 +141,7 @@ fn summarize_json(
             let _ = write!(
                 s,
                 "{{\"node\":{},\"samples\":{},\"final\":{}}}",
-                json_str(&trace.node),
+                json_string(&trace.node),
                 trace.values.len(),
                 trace.values.last().copied().unwrap_or(0.0)
             );
@@ -138,28 +153,6 @@ fn summarize_json(
     }
     s.push('}');
     s
-}
-
-/// JSON string literal (RFC 8259 escaping, quotes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn summarize(run: &DeckRun) {
@@ -196,7 +189,7 @@ fn summarize(run: &DeckRun) {
 }
 
 /// The corpus stage: every golden deck must pass the gate and agree
-/// across the dense and sparse backends.
+/// across the dense and sparse backends, fixed-step and adaptive.
 fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
     let decks: [(&str, &str); 8] = [
         ("rc_ladder", include_str!("../tests/decks/rc_ladder.cir")),
@@ -218,27 +211,30 @@ fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
         ("pwl_ramp", include_str!("../tests/decks/pwl_ramp.cir")),
     ];
     let mut failed = false;
-    for (name, deck) in decks {
-        match (
-            run_deck_checked_with(deck, cfg, name, SolverKind::Dense),
-            run_deck_checked_with(deck, cfg, name, SolverKind::Sparse),
-        ) {
-            (Ok(dense), Ok(sparse)) => {
-                let worst = backend_divergence(&dense.run, &sparse.run);
-                let ok = worst < 1e-5;
-                println!(
-                    "{name:<20} gate pass, dense/sparse max |Δv| = {worst:.2e} {}",
-                    if ok { "" } else { "** DIVERGED **" }
-                );
-                failed |= !ok;
-            }
-            (d, s) => {
-                for (tag, r) in [("dense", d), ("sparse", s)] {
-                    if let Err(e) = r {
-                        eprintln!("{name} ({tag}): {e}");
-                    }
+    for (mode, adaptive) in [
+        ("fixed", AdaptiveOptions::off()),
+        ("adaptive", AdaptiveOptions::on()),
+    ] {
+        for (name, deck) in decks {
+            let run = |solver| run_deck_checked_with(deck, cfg, name, solver, adaptive);
+            match (run(SolverKind::Dense), run(SolverKind::Sparse)) {
+                (Ok(dense), Ok(sparse)) => {
+                    let worst = backend_divergence(&dense.run, &sparse.run);
+                    let ok = worst < 1e-5;
+                    println!(
+                        "{name:<20} {mode:<8} gate pass, dense/sparse max |Δv| = {worst:.2e} {}",
+                        if ok { "" } else { "** DIVERGED **" }
+                    );
+                    failed |= !ok;
                 }
-                failed = true;
+                (d, s) => {
+                    for (tag, r) in [("dense", d), ("sparse", s)] {
+                        if let Err(e) = r {
+                            eprintln!("{name} ({mode}, {tag}): {e}");
+                        }
+                    }
+                    failed = true;
+                }
             }
         }
     }
@@ -246,7 +242,9 @@ fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("run_deck: corpus self-check failed");
         std::process::exit(1);
     }
-    println!("run_deck: all golden decks pass ERC and agree across backends");
+    println!(
+        "run_deck: all golden decks pass ERC and agree across backends, fixed-step and adaptive"
+    );
     Ok(())
 }
 

@@ -5,6 +5,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "== the library and its tests read no environment variable (only crates/bench/benches may) =="
+if grep -rnE 'env::(var|var_os|set_var|remove_var)\b' crates/*/src crates/*/tests src tests; then
+    echo "verify: environment access found above" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -20,10 +26,6 @@ cargo test -q --release -p rand -p rand_chacha -p uwb-phy -p ams-kernel -p uwb-t
 # order-3 and order-6 goldens: pivot row swaps, the heap-buffer orders and the two failing steps
 cargo test -q --release -p ams-kernel --test general_order
 
-echo "== AMS steps allocate nothing whatever UWB_AMS_SOLVER says (the behavioural engine is dense-only) =="
-UWB_AMS_SOLVER=sparse cargo test -q --release -p uwb-txrx --test step_allocations
-UWB_AMS_SOLVER=sparse cargo test -q --release -p ams-kernel --test general_order allocate_nothing
-
 echo "== property tests (opt-in feature, fixed seeds) =="
 for crate in sim-core lint spice ams-kernel uwb-ams-core uwb-phy uwb-txrx; do
     cargo test -q -p "$crate" --features proptests --test proptests
@@ -35,29 +37,21 @@ cargo test -q --test sparse_parity
 echo "== fault-injection smoke (golden fault matrix) =="
 cargo test -q --test fault_matrix
 
-echo "== rescue-off bit-exactness (golden vectors + cosimulation) =="
-UWB_AMS_RESCUE=off cargo test -q --test golden_kernel --test cosimulation
-
-echo "== batched-parity (lane bit-exactness + UWB_AMS_BATCH=1 campaign) =="
+echo "== batched-parity (lane bit-exactness, any width and thread count) =="
 cargo test -q --test batched_parity
-UWB_AMS_BATCH=1 cargo test -q --test batched_parity
 
 echo "== ERC self-check (library cells + flow partitions) =="
 cargo run --release --quiet --example erc_check -- --self-check
 
-echo "== deck corpus (golden decks through ERC + dense/sparse backends) =="
+echo "== deck corpus (golden decks through ERC + dense/sparse backends, fixed-step and adaptive) =="
 cargo run --release --quiet --example run_deck -- --self-check
-UWB_AMS_SOLVER=dense cargo test -q --release --test deck_corpus
-UWB_AMS_SOLVER=sparse cargo test -q --release --test deck_corpus
+cargo test -q --release --test deck_corpus
 
 echo "== structural analysis (Dulmage-Mendelsohn gate, E0301/E0302) =="
 cargo test -q --release --test structural
 
 echo "== adaptive transient (order harness, breakpoint landing, off-parity) =="
 cargo test -q --release --test integration_order --test adaptive_breakpoints
-UWB_AMS_ADAPTIVE=off cargo test -q --release --test deck_corpus
-UWB_AMS_ADAPTIVE=on cargo test -q --release --test deck_corpus
-UWB_AMS_ADAPTIVE=on cargo run --release --quiet --example run_deck -- --self-check
 
 echo "== golden vectors + sparse parity in the optimised build (dense and sparse LU as perfbench builds them) =="
 cargo test -q --release --test golden_kernel --test sparse_parity

@@ -10,16 +10,12 @@
 //!   points at any forced batch width and any thread count. The legacy
 //!   `Off` loop may route through a different linear-solver backend, so
 //!   it is compared at solver tolerance, not bitwise.
-//!
-//! `scripts/verify.sh` runs this file twice: once as-is and once under
-//! `UWB_AMS_BATCH=1`, which makes `run_with_threads` (the env-driven
-//! entry point every caller uses) take the batched path at width 1 — the
-//! env override must reproduce the forced-width reference bit-for-bit.
 
 use rand_chacha::ChaCha8Rng;
 use sim_core::batched::{BatchWidth, BatchedLu, LaneOutcome};
 use sim_core::sparse::{SparseMatrix, SymbolicLu};
-use uwb_ams_core::montecarlo::{id_mismatch_sample, McDcCampaign, McDcResult};
+use uwb_ams_core::executor::worker_threads;
+use uwb_ams_core::montecarlo::{id_mismatch_sample, McDcCampaign, McDcResult, McSample};
 
 /// The seeded 7×7 diagonally-dominant system from `tests/golden_kernel.rs`.
 fn seeded_system(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -104,16 +100,20 @@ fn batched_lanes_reproduce_the_scalar_golden_solve_bit_for_bit() {
     }
 }
 
+const ID_CAMPAIGN: McDcCampaign = McDcCampaign {
+    points: 12,
+    streams: 4,
+    seed: 0xD15C_0002,
+};
+
+fn id_sample(_idx: usize, rng: &mut ChaCha8Rng) -> Result<McSample, spice::SpiceError> {
+    id_mismatch_sample(0.05, rng)
+}
+
 fn run_id_campaign(threads: usize, batch: BatchWidth) -> McDcResult {
-    McDcCampaign {
-        points: 12,
-        streams: 4,
-        seed: 0xD15C_0002,
-    }
-    .run_with_batch(threads, batch, |_idx, rng: &mut ChaCha8Rng| {
-        id_mismatch_sample(0.05, rng)
-    })
-    .expect("I&D mismatch campaign solves")
+    ID_CAMPAIGN
+        .run_with_batch(threads, batch, id_sample)
+        .expect("I&D mismatch campaign solves")
 }
 
 fn assert_bit_identical(a: &McDcResult, b: &McDcResult, what: &str) {
@@ -171,39 +171,17 @@ fn mc_campaign_is_bit_identical_at_any_batch_width_and_thread_count() {
     }
 }
 
-/// The env-driven entry point (`run_with_threads` → `UWB_AMS_BATCH`)
-/// must honour a forced width bit-for-bit. Under plain `cargo test` the
-/// variable is unset (`Auto`) and the tolerance branch applies; under
-/// `UWB_AMS_BATCH=1` (the verify.sh stage) the strict branch engages.
+/// The default entry point is exactly the explicit one on the machine's
+/// worker count and the `Auto` width policy — nothing else can steer it.
 #[test]
-fn env_override_reproduces_the_forced_width_reference() {
-    let campaign = McDcCampaign {
-        points: 12,
-        streams: 4,
-        seed: 0xD15C_0002,
-    };
-    let via_env = campaign
-        .run_with_threads(2, |_idx, rng: &mut ChaCha8Rng| {
-            id_mismatch_sample(0.05, rng)
-        })
+fn run_is_the_default_worker_count_and_auto_width() {
+    let run = ID_CAMPAIGN
+        .run(id_sample)
         .expect("I&D mismatch campaign solves");
-    match BatchWidth::from_env() {
-        BatchWidth::Fixed(_) => {
-            let reference = run_id_campaign(1, BatchWidth::Fixed(1));
-            assert_bit_identical(&reference, &via_env, "env-forced width vs Fixed(1)");
-            assert!(via_env.counters.batched_refactors >= 1);
-        }
-        _ => {
-            let reference = run_id_campaign(1, BatchWidth::Fixed(1));
-            for (p, q) in reference.points.iter().zip(&via_env.points) {
-                assert!(
-                    (p.metric - q.metric).abs() <= 1e-6 * q.metric.abs().max(1.0),
-                    "point {}: batched {} vs env path {}",
-                    p.index,
-                    p.metric,
-                    q.metric
-                );
-            }
-        }
-    }
+    let explicit = run_id_campaign(worker_threads(), BatchWidth::Auto);
+    assert_bit_identical(
+        &explicit,
+        &run,
+        "run vs run_with_batch(worker_threads(), Auto)",
+    );
 }

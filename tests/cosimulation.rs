@@ -11,6 +11,7 @@ use ams_kernel::solver::SolveError;
 use ams_kernel::time::SimTime;
 use spice::circuit::Circuit;
 use spice::tran::{TranOptions, TransientSimulator};
+use spice::RescuePolicy;
 use std::any::Any;
 
 /// Adapter: a spice RC integrator (vin → R → cap, dumped by a switch)
@@ -28,7 +29,7 @@ struct SpiceRcBlock {
 }
 
 impl SpiceRcBlock {
-    fn new(in_sig: SignalId, sel_sig: SignalId, out_sig: SignalId) -> Self {
+    fn new(in_sig: SignalId, sel_sig: SignalId, out_sig: SignalId, opts: TranOptions) -> Self {
         let mut c = Circuit::new();
         let vin = c.node("vin");
         let sel = c.node("sel");
@@ -49,8 +50,8 @@ impl SpiceRcBlock {
             1e9,
             -0.9,
         );
-        let sim = TransientSimulator::with_externals(c, TranOptions::default(), vec![0.0, 1.8])
-            .expect("operating point");
+        let sim =
+            TransientSimulator::with_externals(c, opts, vec![0.0, 1.8]).expect("operating point");
         SpiceRcBlock {
             sim,
             slot_vin,
@@ -99,8 +100,10 @@ impl AnalogBlock for SpiceRcBlock {
     }
 }
 
-#[test]
-fn digital_process_gates_behavioural_and_spice_blocks_together() {
+/// Runs the gated scenario with the spice block on the transient settings
+/// `opts`; returns the model and spice outputs after 1 µs of integration
+/// and after the following dump, in that order.
+fn gated_run(opts: TranOptions) -> [f64; 4] {
     let mut ms = MixedSimulator::new(SimTime::from_ns(2));
     let vin = ms.digital.add_signal("vin", 1.0f64);
     let sel = ms.digital.add_signal("sel", true);
@@ -115,7 +118,7 @@ fn digital_process_gates_behavioural_and_spice_blocks_together() {
         vec![vin, sel, hold],
         vec![(vo_model, 0)],
     )));
-    ms.add_block(Box::new(SpiceRcBlock::new(vin, sel, vo_spice)));
+    ms.add_block(Box::new(SpiceRcBlock::new(vin, sel, vo_spice, opts)));
 
     // One digital controller gates both: integrate 2 µs, dump, repeat.
     let p = ms.digital.add_process("controller", move |ctx| {
@@ -129,12 +132,34 @@ fn digital_process_gates_behavioural_and_spice_blocks_together() {
     });
     ms.digital.schedule_wakeup(p, SimTime::from_us(2));
 
-    // After 1 µs of integration both outputs ≈ 1 V · t/RC = 1.0 · 1 (ideal
-    // ramp) vs the RC's (1 − e^{−1}) — the *finite-gain* droop the paper's
-    // Figure 5 is about, reproduced at kernel level.
     ms.run_until(SimTime::from_us(1)).unwrap();
     let model_1us = ms.digital.read(vo_model).as_real();
     let spice_1us = ms.digital.read(vo_spice).as_real();
+    ms.run_until(SimTime::from_us(2) + SimTime::from_ns(395))
+        .unwrap();
+    [
+        model_1us,
+        spice_1us,
+        ms.digital.read(vo_model).as_real(),
+        ms.digital.read(vo_spice).as_real(),
+    ]
+}
+
+#[test]
+fn digital_process_gates_behavioural_and_spice_blocks_together() {
+    // A clean run must not tell the rescue ladder (the default) from the
+    // legacy engine with rescue off.
+    let ladder = gated_run(TranOptions::default());
+    let legacy = gated_run(TranOptions {
+        rescue: RescuePolicy::off(),
+        ..TranOptions::default()
+    });
+    assert_eq!(ladder.map(f64::to_bits), legacy.map(f64::to_bits));
+    let [model_1us, spice_1us, model_dump, spice_dump] = ladder;
+
+    // After 1 µs of integration both outputs ≈ 1 V · t/RC = 1.0 · 1 (ideal
+    // ramp) vs the RC's (1 − e^{−1}) — the *finite-gain* droop the paper's
+    // Figure 5 is about, reproduced at kernel level.
     assert!((model_1us - 1.0).abs() < 0.01, "ideal ramp: {model_1us}");
     let rc_expect = 1.0 - (-1.0f64).exp();
     assert!(
@@ -147,8 +172,6 @@ fn digital_process_gates_behavioural_and_spice_blocks_together() {
     );
 
     // After the dump interval both are reset near zero.
-    ms.run_until(SimTime::from_us(2) + SimTime::from_ns(395))
-        .unwrap();
-    assert!(ms.digital.read(vo_model).as_real().abs() < 1e-6);
-    assert!(ms.digital.read(vo_spice).as_real().abs() < 0.05);
+    assert!(model_dump.abs() < 1e-6);
+    assert!(spice_dump.abs() < 0.05);
 }

@@ -1,7 +1,8 @@
 //! Golden deck corpus regression: every committed deck under
 //! `tests/decks/` runs the full front-end pipeline (lex → AST →
 //! hierarchical elaboration), passes the ERC gate, and produces matching
-//! results on the dense and sparse solver backends.
+//! results on the dense and sparse solver backends, fixed-step and
+//! adaptive.
 //!
 //! The Integrate & Dump decks are *generated* from the Rust builder via
 //! [`spice::netlist::subckt_deck`]; `committed_id_decks_are_current`
@@ -172,30 +173,34 @@ fn assert_runs_agree(name: &str, dense: &DeckRun, sparse: &DeckRun) {
 }
 
 /// The tentpole acceptance loop: parse → elaborate → ERC gate → simulate
-/// on both backends, asserting agreement, for every committed deck.
+/// on both backends, asserting agreement, for every committed deck, with
+/// fixed-step and with adaptive transients.
 #[test]
 fn corpus_gates_and_agrees_across_backends() {
-    let mut saw_ac = false;
-    for (name, deck) in corpus() {
-        let dense = run_deck_checked_with(deck, &ErcConfig::default(), name, SolverKind::Dense)
-            .unwrap_or_else(|e| panic!("{name} (dense): {e}"));
-        let sparse = run_deck_checked_with(deck, &ErcConfig::default(), name, SolverKind::Sparse)
-            .unwrap_or_else(|e| panic!("{name} (sparse): {e}"));
-        assert!(
-            !dense.report.has_errors(),
-            "{name}: {}",
-            dense.report.render()
-        );
-        assert_runs_agree(name, &dense.run, &sparse.run);
-        saw_ac |= dense.run.ac.is_some();
+    for adaptive in [AdaptiveOptions::off(), AdaptiveOptions::on()] {
+        let mut saw_ac = false;
+        for (name, deck) in corpus() {
+            let run = |solver| {
+                run_deck_checked_with(deck, &ErcConfig::default(), name, solver, adaptive)
+                    .unwrap_or_else(|e| panic!("{name} ({solver:?}, {adaptive:?}): {e}"))
+            };
+            let (dense, sparse) = (run(SolverKind::Dense), run(SolverKind::Sparse));
+            assert!(
+                !dense.report.has_errors(),
+                "{name}: {}",
+                dense.report.render()
+            );
+            assert_runs_agree(name, &dense.run, &sparse.run);
+            saw_ac |= dense.run.ac.is_some();
+        }
+        assert!(saw_ac, "corpus must include at least one .ac deck");
     }
-    assert!(saw_ac, "corpus must include at least one .ac deck");
 }
 
 /// The deck-path I&D transient must match the Rust-API golden trace: the
 /// same cell built by the library, the same stimulus, the same step grid.
-/// Pinned to adaptive-off so the comparison against the hand-stepped API
-/// run stays valid whatever `UWB_AMS_ADAPTIVE` the harness exports.
+/// Pinned to adaptive-off so the comparison is against the hand-stepped
+/// API run on the same fixed grid.
 #[test]
 fn id_cell_deck_matches_api_golden() {
     let deck = id_cell_deck();
@@ -236,9 +241,8 @@ fn id_cell_deck_matches_api_golden() {
     }
 }
 
-/// `UWB_AMS_ADAPTIVE=off` parity: off-mode is the legacy fixed-step path
-/// whatever the environment says — two runs are bit-identical and carry
-/// zero adaptive bookkeeping.
+/// Adaptive-off parity: off-mode is the legacy fixed-step path — two runs
+/// are bit-identical and carry zero adaptive bookkeeping.
 #[test]
 fn adaptive_off_parity_is_bit_exact_and_unbooked() {
     for (name, deck) in corpus() {

@@ -9,8 +9,11 @@
 //! Phase III transistor-level co-simulation.
 
 use num_complex::Complex64;
+use spice::library::IntegrateDumpParams;
 use spice::linalg::{CMatrix, LuFactors, Matrix};
-use uwb_txrx::integrator::IntegratorBlock;
+use spice::tran::TranOptions;
+use spice::RescuePolicy;
+use uwb_txrx::integrator::{CircuitIntegrator, IntegratorBlock};
 
 /// The seeded 7×7 diagonally-dominant system the pre-refactor spice linalg
 /// tests used (splitmix-style LCG, so the matrix is reproducible anywhere).
@@ -177,13 +180,21 @@ fn shared_lu_reproduces_pre_refactor_complex_solve() {
 fn phase3_cosimulation_is_bit_identical_to_pre_refactor() {
     // End-to-end cross-engine check: the transistor-level integrator inside
     // the system loop (DC operating point + Newton transient, every solve
-    // routed through sim-core) replays the pre-refactor trace exactly.
-    let mut ci = uwb_txrx::integrator::CircuitIntegrator::with_defaults().expect("op");
-    let mut trace = Vec::with_capacity(20);
-    for i in 0..20 {
-        let vin = 0.04 * ((i as f64) * 0.3).sin();
-        let out = ci.step(50e-12, vin).expect("step");
-        trace.push(out.to_bits());
+    // routed through sim-core) replays the pre-refactor trace exactly —
+    // with the rescue ladder armed (the default) and with it off (the
+    // legacy engine), which a clean run must not tell apart.
+    for rescue in [RescuePolicy::default(), RescuePolicy::off()] {
+        let opts = TranOptions {
+            rescue,
+            ..TranOptions::default()
+        };
+        let mut ci = CircuitIntegrator::new(&IntegrateDumpParams::default(), opts).expect("op");
+        let mut trace = Vec::with_capacity(20);
+        for i in 0..20 {
+            let vin = 0.04 * ((i as f64) * 0.3).sin();
+            let out = ci.step(50e-12, vin).expect("step");
+            trace.push(out.to_bits());
+        }
+        assert_eq!(trace, GOLDEN_PHASE3.to_vec(), "{rescue:?}");
     }
-    assert_eq!(trace, GOLDEN_PHASE3.to_vec());
 }

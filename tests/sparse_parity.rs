@@ -13,12 +13,15 @@
 //!   pattern) reproduces the same answers as a fresh analysis, and
 //! * the Phase III co-simulation stays within 1e-12 relative of the
 //!   golden trace when forced sparse, and stays **bit-exact** when
-//!   forced dense via `UWB_AMS_SOLVER=dense` (the env override must
-//!   reproduce the legacy path bit-for-bit).
+//!   forced dense (the dense backend must reproduce the legacy path
+//!   bit-for-bit).
 
 use num_complex::Complex64;
-use sim_core::sparse::{SparseMatrix, SymbolicLu};
-use uwb_txrx::integrator::IntegratorBlock;
+use sim_core::sparse::{SolverKind, SparseMatrix, SymbolicLu};
+use spice::library::IntegrateDumpParams;
+use spice::tran::TranOptions;
+use spice::NewtonOptions;
+use uwb_txrx::integrator::{CircuitIntegrator, IntegratorBlock};
 
 /// The seeded 7×7 diagonally-dominant system from `golden_kernel.rs`.
 fn seeded_system(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -201,9 +204,18 @@ fn sparse_complex_lu_matches_dense_golden_solution() {
     }
 }
 
-/// Runs the Phase III co-simulation and returns the 20-step trace.
-fn phase3_trace() -> Vec<f64> {
-    let mut ci = uwb_txrx::integrator::CircuitIntegrator::with_defaults().expect("op");
+/// Runs the Phase III co-simulation on the `solver` backend and returns
+/// the 20-step trace.
+fn phase3_trace(solver: SolverKind) -> Vec<f64> {
+    let defaults = TranOptions::default();
+    let opts = TranOptions {
+        newton: NewtonOptions {
+            solver,
+            ..defaults.newton
+        },
+        ..defaults
+    };
+    let mut ci = CircuitIntegrator::new(&IntegrateDumpParams::default(), opts).expect("op");
     (0..20)
         .map(|i| {
             let vin = 0.04 * ((i as f64) * 0.3).sin();
@@ -212,8 +224,6 @@ fn phase3_trace() -> Vec<f64> {
         .collect()
 }
 
-/// One test (not two) because both halves mutate the process-wide
-/// `UWB_AMS_SOLVER` variable and must not race with each other.
 #[test]
 fn phase3_cosimulation_parity_under_forced_backends() {
     // Forced sparse: the 31-transistor trace must track the golden dense
@@ -223,16 +233,11 @@ fn phase3_cosimulation_parity_under_forced_backends() {
     // leading samples, which sit at the integrator's numerical zero
     // (~1e-13 V) where a pure relative bound is meaningless — for those
     // the requirement degrades to 1e-12 V absolute on a ~1 V signal.
-    std::env::set_var("UWB_AMS_SOLVER", "sparse");
-    let sparse = phase3_trace();
+    let sparse = phase3_trace(SolverKind::Sparse);
     assert_rel_close(&sparse, &GOLDEN_PHASE3, 1e-12, 1.0, "phase3 sparse");
 
-    // Forced dense: the env override must reproduce the legacy dense
-    // path bit-for-bit — this is the `UWB_AMS_SOLVER=dense` acceptance
-    // gate for the whole PR.
-    std::env::set_var("UWB_AMS_SOLVER", "dense");
-    let dense = phase3_trace();
-    std::env::remove_var("UWB_AMS_SOLVER");
+    // Forced dense: must reproduce the legacy dense path bit-for-bit.
+    let dense = phase3_trace(SolverKind::Dense);
     let bits: Vec<u64> = dense.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, GOLDEN_PHASE3.to_vec(), "dense must stay bit-exact");
 }

@@ -10,6 +10,7 @@
 //! * the **corpus**: every healthy golden deck carries zero structural
 //!   diagnostics (the analyzer does not cry wolf).
 
+use spice::tran::AdaptiveOptions;
 use spice::SolverKind;
 use uwb_ams_core::erc::FlowError;
 use uwb_ams_core::{run_deck_checked_with, ErcConfig};
@@ -25,6 +26,7 @@ fn singular_golden_deck_is_denied_with_named_structural_codes() {
             &ErcConfig::default(),
             "structurally_singular",
             solver,
+            AdaptiveOptions::off(),
         )
         .expect_err("a cap-isolated node has no independent DC equation");
         match err {
@@ -61,6 +63,7 @@ fn without_the_gate_gmin_silently_defines_the_floating_node() {
         &ErcConfig::disabled(),
         "structurally_singular",
         SolverKind::Sparse,
+        AdaptiveOptions::off(),
     )
     .expect("gmin regularizes the empty row at runtime");
     let id = out.run.circuit.find_node("x").expect("node x exists");
@@ -85,8 +88,14 @@ fn corpus_decks_carry_no_structural_diagnostics() {
         ("id_array", include_str!("decks/id_array.cir")),
     ];
     for (name, deck) in corpus {
-        let out = run_deck_checked_with(deck, &ErcConfig::default(), name, SolverKind::Sparse)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run_deck_checked_with(
+            deck,
+            &ErcConfig::default(),
+            name,
+            SolverKind::Sparse,
+            AdaptiveOptions::off(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         for code in [
             lint::LintCode::NoIndependentEquation,
             lint::LintCode::UndeterminedUnknown,
