@@ -2,7 +2,7 @@
 //! paths of *both* engines, measured and written to a single merged
 //! `results/BENCH_perf.json`.
 //!
-//! Eight experiments, in the order they run:
+//! Nine experiments, in the order they run:
 //!
 //! 1. **Campaign scaling** — the Fig 6 BER campaign run serially and then
 //!    fanned over the worker pool ([`worker_threads`]). The two runs must
@@ -36,6 +36,10 @@
 //!    noised by the per-sample `standard_normal` loop and by the chunked
 //!    `Awgn::add_to` from the same seed; identical bits asserted and the
 //!    speedup recorded.
+//! 9. **ChaCha8 keystream (rand_chacha)** — the words one such window
+//!    draws, taken by a `next_u64` loop (the scalar block kernel) and by
+//!    `fill_u64` (the four-block SSE2 kernel on x86_64) from the same
+//!    seed; identical words asserted and the speedup recorded.
 //!
 //! `UWB_AMS_BENCH=full` raises the campaign to fig6's full 2000
 //! bits/point; `--quick` shrinks everything to a smoke run (and skips
@@ -43,7 +47,7 @@
 
 use ams_kernel::analog::IdealGatedIntegrator;
 use ams_kernel::solver::{ImplicitSolver, SolverOptions, TransientState};
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spice::circuit::{Circuit, NodeId, SourceWave};
 use spice::library::{integrate_dump, IntegrateDumpParams};
@@ -784,6 +788,54 @@ fn awgn_bulk_draw() -> Vec<PerfPhase> {
     ]
 }
 
+/// Words in the keystream phases: the two per sample that one AWGN
+/// window draws.
+const KEYSTREAM_WORDS: usize = 2 * AWGN_WINDOW;
+
+/// Draws the keystream phases' words from a fixed seed, by `next_u64`
+/// or in one `fill_u64`; returns the words and the best-of-5 wall time.
+fn run_keystream(bulk: bool) -> (Vec<u64>, f64) {
+    let mut best = f64::INFINITY;
+    let mut words = vec![0u64; KEYSTREAM_WORDS];
+    for _ in 0..5 {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let wall_s = timed(|| {
+            if bulk {
+                rng.fill_u64(&mut words);
+            } else {
+                for w in words.iter_mut() {
+                    *w = rng.next_u64();
+                }
+            }
+        });
+        best = best.min(wall_s);
+    }
+    (words, best)
+}
+
+/// The `next_u64` loop against the bulk `fill_u64`; two phases.
+fn chacha_keystream() -> Vec<PerfPhase> {
+    let (words_loop, loop_s) = run_keystream(false);
+    let (words_bulk, bulk_s) = run_keystream(true);
+    assert_eq!(
+        words_loop, words_bulk,
+        "fill_u64 must hand out the next_u64 words"
+    );
+    let speedup = loop_s / bulk_s;
+    let ns = |s: f64| s * 1e9 / KEYSTREAM_WORDS as f64;
+    println!("ChaCha8 keystream ({KEYSTREAM_WORDS} words, best of 5):");
+    println!("  next_u64: {:.2} ns/word", ns(loop_s));
+    println!("  fill_u64: {:.2} ns/word", ns(bulk_s));
+    println!("  -> speedup {speedup:.2}x (identical words)");
+    let words = KEYSTREAM_WORDS as f64;
+    vec![
+        PerfPhase::timed("chacha_keystream_next_u64", loop_s).with("words", words),
+        PerfPhase::timed("chacha_keystream_fill_u64", bulk_s)
+            .with("words", words)
+            .with("speedup", speedup),
+    ]
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let full = std::env::var("UWB_AMS_BENCH").as_deref() == Ok("full");
@@ -815,6 +867,9 @@ fn main() {
         report.push(phase);
     }
     for phase in awgn_bulk_draw() {
+        report.push(phase);
+    }
+    for phase in chacha_keystream() {
         report.push(phase);
     }
     let json = report.to_json();

@@ -56,7 +56,9 @@ impl Awgn {
     ///
     /// It works 256 samples at a time, in stack buffers. Each chunk
     /// draws its word pairs with one
-    /// [`RngCore::fill_u64`](rand::RngCore::fill_u64) call and maps them
+    /// [`RngCore::fill_u64`](rand::RngCore::fill_u64) call (for
+    /// `ChaCha8Rng` on x86_64, the bulk of those words comes from its
+    /// four-block SSE2 kernel, DESIGN.md §9.17) and maps them
     /// with the `gen_range` formulas of [`standard_normal`]. It takes
     /// `r = √(−2 ln u1)` and `x = 2π·u2` in sample order. Then it visits
     /// the samples bucket by bucket on the top bits of the `u2` word, so

@@ -26,6 +26,11 @@ use spice::SolverKind;
 use uwb_ams_core::erc::{ErcConfig, FlowError};
 use uwb_ams_core::run_deck_checked_with;
 
+#[path = "../tests/decks/corpus.rs"]
+mod corpus;
+
+use corpus::DECKS;
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (cfg, rest) = ErcConfig::from_args(std::env::args().skip(1));
     if rest.iter().any(|a| a == "--self-check") {
@@ -191,31 +196,12 @@ fn summarize(run: &DeckRun) {
 /// The corpus stage: every golden deck must pass the gate and agree
 /// across the dense and sparse backends, fixed-step and adaptive.
 fn self_check(cfg: &ErcConfig) -> Result<(), Box<dyn std::error::Error>> {
-    let decks: [(&str, &str); 8] = [
-        ("rc_ladder", include_str!("../tests/decks/rc_ladder.cir")),
-        (
-            "diode_ladder",
-            include_str!("../tests/decks/diode_ladder.cir"),
-        ),
-        ("mosfet_amp", include_str!("../tests/decks/mosfet_amp.cir")),
-        (
-            "controlled_sources",
-            include_str!("../tests/decks/controlled_sources.cir"),
-        ),
-        ("id_cell", include_str!("../tests/decks/id_cell.cir")),
-        ("id_array", include_str!("../tests/decks/id_array.cir")),
-        (
-            "pulse_train",
-            include_str!("../tests/decks/pulse_train.cir"),
-        ),
-        ("pwl_ramp", include_str!("../tests/decks/pwl_ramp.cir")),
-    ];
     let mut failed = false;
     for (mode, adaptive) in [
         ("fixed", AdaptiveOptions::off()),
         ("adaptive", AdaptiveOptions::on()),
     ] {
-        for (name, deck) in decks {
+        for (name, deck) in DECKS {
             let run = |solver| run_deck_checked_with(deck, cfg, name, solver, adaptive);
             match (run(SolverKind::Dense), run(SolverKind::Sparse)) {
                 (Ok(dense), Ok(sparse)) => {

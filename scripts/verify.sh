@@ -11,6 +11,14 @@ if grep -rnE 'env::(var|var_os|set_var|remove_var)\b' crates/*/src crates/*/test
     exit 1
 fi
 
+echo "== one unsafe block outside tests/: the SSE2 keystream call in vendor/rand_chacha =="
+unsafe_sites=$(grep -rnE 'unsafe[[:space:]]*\{|unsafe fn|unsafe impl' crates/*/src src vendor/*/src examples || true)
+if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] || ! grep -q '^vendor/rand_chacha/src/lib.rs:' <<<"$unsafe_sites"; then
+    echo "$unsafe_sites"
+    echo "verify: expected exactly one unsafe block, in vendor/rand_chacha/src/lib.rs" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -21,22 +21,10 @@ use spice::tran::{AdaptiveOptions, TranOptions, TransientSimulator};
 use spice::{NewtonOptions, SolverKind};
 use uwb_ams_core::{run_deck_checked_with, ErcConfig};
 
-/// Every committed golden deck, by name.
-fn corpus() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("rc_ladder", include_str!("decks/rc_ladder.cir")),
-        ("diode_ladder", include_str!("decks/diode_ladder.cir")),
-        ("mosfet_amp", include_str!("decks/mosfet_amp.cir")),
-        (
-            "controlled_sources",
-            include_str!("decks/controlled_sources.cir"),
-        ),
-        ("id_cell", include_str!("decks/id_cell.cir")),
-        ("id_array", include_str!("decks/id_array.cir")),
-        ("pulse_train", include_str!("decks/pulse_train.cir")),
-        ("pwl_ramp", include_str!("decks/pwl_ramp.cir")),
-    ]
-}
+#[path = "decks/corpus.rs"]
+mod corpus;
+
+use corpus::DECKS;
 
 const ID_PORTS: [&str; 7] = [
     "vdd", "inp", "inm", "controlp", "controlm", "out_intp", "out_intm",
@@ -106,6 +94,32 @@ fn committed_id_decks_are_current() {
         id_array_deck(),
         "tests/decks/id_array.cir is stale; rerun the regen_id_decks test"
     );
+}
+
+/// The shared list is exactly the committed healthy decks, each under
+/// its file stem: a deck added to `tests/decks/` but not to the list, or
+/// the other way round, fails here.
+#[test]
+fn corpus_lists_every_healthy_deck() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/decks");
+    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+        .expect("tests/decks is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "cir"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|stem| stem != "structurally_singular")
+        .collect();
+    on_disk.sort();
+    let mut listed: Vec<&str> = DECKS.iter().map(|&(name, _)| name).collect();
+    listed.sort();
+    assert_eq!(
+        listed, on_disk,
+        "tests/decks/corpus.rs against tests/decks/*.cir"
+    );
+    for (name, deck) in DECKS {
+        let text = std::fs::read_to_string(format!("{dir}/{name}.cir")).unwrap();
+        assert_eq!(deck, text, "{name}: listed text is not {name}.cir");
+    }
 }
 
 /// Rewrites the generated decks. Run after changing the I&D builder:
@@ -179,7 +193,7 @@ fn assert_runs_agree(name: &str, dense: &DeckRun, sparse: &DeckRun) {
 fn corpus_gates_and_agrees_across_backends() {
     for adaptive in [AdaptiveOptions::off(), AdaptiveOptions::on()] {
         let mut saw_ac = false;
-        for (name, deck) in corpus() {
+        for (name, deck) in DECKS {
             let run = |solver| {
                 run_deck_checked_with(deck, &ErcConfig::default(), name, solver, adaptive)
                     .unwrap_or_else(|e| panic!("{name} ({solver:?}, {adaptive:?}): {e}"))
@@ -245,7 +259,7 @@ fn id_cell_deck_matches_api_golden() {
 /// are bit-identical and carry zero adaptive bookkeeping.
 #[test]
 fn adaptive_off_parity_is_bit_exact_and_unbooked() {
-    for (name, deck) in corpus() {
+    for (name, deck) in DECKS {
         let runs: Vec<DeckRun> = (0..2)
             .map(|_| {
                 run_deck_with_tran(deck, SolverKind::Dense, AdaptiveOptions::off())
@@ -280,7 +294,7 @@ fn adaptive_off_parity_is_bit_exact_and_unbooked() {
 /// accepted steps than the fixed grid.
 #[test]
 fn adaptive_corpus_tracks_fixed_with_bounded_rejections() {
-    for (name, deck) in corpus() {
+    for (name, deck) in DECKS {
         let fixed = run_deck_with_tran(deck, SolverKind::Dense, AdaptiveOptions::off())
             .unwrap_or_else(|e| panic!("{name} fixed: {e}"));
         let adapt = run_deck_with_tran(deck, SolverKind::Dense, AdaptiveOptions::on())

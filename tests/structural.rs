@@ -15,6 +15,11 @@ use spice::SolverKind;
 use uwb_ams_core::erc::FlowError;
 use uwb_ams_core::{run_deck_checked_with, ErcConfig};
 
+#[path = "decks/corpus.rs"]
+mod corpus;
+
+use corpus::DECKS;
+
 const SINGULAR_DECK: &str = include_str!("decks/structurally_singular.cir");
 
 /// The committed singular deck must die at the gate with named codes.
@@ -76,18 +81,7 @@ fn without_the_gate_gmin_silently_defines_the_floating_node() {
 /// Every healthy golden deck stays free of structural diagnostics.
 #[test]
 fn corpus_decks_carry_no_structural_diagnostics() {
-    let corpus: [(&str, &str); 6] = [
-        ("rc_ladder", include_str!("decks/rc_ladder.cir")),
-        ("diode_ladder", include_str!("decks/diode_ladder.cir")),
-        ("mosfet_amp", include_str!("decks/mosfet_amp.cir")),
-        (
-            "controlled_sources",
-            include_str!("decks/controlled_sources.cir"),
-        ),
-        ("id_cell", include_str!("decks/id_cell.cir")),
-        ("id_array", include_str!("decks/id_array.cir")),
-    ];
-    for (name, deck) in corpus {
+    for (name, deck) in DECKS {
         let out = run_deck_checked_with(
             deck,
             &ErcConfig::default(),
