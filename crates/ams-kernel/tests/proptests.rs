@@ -8,7 +8,7 @@
 #![cfg(feature = "proptests")]
 
 use ams_kernel::analog::{FirstOrderLag, IdealGatedIntegrator};
-use ams_kernel::linalg::{solve, DMatrix};
+use ams_kernel::linalg::{DMatrix, LuFactors};
 use ams_kernel::solver::{ImplicitSolver, Method, SolverOptions, TransientState};
 use ams_kernel::time::SimTime;
 
@@ -99,7 +99,10 @@ fn linalg_residual_small() {
             a[(r, r)] = row_sum + 1.0; // strict dominance
         }
         let b: Vec<f64> = (0..n).map(|_| rng.range(-10.0, 10.0)).collect();
-        let x = solve(&a, &b).expect("dominant systems are nonsingular");
+        let mut lu = LuFactors::new(n);
+        lu.factorize(&a).expect("dominant systems are nonsingular");
+        let mut x = b.clone();
+        lu.solve(&mut x);
         let back = a.mul_vec(&x);
         for (bi, bb) in back.iter().zip(&b) {
             assert!(

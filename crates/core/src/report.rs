@@ -223,9 +223,14 @@ impl PerfReport {
     }
 
     /// Renders the report as pretty-printed JSON (hand-rolled — the
-    /// workspace is std-only by design).
+    /// workspace is std-only by design), with the MOSFET kernel the
+    /// circuit engine dispatched to (`"avx2"` or `"baseline"`, see
+    /// [`spice::device_kernel`]).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"phases\": [");
+        let mut s = format!(
+            "{{\n  \"device_kernel\": {},\n  \"phases\": [",
+            json_string(spice::device_kernel())
+        );
         for (i, p) in self.phases.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -406,6 +411,9 @@ mod tests {
         // that recorded a point count.
         assert!(json.contains("\"points\": 500"), "{json}");
         assert!(json.contains("\"points_per_s\": 250"), "{json}");
+        let kernel = format!("\"device_kernel\": \"{}\",", spice::device_kernel());
+        assert!(json.starts_with(&format!("{{\n  {kernel}")), "{json}");
+        assert!(["avx2", "baseline"].contains(&spice::device_kernel()));
         assert_eq!(json.matches("\"points_per_s\"").count(), 1, "{json}");
         // Balanced braces/brackets — a cheap well-formedness check.
         let opens = json.matches('{').count();

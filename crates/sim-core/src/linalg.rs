@@ -127,20 +127,6 @@ impl DMatrix {
         }
         out
     }
-
-    /// Solves `self · x = b`, overwriting `b` with `x`. Destroys `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] when elimination finds no usable
-    /// pivot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `b.len()` disagrees.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), SingularMatrixError> {
-        solve_in_place(self, b)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DMatrix {
@@ -285,87 +271,10 @@ pub fn check_finite_vec(v: &[f64], stage: &'static str) -> Result<(), NumericFau
     Ok(())
 }
 
-/// Solves `A x = b` in place by Gaussian elimination with partial pivoting.
+/// A reusable partial-pivot LU factorization: the one real-valued
+/// elimination of the workspace.
 ///
-/// `a` is destroyed; `b` is overwritten with the solution, reduced
-/// alongside `a` rather than from stored factors. The engines' Newton
-/// loops factor with [`lu_sweep`] instead.
-///
-/// # Errors
-///
-/// Returns [`SingularMatrixError`] if a pivot smaller than `1e-300` in
-/// magnitude is encountered.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `b.len() != a.rows()`.
-pub fn solve_in_place(a: &mut DMatrix, b: &mut [f64]) -> Result<(), SingularMatrixError> {
-    let n = a.rows;
-    assert_eq!(a.rows, a.cols, "solve requires a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    for col in 0..n {
-        // Partial pivot.
-        let mut piv = col;
-        let mut mag = a.data[col * n + col].abs();
-        for r in (col + 1)..n {
-            let m = a.data[r * n + col].abs();
-            if m > mag {
-                mag = m;
-                piv = r;
-            }
-        }
-        if mag < PIVOT_MIN {
-            return Err(SingularMatrixError {
-                order: n,
-                pivot: col,
-            });
-        }
-        if piv != col {
-            for c in 0..n {
-                a.data.swap(col * n + c, piv * n + c);
-            }
-            b.swap(col, piv);
-        }
-        let pivot = a.data[col * n + col];
-        for r in (col + 1)..n {
-            let f = a.data[r * n + col] / pivot;
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                let v = a.data[col * n + c];
-                a.data[r * n + c] -= f * v;
-            }
-            b[r] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let mut acc = b[col];
-        for c in (col + 1)..n {
-            acc -= a.data[col * n + c] * b[c];
-        }
-        b[col] = acc / a.data[col * n + col];
-    }
-    Ok(())
-}
-
-/// Solves `A x = b` without destroying the inputs.
-///
-/// # Errors
-///
-/// See [`solve_in_place`].
-pub fn solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
-    let mut a = a.clone();
-    let mut x = b.to_vec();
-    solve_in_place(&mut a, &mut x)?;
-    Ok(x)
-}
-
-/// A reusable partial-pivot LU factorization.
-///
-/// Unlike [`DMatrix::solve_in_place`], which destroys the matrix per solve,
-/// this keeps the factors and pivot sequence so one factorization ( O(n³) )
+/// It keeps the factors and pivot sequence so one factorization ( O(n³) )
 /// can serve many right-hand sides ( O(n²) each ). Both engines' fast
 /// paths build on it: whenever an assembled Jacobian is bit-identical to
 /// the one last factored, the cached factors are reused and the solution
@@ -871,6 +780,15 @@ impl CMatrix {
 mod tests {
     use super::*;
 
+    /// `a · x = b` through a fresh [`LuFactors`].
+    fn solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
+        let mut lu = LuFactors::new(a.order());
+        lu.factorize(a)?;
+        let mut x = b.to_vec();
+        lu.solve(&mut x);
+        Ok(x)
+    }
+
     #[test]
     fn solves_known_2x2() {
         let mut a = DMatrix::zeros(2, 2);
@@ -943,20 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn method_solve_matches_free_function() {
-        let mut m = Matrix::square(2);
-        m.add(0, 0, 3.0);
-        m.add(0, 1, 1.0);
-        m.add(1, 0, 1.0);
-        m.add(1, 1, 2.0);
-        let mut b = vec![9.0, 8.0];
-        m.solve_in_place(&mut b).unwrap();
-        assert!((b[0] - 2.0).abs() < 1e-12);
-        assert!((b[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_factors_match_direct_solve() {
+    fn lu_factors_serve_two_right_hand_sides() {
         // Pseudo-random but deterministic well-conditioned system.
         let n = 7;
         let mut m = Matrix::square(n);
@@ -977,27 +882,15 @@ mod tests {
 
         let mut lu = LuFactors::new(n);
         lu.factorize(&m).unwrap();
-        let mut x_lu = b.clone();
-        lu.solve(&mut x_lu);
-
-        let mut m2 = m.clone();
-        let mut x_direct = b.clone();
-        m2.solve_in_place(&mut x_direct).unwrap();
-        for (a, d) in x_lu.iter().zip(&x_direct) {
-            assert!((a - d).abs() < 1e-12, "{a} vs {d}");
-        }
-
-        // Factors are reusable: a second RHS still solves correctly.
+        // Factors are reusable: both right-hand sides solve, checked by
+        // the residual ||A x − b||.
         let b2: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut x2 = b2.clone();
-        lu.solve(&mut x2);
-        // Residual check ||A x − b||.
-        for r in 0..n {
-            let mut acc = 0.0;
-            for c in 0..n {
-                acc += m.get(r, c) * x2[c];
+        for rhs in [b, b2] {
+            let mut x = rhs.clone();
+            lu.solve(&mut x);
+            for (back, b) in m.mul_vec(&x).iter().zip(&rhs) {
+                assert!((back - b).abs() < 1e-10, "{back} vs {b}");
             }
-            assert!((acc - b2[r]).abs() < 1e-10);
         }
     }
 
@@ -1317,8 +1210,7 @@ mod tests {
         assert_eq!(lu.factorize_or_reuse(&b), Ok(false));
         let mut x = vec![1.0, 1.0];
         lu.solve(&mut x);
-        let mut y = vec![1.0, 1.0];
-        b.clone().solve_in_place(&mut y).unwrap();
+        let y = solve(&b, &[1.0, 1.0]).unwrap();
         assert_eq!(x, y);
         // A failed factorization is never reused.
         let singular = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);

@@ -818,7 +818,16 @@ impl SymbolicLu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::solve as dense_solve;
+    use crate::linalg::LuFactors;
+
+    /// `a · x = b` through the dense LU.
+    fn dense_solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
+        let mut lu = LuFactors::new(a.order());
+        lu.factorize(a)?;
+        let mut x = b.to_vec();
+        lu.solve(&mut x);
+        Ok(x)
+    }
 
     /// Deterministic LCG matching the golden-kernel seeding style.
     struct Lcg(u64);

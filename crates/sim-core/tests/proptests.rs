@@ -12,6 +12,15 @@ use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::linalg::{DMatrix, LuFactors};
 use sim_core::sparse::{min_degree_order, RefactorOutcome, SparseMatrix, SymbolicLu};
 
+/// `a · x = b` through the dense LU.
+fn dense_solve(a: &DMatrix, b: &[f64]) -> Option<Vec<f64>> {
+    let mut lu = LuFactors::new(a.order());
+    lu.factorize(a).ok()?;
+    let mut x = b.to_vec();
+    lu.solve(&mut x);
+    Some(x)
+}
+
 struct XorShift(u64);
 
 impl XorShift {
@@ -102,7 +111,7 @@ fn sparse_paths_agree_with_dense_on_random_systems() {
 
         // Dense reference.
         let dense = dense_of(&triplets, n, 1.0);
-        let x_dense = sim_core::linalg::solve(&dense, &b).expect("dominant system is solvable");
+        let x_dense = dense_solve(&dense, &b).expect("dominant system is solvable");
 
         // Fresh sparse analysis (the full-pivot symbolic+numeric path).
         let mut m = SparseMatrix::new(n);
@@ -124,8 +133,7 @@ fn sparse_paths_agree_with_dense_on_random_systems() {
             }
         }
         let perturbed = dense_of(&triplets, n, scale);
-        let x_pdense =
-            sim_core::linalg::solve(&perturbed, &b).expect("dominant system stays solvable");
+        let x_pdense = dense_solve(&perturbed, &b).expect("dominant system stays solvable");
         let mut x_refact = b.clone();
         sym.solve(&num, &mut x_refact);
         assert_close(&x_refact, &x_pdense, 1e-10, "refactor vs dense", seed);
@@ -376,7 +384,7 @@ fn structure_change_recompiles_and_solves() {
             sym.solve(&num, &mut x);
             assert_close(&x, &x_fresh, 1e-9, "in-pattern refactor", seed);
         }
-        let x_dense = sim_core::linalg::solve(&m.to_dense(), &b).expect("solvable");
+        let x_dense = dense_solve(&m.to_dense(), &b).expect("solvable");
         assert_close(&x_fresh, &x_dense, 1e-10, "recompiled vs dense", seed);
     }
 }

@@ -171,6 +171,16 @@ impl NewtonWorkspace {
         }
     }
 
+    /// Evaluates the MOSFETs of the compiled Newton step with the baseline
+    /// device kernel from now on. Only the dense backend has one: the
+    /// sparse backend's transient assembly already evaluates each device
+    /// as a bank of one on the baseline build.
+    pub(crate) fn force_baseline_kernel(&mut self) {
+        if let Backend::Dense { program, .. } = &mut self.backend {
+            program.force_baseline_kernel();
+        }
+    }
+
     /// Work counts of the dense backend's LU.
     pub(crate) fn lu_stats(&self) -> Option<sim_core::LuStats> {
         match &self.backend {
@@ -293,7 +303,7 @@ pub(crate) fn newton_solve(
                             // The pattern is locked on this circuit's DC
                             // stamps: compile them onto it.
                             let program = CscProgram::compile(circuit, layout, mat)?;
-                            let mut lane = CscLane::default();
+                            let mut lane = program.lane();
                             assert!(program.load(&mut lane, circuit, layout));
                             program.prepare(&mut lane, circuit, &params);
                             *dc = Some(Box::new((program, lane)));
@@ -746,7 +756,7 @@ impl CampaignKernel {
         let w = width.max(1);
         let n = self.order();
         BatchWorkspace {
-            lanes: vec![CscLane::default(); w],
+            lanes: vec![self.program.lane(); w],
             values: vec![vec![0.0; self.pattern.nnz()]; w],
             rhs: vec![vec![0.0; n]; w],
             lu: BatchedLu::new(&self.sym, w),

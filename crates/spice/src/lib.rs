@@ -40,7 +40,9 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block: the call into the AVX2 build of the MOSFET bank's
+// kernel, made only on CPUs that have AVX2 (`mna::bank`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -75,7 +77,7 @@ pub use dcop::{
 pub use deck::{run_deck, run_deck_with_tran, DcSweep, DeckAnalyses, DeckRun, TranTrace};
 pub use error::{ParseDiagnostic, SpiceError};
 pub use lexer::parse_value;
-pub use mna::{dc_pattern, MnaLayout, MnaUnknown};
+pub use mna::{dc_pattern, device_kernel, MnaLayout, MnaUnknown};
 pub use mosfet::{MosParams, MosType};
 pub use netlist::{parse_deck, subckt_deck, write_deck};
 pub use perf::PerfCounters;

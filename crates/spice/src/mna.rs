@@ -9,7 +9,12 @@ use crate::circuit::{Circuit, Element, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::Matrix;
 use crate::mosfet::IdsStencil;
+use bank::DeviceBank;
 use sim_core::sparse::SparseMatrix;
+
+mod bank;
+
+pub use bank::device_kernel;
 
 /// Finite-difference step for device linearisation, volts.
 const FD_STEP: f64 = 1e-6;
@@ -466,16 +471,17 @@ impl<const K: usize> Terms<K> {
     }
 
     /// A linearised current `I(a→b) ≈ i0 + Σ g_k (v[k] − x[k])` over
-    /// terminals `0..d`: row `a` takes the partials `0..d`, row `b` their
-    /// negations `d..2d`, the right-hand side the equivalent current `2d`
-    /// and its negation `2d + 1` (see [`linearized`]).
+    /// terminals `0..d`, with values from `v0` on: row `a` takes the
+    /// partials `v0..v0 + d`, row `b` their negations `v0 + d..v0 + 2d`,
+    /// the right-hand side the equivalent current `v0 + 2d` and its
+    /// negation `v0 + 2d + 1` (see [`linearized`]).
     #[inline(always)]
-    fn linearized(&self, sink: &mut impl Sink, (a, b): (usize, usize), d: usize) {
+    fn linearized(&self, sink: &mut impl Sink, (a, b): (usize, usize), d: usize, v0: usize) {
         for k in 0..d {
-            self.add(sink, a, k, k);
-            self.add(sink, b, k, d + k);
+            self.add(sink, a, k, v0 + k);
+            self.add(sink, b, k, v0 + d + k);
         }
-        self.inject(sink, (a, b), 2 * d, 2 * d + 1);
+        self.inject(sink, (a, b), v0 + 2 * d, v0 + 2 * d + 1);
     }
 
     /// The couplings of a voltage-defined branch with terminals `p = 0`
@@ -527,27 +533,37 @@ enum Op {
     /// `[p, n, ib]`: `[1, −1, −L/h, −(L/h)·i_prev]`, the last two per
     /// transient solve.
     Inductor { t: Terms<3>, l: f64 },
-    /// `[g, d, s, b]`: `[∂Ids/∂v ×4, negated ×4, ieq, −ieq]` per
-    /// iteration, then per solve `[gmin, −gmin]` and the five BE
+    /// `[g, d, s, b]`: per solve `[gmin, −gmin]` and the five BE
     /// companions (the gate-source, gate-drain and gate-bulk Meyer caps,
     /// the drain and source junctions) as `geq ×5, −geq ×5, ieq ×5,
-    /// −ieq ×5`.
-    Mosfet {
-        t: Terms<4>,
-        stencil: IdsStencil,
-        cj: f64,
-    },
+    /// −ieq ×5`, then from [`MOS_ITER`] on `[∂Ids/∂v ×4, negated ×4, ieq,
+    /// −ieq]` per iteration. `dev` is its place in the circuit's
+    /// [`DeviceBank`], which holds its factors and makes those last ten
+    /// values.
+    Mosfet { t: Terms<4>, dev: u32, cj: f64 },
 }
 
 /// Terminal pairs of the MOSFET companions, in stamp order.
 const MOS_CAPS: [(usize, usize); 5] = [(0, 2), (0, 1), (0, 3), (1, 3), (2, 3)];
 
+/// The first of a MOSFET's per-iteration values: those before it are
+/// stored with the element, those from it on come from the bank.
+const MOS_ITER: usize = 22;
+
 /// Most values of one element (a MOSFET's).
-const MAX_VALS: usize = 32;
+const MAX_VALS: usize = MOS_ITER + bank::OUT;
+
+/// What an element's compiled record depends on besides the element: the
+/// linear capacitors and the MOSFETs compiled before it.
+#[derive(Debug, Default)]
+struct Seen {
+    caps: usize,
+    mosfets: usize,
+}
 
 impl Op {
     /// Compiles element `idx` (`name`, `e`) of `circuit` against
-    /// `layout`. `caps` counts the linear capacitors compiled so far.
+    /// `layout`, after the elements counted in `seen`.
     ///
     /// # Errors
     ///
@@ -558,9 +574,9 @@ impl Op {
         circuit: &Circuit,
         layout: &MnaLayout,
         (idx, name, e): (usize, &str, &Element),
-        caps: &mut usize,
+        seen: &mut Seen,
     ) -> Result<Self, SpiceError> {
-        Op::compile(circuit, layout, (idx, e), caps).ok_or_else(|| SpiceError::InvalidParameter {
+        Op::compile(circuit, layout, (idx, e), seen).ok_or_else(|| SpiceError::InvalidParameter {
             element: name.to_string(),
             message: "voltage-defined element has no branch unknown in the MNA layout \
                       (layout computed for a different circuit?)"
@@ -574,7 +590,7 @@ impl Op {
         circuit: &Circuit,
         layout: &MnaLayout,
         (idx, e): (usize, &Element),
-        caps: &mut usize,
+        seen: &mut Seen,
     ) -> Option<Self> {
         let node = |n: NodeId| layout.node_unknown(n);
         let branch = |idx: usize| layout.branch_unknown(idx).map(Some);
@@ -584,11 +600,11 @@ impl Op {
                 g: 1.0 / r,
             },
             Element::Capacitor { p, n, c, ic: _ } => {
-                *caps += 1;
+                seen.caps += 1;
                 Op::Capacitor {
                     t: Terms::new([node(*p), node(*n)]),
                     c: *c,
-                    index: *caps - 1,
+                    index: seen.caps - 1,
                 }
             }
             Element::Vsource { p, n, .. } => Op::Vsource {
@@ -648,14 +664,14 @@ impl Op {
                 b,
                 model,
                 w,
-                l,
+                l: _,
             } => {
-                let pm = &circuit.models[*model].1;
+                seen.mosfets += 1;
                 Op::Mosfet {
                     t: Terms::new([node(*g), node(*d), node(*s), node(*b)]),
-                    stencil: IdsStencil::new(pm, *w, *l),
+                    dev: (seen.mosfets - 1) as u32,
                     // Junction capacitances (fixed area approximation).
-                    cj: pm.cj * w * 0.5e-6,
+                    cj: circuit.models[*model].1.cj * w * 0.5e-6,
                 }
             }
         })
@@ -684,7 +700,8 @@ impl Op {
         }
     }
 
-    /// How many values this element has.
+    /// How many values this element stores (a MOSFET's bank makes the
+    /// rest).
     fn n_vals(&self) -> usize {
         match self {
             Op::Resistor { .. } | Op::Isource { .. } | Op::Cccs { .. } => 2,
@@ -692,7 +709,7 @@ impl Op {
             Op::Capacitor { .. } | Op::Vcvs { .. } | Op::Vccs { .. } | Op::Inductor { .. } => 4,
             Op::Diode { .. } => 8,
             Op::Switch { .. } => 10,
-            Op::Mosfet { .. } => MAX_VALS,
+            Op::Mosfet { .. } => MOS_ITER,
         }
     }
 
@@ -738,9 +755,9 @@ impl Op {
                 t.branch(sink);
                 t.add(sink, 2, 3, 2);
             }
-            Op::Switch { t, .. } => t.linearized(sink, (0, 1), 4),
+            Op::Switch { t, .. } => t.linearized(sink, (0, 1), 4, 0),
             Op::Diode { t, .. } => {
-                t.linearized(sink, (0, 1), 2);
+                t.linearized(sink, (0, 1), 2, 0);
                 t.conductance(sink, (0, 1), 6, 7);
             }
             Op::Inductor { t, .. } => {
@@ -754,24 +771,25 @@ impl Op {
             }
             Op::Mosfet { t, .. } => {
                 // The drain current from d to s, linearised over g, d, s, b.
-                t.linearized(sink, (1, 2), 4);
+                t.linearized(sink, (1, 2), 4, MOS_ITER);
                 // Conductance floor keeps nodes from floating.
                 for pair in [(1, 3), (2, 3), (1, 2)] {
-                    t.conductance(sink, pair, 10, 11);
+                    t.conductance(sink, pair, 0, 1);
                 }
                 if !sink.transient() {
                     return;
                 }
                 for (k, pair) in MOS_CAPS.into_iter().enumerate() {
-                    t.conductance(sink, pair, 12 + k, 17 + k);
-                    t.inject(sink, pair, 22 + k, 27 + k);
+                    t.conductance(sink, pair, 2 + k, 7 + k);
+                    t.inject(sink, pair, 12 + k, 17 + k);
                 }
             }
         }
     }
 
     /// Sets the values that hold for one Newton solve in `mode`; `e` is
-    /// the element this was compiled from.
+    /// the element this was compiled from, `stencil` gives a MOSFET's
+    /// factors by its place in the bank.
     #[inline(always)]
     fn prepare(
         &self,
@@ -779,6 +797,7 @@ impl Op {
         mode: AssembleMode<'_>,
         params: &AssembleParams<'_>,
         vals: &mut [f64],
+        stencil: impl Fn(u32) -> IdsStencil,
     ) {
         let step = match mode {
             AssembleMode::Transient {
@@ -839,21 +858,21 @@ impl Op {
             (Op::Diode { .. }, _) => {
                 vals[6..8].copy_from_slice(&[params.gmin, -params.gmin]);
             }
-            (Op::Mosfet { t, stencil, cj }, _) => {
-                vals[10..12].copy_from_slice(&[params.gmin, -params.gmin]);
+            (Op::Mosfet { t, dev, cj }, _) => {
+                vals[..2].copy_from_slice(&[params.gmin, -params.gmin]);
                 if let Some((x_prev, h, _)) = step {
                     // Meyer caps evaluated at the previous time point (held
                     // constant over the step, SPICE2-style) as BE companions.
                     let v = [0, 1, 2, 3].map(|k| t.v(x_prev, k));
-                    let [cgs, cgd, cgb] = stencil.caps(v[0], v[1], v[2], v[3]);
+                    let [cgs, cgd, cgb] = stencil(*dev).caps(v[0], v[1], v[2], v[3]);
                     let caps = [cgs, cgd, cgb, *cj, *cj];
                     for (k, (c, (a, b))) in caps.into_iter().zip(MOS_CAPS).enumerate() {
                         let geq = c / h;
                         let ieq = geq * (v[a] - v[b]);
-                        vals[12 + k] = geq;
-                        vals[17 + k] = -geq;
-                        vals[22 + k] = ieq;
-                        vals[27 + k] = -ieq;
+                        vals[2 + k] = geq;
+                        vals[7 + k] = -geq;
+                        vals[12 + k] = ieq;
+                        vals[17 + k] = -ieq;
                     }
                 }
             }
@@ -861,7 +880,8 @@ impl Op {
         }
     }
 
-    /// Sets the values of a nonlinear device linearised around `x`.
+    /// Sets the values of a nonlinear device linearised around `x`,
+    /// MOSFETs left to their bank.
     #[inline(always)]
     fn eval(&self, x: &[f64], vals: &mut [f64]) {
         match self {
@@ -883,14 +903,6 @@ impl Op {
                 let v = [0, 1].map(|k| t.v(x, k));
                 let (i0, g) = diode_iv(*is, *nf, v[0] - v[1]);
                 linearized(v, i0, [g, -g], vals);
-            }
-            Op::Mosfet { t, stencil, .. } => {
-                let v = [0, 1, 2, 3].map(|k| t.v(x, k));
-                // Finite-difference partials on physical terminal voltages:
-                // immune to the polarity/swap sign pitfalls of analytic
-                // transformations.
-                let (ids, gs) = stencil.eval(v[0], v[1], v[2], v[3], FD_STEP);
-                linearized(v, ids, gs, vals);
             }
             _ => {}
         }
@@ -943,19 +955,32 @@ struct Placed {
 struct Recorder<'a> {
     mat: &'a mut Vec<MatAdd>,
     rhs: &'a mut Vec<RhsAdd>,
-    /// The element's first value.
+    /// The element's first stored value.
     base: u32,
+    /// A MOSFET's place in the bank, whose output (at the start of the
+    /// values) holds its per-iteration values.
+    dev: Option<u32>,
     /// Tape lengths where its transient companions start.
     dc: Option<(usize, usize)>,
 }
 
+impl Recorder<'_> {
+    /// Where the element's value `v` sits in the program's values.
+    fn value(&self, v: usize) -> u32 {
+        match self.dev {
+            Some(dev) if v >= MOS_ITER => DeviceBank::out_slot(dev as usize, v - MOS_ITER) as u32,
+            _ => self.base + v as u32,
+        }
+    }
+}
+
 impl Sink for Recorder<'_> {
     fn mat(&mut self, row: u32, col: u32, v: usize) {
-        let v = self.base + v as u32;
+        let v = self.value(v);
         self.mat.push(MatAdd { row, col, v });
     }
     fn rhs(&mut self, row: u32, v: usize) {
-        let v = self.base + v as u32;
+        let v = self.value(v);
         self.rhs.push(RhsAdd { row, v });
     }
     fn transient(&mut self) -> bool {
@@ -1004,11 +1029,12 @@ fn run<M: Stamp>(
 /// The dense Newton step of one circuit, compiled: per element, in
 /// element order, a record of its terminals and constants, its values in
 /// one flat array, and its stamps on two flat tapes of (matrix entry or
-/// right-hand-side row, value index). A Newton solve calls
-/// [`prepare`](Self::prepare) once, which sets the source values and the
-/// capacitor, inductor and MOSFET companions for the call, then
-/// [`assemble`](Self::assemble) per iteration, which only evaluates the
-/// nonlinear devices and runs the tapes.
+/// right-hand-side row, value index). The MOSFETs' factors sit in a
+/// [`DeviceBank`], whose output is the start of the value array. A
+/// Newton solve calls [`prepare`](Self::prepare) once, which sets the
+/// source values and the capacitor, inductor and MOSFET companions for
+/// the call, then [`assemble`](Self::assemble) per iteration, which only
+/// evaluates the nonlinear devices (the bank first) and runs the tapes.
 ///
 /// The tapes hold the element walk's `+=`s in its order, so every matrix
 /// and right-hand-side entry receives the same sequence of the same
@@ -1017,6 +1043,7 @@ fn run<M: Stamp>(
 #[derive(Debug, Clone)]
 pub(crate) struct StampProgram {
     ops: Vec<Placed>,
+    bank: DeviceBank,
     vals: Vec<f64>,
     mat: Vec<MatAdd>,
     rhs: Vec<RhsAdd>,
@@ -1026,8 +1053,9 @@ pub(crate) struct StampProgram {
     /// Sorted row-major entries the tapes and the gmin floor write: every
     /// other entry of the matrix stays `+0.0`.
     footprint: Vec<u32>,
-    /// The compile error, reported by every assembly.
-    error: Option<SpiceError>,
+    /// The compile error, reported by every assembly (boxed: it is cold,
+    /// and the dense backend holds the program inline).
+    error: Option<Box<SpiceError>>,
     transient: bool,
     gmin: f64,
 }
@@ -1055,9 +1083,17 @@ impl StampProgram {
             .clone()
             .map(|(_, e)| bounds(e))
             .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        let mosfets = elements
+            .clone()
+            .filter(|(_, e)| matches!(e, Element::Mosfet { .. }))
+            .count();
+        let bank = DeviceBank::new(mosfets);
+        let mut vals = Vec::with_capacity(bank.out_len() + elements.len() * MAX_VALS);
+        vals.resize(bank.out_len(), 0.0);
         let mut program = StampProgram {
             ops: Vec::with_capacity(elements.len()),
-            vals: Vec::with_capacity(elements.len() * MAX_VALS),
+            bank,
+            vals,
             mat: Vec::with_capacity(m),
             rhs: Vec::with_capacity(r),
             order: layout.size(),
@@ -1067,12 +1103,15 @@ impl StampProgram {
             transient: false,
             gmin: 0.0,
         };
-        let mut caps = 0;
+        let mut seen = Seen::default();
         for (idx, (name, e)) in elements.enumerate() {
-            match Op::new(circuit, layout, (idx, name, e), &mut caps) {
-                Ok(op) => program.push(op),
+            match Op::new(circuit, layout, (idx, name, e), &mut seen) {
+                Ok(op) => {
+                    load_device(&mut program.bank, circuit, &op, e);
+                    program.push(op);
+                }
                 Err(e) => {
-                    program.error = Some(e);
+                    program.error = Some(Box::new(e));
                     return program;
                 }
             }
@@ -1095,6 +1134,10 @@ impl StampProgram {
             mat: &mut self.mat,
             rhs: &mut self.rhs,
             base: base as u32,
+            dev: match op {
+                Op::Mosfet { dev, .. } => Some(dev),
+                _ => None,
+            },
             dc: None,
         };
         op.emit(&mut sink);
@@ -1139,6 +1182,11 @@ impl StampProgram {
         &self.footprint
     }
 
+    /// Evaluates the MOSFETs with the baseline kernel from now on.
+    pub(crate) fn force_baseline_kernel(&mut self) {
+        self.bank.force_baseline();
+    }
+
     /// Sets the values that hold for one Newton solve of `circuit` (the
     /// circuit compiled) in `mode`.
     pub(crate) fn prepare(
@@ -1149,8 +1197,10 @@ impl StampProgram {
     ) {
         self.transient = matches!(mode, AssembleMode::Transient { .. });
         self.gmin = params.gmin;
+        let bank = &self.bank;
         for (p, (_, e)) in self.ops.iter().zip(circuit.elements()) {
-            p.op.prepare(e, mode, params, &mut self.vals[p.base as usize..]);
+            let vals = &mut self.vals[p.base as usize..];
+            p.op.prepare(e, mode, params, vals, |dev| bank.stencil(dev as usize));
         }
     }
 
@@ -1168,10 +1218,11 @@ impl StampProgram {
         rhs: &mut [f64],
     ) -> Result<(), SpiceError> {
         if let Some(e) = &self.error {
-            return Err(e.clone());
+            return Err((**e).clone());
         }
         assert_eq!(mat.order(), self.order);
         assert_eq!(rhs.len(), self.order);
+        self.bank.eval(x, &mut self.vals);
         for p in &self.ops {
             p.op.eval(x, &mut self.vals[p.base as usize..]);
         }
@@ -1217,7 +1268,9 @@ pub(crate) struct CscProgram {
     /// The compiled elements of the circuit compiled, with their first
     /// values.
     ops: Vec<Placed>,
-    /// Values per circuit.
+    /// MOSFETs per circuit.
+    mosfets: usize,
+    /// Values per circuit, the bank's output first.
     n_vals: usize,
     order: usize,
     /// `values[slot] += vals[v]` per DC matrix stamp, in stamp order.
@@ -1229,10 +1282,11 @@ pub(crate) struct CscProgram {
 }
 
 /// One circuit's elements compiled for a [`CscProgram`]: the records with
-/// its own constants, and their values.
-#[derive(Debug, Clone, Default)]
+/// its own constants, its MOSFETs' factors, and their values.
+#[derive(Debug, Clone)]
 pub(crate) struct CscLane {
     ops: Vec<Op>,
+    bank: DeviceBank,
     vals: Vec<f64>,
     gmin: f64,
 }
@@ -1255,6 +1309,7 @@ impl CscProgram {
     ) -> Result<Self, SpiceError> {
         let StampProgram {
             ops,
+            bank,
             vals,
             mat: tape,
             rhs: rhs_tape,
@@ -1264,7 +1319,7 @@ impl CscProgram {
             ..
         } = StampProgram::compile(circuit, layout);
         if let Some(e) = error {
-            return Err(e);
+            return Err(*e);
         }
         // The locked stamp sequence is the DC tape followed by the gmin
         // floor; each slot is checked to hold its stamp's entry.
@@ -1293,6 +1348,7 @@ impl CscProgram {
             "the pattern is locked on these stamps"
         );
         Ok(CscProgram {
+            mosfets: bank.len(),
             ops,
             n_vals: vals.len(),
             order,
@@ -1300,6 +1356,17 @@ impl CscProgram {
             floor,
             rhs,
         })
+    }
+
+    /// A lane with room for one circuit of this program, to be
+    /// [`load`](Self::load)ed: loading allocates nothing more.
+    pub(crate) fn lane(&self) -> CscLane {
+        CscLane {
+            ops: Vec::with_capacity(self.ops.len()),
+            bank: DeviceBank::new(self.mosfets),
+            vals: vec![0.0; self.n_vals],
+            gmin: 0.0,
+        }
     }
 
     /// Compiles the elements of `circuit` into `lane` and reports whether
@@ -1311,10 +1378,14 @@ impl CscProgram {
         if circuit.num_nodes() != layout.n_nodes() || circuit.num_elements() != self.ops.len() {
             return false;
         }
-        let mut caps = 0;
+        lane.bank.resize(self.mosfets);
+        let mut seen = Seen::default();
         for ((idx, (_, e)), p) in circuit.elements().enumerate().zip(&self.ops) {
-            match Op::compile(circuit, layout, (idx, e), &mut caps) {
-                Some(op) if op.stamps_like(&p.op) => lane.ops.push(op),
+            match Op::compile(circuit, layout, (idx, e), &mut seen) {
+                Some(op) if op.stamps_like(&p.op) => {
+                    load_device(&mut lane.bank, circuit, &op, e);
+                    lane.ops.push(op);
+                }
                 _ => return false,
             }
         }
@@ -1331,13 +1402,12 @@ impl CscProgram {
         params: &AssembleParams<'_>,
     ) {
         lane.gmin = params.gmin;
+        let bank = &lane.bank;
         for ((op, p), (_, e)) in lane.ops.iter().zip(&self.ops).zip(circuit.elements()) {
-            op.prepare(
-                e,
-                AssembleMode::Dc,
-                params,
-                &mut lane.vals[p.base as usize..],
-            );
+            let vals = &mut lane.vals[p.base as usize..];
+            op.prepare(e, AssembleMode::Dc, params, vals, |dev| {
+                bank.stencil(dev as usize)
+            });
         }
     }
 
@@ -1352,6 +1422,7 @@ impl CscProgram {
         rhs: &mut [f64],
     ) {
         assert_eq!(rhs.len(), self.order);
+        lane.bank.eval(x, &mut lane.vals);
         for (op, p) in lane.ops.iter().zip(&self.ops) {
             op.eval(x, &mut lane.vals[p.base as usize..]);
         }
@@ -1367,6 +1438,16 @@ impl CscProgram {
         for a in &self.rhs {
             rhs[a.row as usize] += vals[a.v as usize];
         }
+    }
+}
+
+/// Writes the factors of the MOSFET `e`, compiled to `op`, into `bank`:
+/// the one place a compiled circuit computes them.
+#[inline(always)]
+fn load_device(bank: &mut DeviceBank, circuit: &Circuit, op: &Op, e: &Element) {
+    if let (Op::Mosfet { t, dev, .. }, Element::Mosfet { model, w, l, .. }) = (op, e) {
+        let stencil = IdsStencil::new(&circuit.models[*model].1, *w, *l);
+        bank.set(*dev as usize, &stencil, t.0);
     }
 }
 
@@ -1405,12 +1486,24 @@ pub fn assemble<M: Stamp>(
     mat.reset();
     rhs.fill(0.0);
     let transient = matches!(mode, AssembleMode::Transient { .. });
-    let mut caps = 0;
+    let mut seen = Seen::default();
     let mut vals = [0.0; MAX_VALS];
     for (idx, (name, e)) in circuit.elements().enumerate() {
-        let op = Op::new(circuit, layout, (idx, name, e), &mut caps)?;
-        op.prepare(e, mode, params, &mut vals);
-        op.eval(x, &mut vals);
+        let op = Op::new(circuit, layout, (idx, name, e), &mut seen)?;
+        match (&op, e) {
+            // A MOSFET is evaluated as a bank of one.
+            (Op::Mosfet { t, .. }, Element::Mosfet { model, w, l, .. }) => {
+                let stencil = IdsStencil::new(&circuit.models[*model].1, *w, *l);
+                op.prepare(e, mode, params, &mut vals, |_| stencil);
+                bank::eval_one(&stencil, t.0, x, &mut vals[MOS_ITER..]);
+            }
+            _ => {
+                op.prepare(e, mode, params, &mut vals, |_| {
+                    unreachable!("only a MOSFET has factors")
+                });
+                op.eval(x, &mut vals);
+            }
+        }
         op.emit(&mut Direct {
             mat: &mut *mat,
             rhs: &mut *rhs,
@@ -1846,6 +1939,15 @@ mod tests {
         c
     }
 
+    /// `mat · x = rhs` through the dense LU.
+    fn solve(mat: &Matrix, rhs: &[f64]) -> Vec<f64> {
+        let mut lu = crate::linalg::LuFactors::new(mat.order());
+        lu.factorize(mat).unwrap();
+        let mut x = rhs.to_vec();
+        lu.solve(&mut x);
+        x
+    }
+
     /// A deterministic uniform draw in `[lo, hi)`.
     fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
         *state ^= *state << 13;
@@ -1932,7 +2034,7 @@ mod tests {
 
     /// `tiles` integrate-and-dump cells side by side, each with its
     /// supply, inputs and controls on DC sources.
-    fn tile_array(tiles: usize) -> Circuit {
+    pub(super) fn tile_array(tiles: usize) -> Circuit {
         use crate::library::{integrate_dump, IntegrateDumpParams};
         let params = IntegrateDumpParams::default();
         let mut c = Circuit::new();
@@ -1987,7 +2089,7 @@ mod tests {
             .unwrap();
             assert!(pattern.finish_assembly());
             let program = CscProgram::compile(&c, &layout, &pattern).unwrap();
-            let mut lane = CscLane::default();
+            let mut lane = program.lane();
             assert!(program.load(&mut lane, &c, &layout));
             let (mut values, mut lane_rhs) = (vec![0.0; pattern.nnz()], vec![0.0; n]);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -2044,7 +2146,7 @@ mod tests {
         .unwrap();
         pattern.finish_assembly();
         let program = CscProgram::compile(&c, &layout, &pattern).unwrap();
-        let mut lane = CscLane::default();
+        let mut lane = program.lane();
         let loads = |lane: &mut CscLane, other: &Circuit| program.load(lane, other, &layout);
 
         let mut scaled = c.clone();
@@ -2161,8 +2263,7 @@ mod tests {
             &mut rhs,
         )
         .unwrap();
-        let mut sol = rhs.clone();
-        mat.solve_in_place(&mut sol).unwrap();
+        let sol = solve(&mat, &rhs);
         assert!((layout.voltage(&sol, a) - 2.0).abs() < 1e-12);
         assert!((layout.voltage(&sol, b) - 1.0).abs() < 1e-12);
         // Branch current: 2 V across 2 kΩ = 1 mA flowing out of the source's
@@ -2240,8 +2341,7 @@ mod tests {
             &mut rhs,
         )
         .unwrap();
-        let mut sol = rhs.clone();
-        mat.solve_in_place(&mut sol).unwrap();
+        let sol = solve(&mat, &rhs);
         assert!((layout.voltage(&sol, a) + 1.0).abs() < 1e-12);
     }
 

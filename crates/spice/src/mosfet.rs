@@ -276,16 +276,16 @@ pub fn eval_mosfet(
 /// `eval_mosfet(..).0` at the same bias.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdsStencil {
-    sgn: f64,
-    beta: f64,
-    lambda: f64,
-    vt0: f64,
-    gamma: f64,
-    phi: f64,
-    sqrt_phi: f64,
-    cox_total: f64,
-    cov: f64,
-    cgb_ov: f64,
+    pub(crate) sgn: f64,
+    pub(crate) beta: f64,
+    pub(crate) lambda: f64,
+    pub(crate) vt0: f64,
+    pub(crate) gamma: f64,
+    pub(crate) phi: f64,
+    pub(crate) sqrt_phi: f64,
+    pub(crate) cox_total: f64,
+    pub(crate) cov: f64,
+    pub(crate) cgb_ov: f64,
 }
 
 /// A terminal bias mapped to the canonical frame of [`eval_mosfet`].
@@ -352,6 +352,7 @@ impl IdsStencil {
         }
     }
 
+    #[cfg(test)]
     fn ids(&self, b: CanonicalBias, vth: f64) -> f64 {
         let ids = channel_current(self.beta, self.lambda, b.vgs - vth, b.vds);
         let ids = if b.swapped { -ids } else { ids };
@@ -359,7 +360,10 @@ impl IdsStencil {
     }
 
     /// Drain current at `(vg, vd, vs, vb)` and its central-difference
-    /// partials with step `h`, in terminal order (g, d, s, b).
+    /// partials with step `h`, in terminal order (g, d, s, b). The
+    /// scalar reference the device bank's kernel is tested against
+    /// (`mna::bank`).
+    #[cfg(test)]
     pub(crate) fn eval(&self, vg: f64, vd: f64, vs: f64, vb: f64, h: f64) -> (f64, [f64; 4]) {
         let centre = self.bias(vg, vd, vs, vb);
         let vth0 = self.vth(centre.vbs);

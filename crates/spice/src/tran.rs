@@ -533,6 +533,15 @@ impl TransientSimulator {
         self.ws.lu_stats()
     }
 
+    /// Test hook: the transient Newton loop evaluates its MOSFETs with
+    /// the baseline build of the device kernel from now on, whatever the
+    /// CPU offers ([`crate::device_kernel`]). Results are bit-identical
+    /// either way; this exists so tests can compare the two.
+    #[doc(hidden)]
+    pub fn force_baseline_device_kernel(&mut self) {
+        self.ws.force_baseline_kernel();
+    }
+
     /// Transcript of every rescue attempt so far (the DC ladder at
     /// construction plus transient timestep cuts). Empty when nothing
     /// needed rescuing, or when the policy is off.
@@ -1426,12 +1435,13 @@ mod tests {
     /// The paper's integrate/dump cycle on the 31-transistor I&D, 5,000
     /// steps through the compiled Newton step: pattern replay must give
     /// the dense sweep's bits, counts and work, and must actually carry
-    /// the run.
+    /// the run; the baseline build of the device kernel must give the
+    /// dispatched one's bits and counts.
     #[test]
     fn integrate_dump_replay_is_bit_identical_to_the_dense_sweep() {
         use crate::dcop::FORCE_DENSE_SWEEP;
         use crate::library::{integrate_dump_testbench, IntegrateDumpParams};
-        let run = |dense_only: bool| {
+        let run = |dense_only: bool, baseline_kernel: bool| {
             FORCE_DENSE_SWEEP.set(dense_only);
             let tb = integrate_dump_testbench(&IntegrateDumpParams::default()).unwrap();
             let mut ext = vec![0.0; tb.circuit.num_externals];
@@ -1442,6 +1452,9 @@ mod tests {
                 TransientSimulator::with_externals(tb.circuit, TranOptions::default(), ext)
                     .unwrap();
             FORCE_DENSE_SWEEP.set(false);
+            if baseline_kernel {
+                sim.force_baseline_device_kernel();
+            }
             let (p, m) = (tb.ports.out_intp, tb.ports.out_intm);
             let mut out = Vec::with_capacity(5000);
             for i in 0..5000 {
@@ -1471,9 +1484,16 @@ mod tests {
             );
             (out, *sim.counters(), stats)
         };
-        let (replayed, c_replay, s_replay) = run(false);
-        let (dense, c_dense, s_dense) = run(true);
+        let (replayed, c_replay, s_replay) = run(false, false);
+        let (dense, c_dense, s_dense) = run(true, false);
+        let (baseline, c_baseline, _) = run(false, true);
         assert!(replayed == dense, "replay changed the output bits");
+        assert!(
+            baseline == replayed,
+            "the baseline device kernel changed the output bits"
+        );
+        assert_eq!(c_baseline.newton_iterations, c_replay.newton_iterations);
+        assert_eq!(c_baseline.lu_factorizations, c_replay.lu_factorizations);
         assert_eq!(c_replay.newton_iterations, c_dense.newton_iterations);
         assert_eq!(c_replay.lu_factorizations, c_dense.lu_factorizations);
         assert_eq!(c_replay.lu_reuses, c_dense.lu_reuses);

@@ -268,7 +268,8 @@ pub struct Receiver {
     cursor: usize,
     /// Post-integrator PGA (second loop), when two-stage AGC is enabled.
     pga: Option<crate::frontend::Vga>,
-    /// Squarer-output peak detector (first loop sensing).
+    /// Squarer-output peak detector (first loop sensing), fed only when
+    /// two-stage AGC is enabled: nothing else reads it.
     peak: crate::frontend::PeakDetector,
 }
 
@@ -405,11 +406,14 @@ impl Receiver {
     ) -> Result<f64, IntegratorError> {
         self.integrator.set_control(integrate);
         let dt = rx.dt();
+        let track_peak = self.cfg.two_stage_agc.is_some();
         let mut out = self.integrator.output();
         for _ in 0..n {
             let x = rx.samples().get(self.cursor).copied().unwrap_or(0.0);
             let y = self.frontend.process(x, dt);
-            self.peak.process(y, dt);
+            if track_peak {
+                self.peak.process(y, dt);
+            }
             out = self.integrator.step(dt, y)?;
             self.cursor += 1;
         }
@@ -447,10 +451,13 @@ impl Receiver {
         // through the front end only).
         self.integrator.set_control(true);
         let dt = rx.dt();
+        let track_peak = self.cfg.two_stage_agc.is_some();
         for _ in close..n {
             let x = rx.samples().get(self.cursor).copied().unwrap_or(0.0);
             let y = self.frontend.process(x, dt);
-            self.peak.process(y, dt);
+            if track_peak {
+                self.peak.process(y, dt);
+            }
             self.cursor += 1;
         }
         Ok(v)

@@ -109,9 +109,10 @@ fn summarize_json(
     if let Some(run) = run {
         let _ = write!(
             s,
-            ",\"circuit\":{{\"nodes\":{},\"elements\":{}}}",
+            ",\"circuit\":{{\"nodes\":{},\"elements\":{}}},\"device_kernel\":{}",
             run.circuit.num_nodes(),
-            run.circuit.elements().len()
+            run.circuit.elements().len(),
+            json_string(spice::device_kernel())
         );
         let _ = write!(
             s,

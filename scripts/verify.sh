@@ -11,11 +11,13 @@ if grep -rnE 'env::(var|var_os|set_var|remove_var)\b' crates/*/src crates/*/test
     exit 1
 fi
 
-echo "== one unsafe block outside tests/: the SSE2 keystream call in vendor/rand_chacha =="
+echo "== two unsafe blocks outside tests/: the SSE2 keystream call and the AVX2 MOSFET-bank call =="
 unsafe_sites=$(grep -rnE 'unsafe[[:space:]]*\{|unsafe fn|unsafe impl' crates/*/src src vendor/*/src examples || true)
-if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] || ! grep -q '^vendor/rand_chacha/src/lib.rs:' <<<"$unsafe_sites"; then
+if [ "$(grep -c . <<<"$unsafe_sites")" -ne 2 ] \
+    || [ "$(grep -c '^vendor/rand_chacha/src/lib.rs:' <<<"$unsafe_sites")" -ne 1 ] \
+    || [ "$(grep -c '^crates/spice/src/mna/bank.rs:' <<<"$unsafe_sites")" -ne 1 ]; then
     echo "$unsafe_sites"
-    echo "verify: expected exactly one unsafe block, in vendor/rand_chacha/src/lib.rs" >&2
+    echo "verify: expected exactly two unsafe blocks, one in vendor/rand_chacha/src/lib.rs and one in crates/spice/src/mna/bank.rs" >&2
     exit 1
 fi
 
@@ -28,6 +30,9 @@ cargo test -q
 echo "== solver kernels and campaigns in the optimised build (what perfbench measures) =="
 cargo test -q --release -p sim-core -p spice -p uwb-ams-core
 cargo test -q --release --test batched_parity
+
+echo "== MOSFET bank in the optimised build: each test runs the dispatched kernel and the forced baseline one =="
+cargo test -q --release -p spice --lib -- bank_matches_the_scalar_stencil_bit_for_bit integrate_dump_replay_is_bit_identical_to_the_dense_sweep
 
 echo "== Table 2 path in the optimised build (bulk keystream, AWGN, channel, AMS solver, receiver) =="
 cargo test -q --release -p rand -p rand_chacha -p uwb-phy -p ams-kernel -p uwb-txrx
