@@ -40,8 +40,8 @@ pub trait AnalogModel {
     /// Evaluates the residuals `r[i] = F_i(t, x, ẋ, u)`.
     ///
     /// All slices have well-defined lengths: `x`, `xdot` and `r` have
-    /// `self.dim()` entries; `u` has whatever length the surrounding block
-    /// feeds (the model defines the convention).
+    /// `self.dim()` entries; `u` has whatever length the caller feeds (the
+    /// model defines the convention).
     fn residual(&self, t: f64, x: &[f64], xdot: &[f64], u: &[f64], r: &mut [f64]);
 
     /// Initial state; zeros by default.

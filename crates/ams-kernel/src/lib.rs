@@ -1,10 +1,10 @@
-//! # ams-kernel — a mixed-signal simulation kernel
+//! # ams-kernel — the behavioural analog solver
 //!
-//! This crate is the Rust stand-in for the VHDL-AMS + ADMS environment used
-//! by Crepaldi et al. (DATE 2007): an event-driven digital simulator
-//! ([`sim::Simulator`]) synchronised in lock-step with a continuous-time
-//! equation solver ([`solver::ImplicitSolver`]) through the
-//! [`scheduler::MixedSimulator`].
+//! This crate holds the VHDL-AMS half of the Rust stand-in for the
+//! VHDL-AMS + ADMS environment used by Crepaldi et al. (DATE 2007): a
+//! continuous-time equation solver ([`solver::ImplicitSolver`]) that the
+//! receiver steps once per input sample, by a direct call. That
+//! direct-call loop plays the part of the ADMS lock-step kernel.
 //!
 //! The analog side models systems in VHDL-AMS style: residual equations over
 //! quantities, with conditional (`if … use`) branches that switch between
@@ -16,28 +16,28 @@
 //!
 //! ```
 //! use ams_kernel::analog::IdealGatedIntegrator;
-//! use ams_kernel::scheduler::{MixedSimulator, OdeBlock};
+//! use ams_kernel::solver::{ImplicitSolver, TransientState};
 //! use ams_kernel::time::SimTime;
 //!
 //! # fn main() {
-//! let mut ms = MixedSimulator::new(SimTime::from_ps(50)); // 0.05 ns, as in the paper
-//! let vin = ms.digital.add_signal("vin", 0.1f64);
-//! let sel = ms.digital.add_signal("sel", true);
-//! let hold = ms.digital.add_signal("hold", false);
-//! let vout = ms.digital.add_signal("vout", 0.0f64);
+//! let model = IdealGatedIntegrator::new(1e9);
+//! let mut solver = ImplicitSolver::default();
+//! let mut state = TransientState::from_model(&model);
+//! let h = SimTime::from_ps(50).as_secs_f64(); // 0.05 ns, as in the paper
 //!
-//! ms.add_block(Box::new(OdeBlock::new(
-//!     IdealGatedIntegrator::new(1e9),
-//!     vec![vin, sel, hold],
-//!     vec![(vout, 0)],
-//! )));
-//!
-//! // Integrate for 32 ns, then dump (sel low).
-//! ms.digital.schedule(sel, false, SimTime::from_ns(32));
-//! ms.run_until(SimTime::from_ns(32)).unwrap();
-//! assert!(ms.digital.read(vout).as_real() > 3.0);
-//! ms.run_until(SimTime::from_ns(40)).unwrap();
-//! assert!(ms.digital.read(vout).as_real().abs() < 1e-6);
+//! // Integrate 0.1 V for 32 ns (sel high), then dump for 8 ns (sel low).
+//! // The inputs are u = [vin, sel, hold].
+//! let mut t = 0.0;
+//! for _ in 0..640 {
+//!     solver.step(&model, t, h, &[0.1, 1.0, 0.0], &mut state).unwrap();
+//!     t += h;
+//! }
+//! assert!(state.x[0] > 3.0);
+//! for _ in 0..160 {
+//!     solver.step(&model, t, h, &[0.1, 0.0, 0.0], &mut state).unwrap();
+//!     t += h;
+//! }
+//! assert!(state.x[0].abs() < 1e-6);
 //! # }
 //! ```
 
@@ -46,9 +46,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analog;
-pub mod scheduler;
-pub mod signal;
-pub mod sim;
 pub mod solver;
 
 // The numeric substrate (dense matrices + LU), work counters, time axis
@@ -59,11 +56,6 @@ pub use sim_core::{linalg, perf, time, trace};
 
 pub use analog::AnalogModel;
 pub use perf::PerfCounters;
-pub use scheduler::{AnalogBlock, BlockPortInfo, MixedSimulator, OdeBlock};
-pub use signal::{SignalId, Value};
-pub use sim::{ProcessCtx, ProcessId, Simulator};
-pub use sim_core::faultinject::{FaultKind, FaultSchedule, FaultSpec};
-pub use sim_core::rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use solver::{ImplicitSolver, Method, SolveError, SolverOptions, TransientState};
 pub use time::SimTime;
 pub use trace::Probe;

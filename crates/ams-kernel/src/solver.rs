@@ -262,7 +262,7 @@ impl ImplicitSolver {
 
     /// Advances `state` from time `t` to `t + h` under inputs `u`
     /// (held constant across the step — zero-order hold, matching the
-    /// lock-step mixed-signal synchronisation).
+    /// per-sample call from the receiver loop).
     ///
     /// # Errors
     ///
@@ -484,40 +484,6 @@ impl ImplicitSolver {
         state.bootstrapped = true;
         self.counters.steps += 1;
         Ok(())
-    }
-
-    /// Advances from `t` by `h`, adaptively subdividing when Newton fails
-    /// (the refinement-around-discontinuities mode): on failure the step
-    /// halves, down to `h / 2^max_depth`, and the full interval is covered
-    /// by successive sub-steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns the inner failure once the minimum sub-step also fails.
-    pub fn step_adaptive<M: AnalogModel + ?Sized>(
-        &mut self,
-        model: &M,
-        t: f64,
-        h: f64,
-        max_depth: usize,
-        u: &[f64],
-        state: &mut TransientState,
-    ) -> Result<(), SolveError> {
-        match self.step(model, t, h, u, state) {
-            Ok(()) => Ok(()),
-            Err(e) if max_depth == 0 => Err(e),
-            Err(_) => {
-                // Every halving is a rescue attempt; it counts as a success
-                // once both half-width sub-steps cover the interval.
-                self.counters.rescue_attempts += 1;
-                self.step_adaptive(model, t, h / 2.0, max_depth - 1, u, state)?;
-                let out = self.step_adaptive(model, t + h / 2.0, h / 2.0, max_depth - 1, u, state);
-                if out.is_ok() {
-                    self.counters.rescue_successes += 1;
-                }
-                out
-            }
-        }
     }
 
     /// Runs `steps` equal steps of width `h` from `t0`, calling `inputs`
@@ -760,64 +726,6 @@ mod tests {
         let mut solver = ImplicitSolver::default();
         let mut st = TransientState::from_model(&Bad);
         let err = solver.step(&Bad, 0.0, 1e-9, &[], &mut st).unwrap_err();
-        assert!(matches!(err, SolveError::NonFiniteResidual { .. }));
-    }
-
-    #[test]
-    fn adaptive_step_survives_a_stiff_spot() {
-        // A sharply nonlinear relaxation: with a tight Newton budget the
-        // full-width step diverges (the solution is far from the start),
-        // but half-width sub-steps keep each Newton start close enough.
-        struct Sharp;
-        impl crate::analog::AnalogModel for Sharp {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn residual(&self, _t: f64, x: &[f64], xd: &[f64], u: &[f64], r: &mut [f64]) {
-                r[0] = u[0] - ((8.0 * x[0]).exp() - 1.0) - 1e-9 * xd[0];
-            }
-        }
-        let opts = SolverOptions {
-            max_newton: 4, // deliberately tight
-            tol: 1e-5,
-            ..Default::default()
-        };
-        // The plain full step must fail under this budget...
-        let mut direct = ImplicitSolver::new(opts);
-        let mut st_direct = TransientState::from_model(&Sharp);
-        assert!(
-            direct
-                .step(&Sharp, 0.0, 50e-9, &[3.0], &mut st_direct)
-                .is_err(),
-            "premise: the undivided step diverges"
-        );
-        // ...while the adaptive wrapper subdivides and lands it.
-        let mut solver = ImplicitSolver::new(opts);
-        let mut st = TransientState::from_model(&Sharp);
-        solver
-            .step_adaptive(&Sharp, 0.0, 50e-9, 10, &[3.0], &mut st)
-            .expect("adaptive subdivision succeeds");
-        // Equilibrium: exp(8x) = 4 → x = ln(4)/8 (50 ns = 50 τ, settled).
-        let eq = 4.0f64.ln() / 8.0;
-        assert!((st.x[0] - eq).abs() < 0.02, "settled {} vs {eq}", st.x[0]);
-    }
-
-    #[test]
-    fn adaptive_step_propagates_hard_failures() {
-        struct Bad;
-        impl crate::analog::AnalogModel for Bad {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn residual(&self, _t: f64, _x: &[f64], _xd: &[f64], _u: &[f64], r: &mut [f64]) {
-                r[0] = f64::NAN;
-            }
-        }
-        let mut solver = ImplicitSolver::default();
-        let mut st = TransientState::from_model(&Bad);
-        let err = solver
-            .step_adaptive(&Bad, 0.0, 1e-9, 3, &[], &mut st)
-            .unwrap_err();
         assert!(matches!(err, SolveError::NonFiniteResidual { .. }));
     }
 

@@ -12,8 +12,6 @@
 //! ([`E0204`](crate::LintCode::CombinationalCycle)).
 
 use crate::{Diagnostic, LintCode, Report, SourceSpan};
-use ams_kernel::scheduler::BlockPortInfo;
-use ams_kernel::MixedSimulator;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The electrical discipline of a port, following the paper's voltage-mode
@@ -104,42 +102,6 @@ impl BlockGraph {
     pub fn external(mut self, net: impl Into<String>) -> Self {
         self.external_nets.insert(net.into());
         self
-    }
-
-    /// Builds a graph from a live [`MixedSimulator`]'s self-describing
-    /// blocks (see [`BlockPortInfo`]). Blocks without port metadata are
-    /// skipped; signal nets keep their kernel names and are typed
-    /// [`PortKind::Digital`] (the kernel cannot distinguish disciplines).
-    /// Signals no described block drives are treated as external — the
-    /// testbench writes them through the digital kernel.
-    pub fn from_mixed(sim: &MixedSimulator, name: impl Into<String>) -> Self {
-        let infos = sim.block_info();
-        let mut g = BlockGraph::new(name);
-        let described: Vec<&BlockPortInfo> = infos.iter().flatten().collect();
-        let driven: BTreeSet<String> = described
-            .iter()
-            .flat_map(|i| i.outputs.iter())
-            .map(|&s| sim.digital.signal_name(s).to_string())
-            .collect();
-        for info in described {
-            let map = |sigs: &[ams_kernel::SignalId]| {
-                sigs.iter()
-                    .map(|&s| (sim.digital.signal_name(s).to_string(), PortKind::Digital))
-                    .collect::<Vec<_>>()
-            };
-            for (net, _) in map(&info.inputs) {
-                if !driven.contains(&net) {
-                    g.external_nets.insert(net);
-                }
-            }
-            g.blocks.push(BlockSpec {
-                name: info.name.clone(),
-                inputs: map(&info.inputs),
-                outputs: map(&info.outputs),
-                has_state: info.has_state,
-            });
-        }
-        g
     }
 }
 
@@ -370,29 +332,5 @@ mod tests {
             );
         let r = lint_graph(&g);
         assert!(r.has(LintCode::CombinationalCycle), "{}", r.render());
-    }
-
-    #[test]
-    fn from_mixed_extracts_ode_blocks() {
-        use ams_kernel::analog::FirstOrderLag;
-        use ams_kernel::scheduler::OdeBlock;
-        use ams_kernel::time::SimTime;
-
-        let mut ms = MixedSimulator::new(SimTime::from_ns(1));
-        let u = ms.digital.add_signal("u", 1.0f64);
-        let y = ms.digital.add_signal("y", 0.0f64);
-        ms.add_block(Box::new(OdeBlock::new(
-            FirstOrderLag {
-                tau: 1e-9,
-                gain: 1.0,
-            },
-            vec![u],
-            vec![(y, 0)],
-        )));
-        let g = BlockGraph::from_mixed(&ms, "mixed");
-        assert_eq!(g.blocks.len(), 1);
-        assert!(g.external_nets.contains("u"), "undriven input is external");
-        let r = lint_graph(&g);
-        assert!(r.is_clean(), "{}", r.render());
     }
 }

@@ -6,10 +6,10 @@
 //! first-class, reproducible test input: a [`FaultSchedule`] names exact
 //! step indices at which an engine must pretend something went wrong —
 //! a diverging Newton loop, a pivot collapsing to zero, a model emitting
-//! NaN, an AMS block saturating, a scheduler event stalling. Both engines
-//! consult the schedule at their step boundaries and synthesise the named
-//! failure, so every rung of the rescue ladder is exercisable from a test
-//! without hunting for a pathological circuit.
+//! NaN. The circuit engine consults the schedule at its step boundaries
+//! (the transient engine at each macro step, the DC ladder at each stage)
+//! and synthesises the named failure, so every rung of the rescue ladder
+//! is exercisable from a test without hunting for a pathological circuit.
 //!
 //! Determinism is the whole point, mirroring the per-point RNG streams of
 //! the campaign executor: the same seed and schedule always perturb the
@@ -26,12 +26,6 @@ pub enum FaultKind {
     /// Poison the step's model evaluation so it produces non-finite
     /// residuals, exercising the NaN/Inf guards end to end.
     NonFiniteResidual,
-    /// Clamp an AMS block's published outputs to a saturation bound
-    /// (consumed by the mixed-signal scheduler; circuit engines ignore it).
-    SaturateOutput,
-    /// Suppress the digital event settle at one lock-step boundary
-    /// (consumed by the mixed-signal scheduler; circuit engines ignore it).
-    StallEvent,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -40,8 +34,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::NewtonDivergence => "newton-divergence",
             FaultKind::ZeroPivot => "zero-pivot",
             FaultKind::NonFiniteResidual => "non-finite-residual",
-            FaultKind::SaturateOutput => "saturate-output",
-            FaultKind::StallEvent => "stall-event",
         };
         f.write_str(s)
     }
@@ -137,8 +129,8 @@ impl FaultSchedule {
 
     /// Consumes and returns the first still-armed fault planned for `step`
     /// whose kind the calling engine `accepts`. Kinds the engine does not
-    /// accept stay armed (a scheduler-only fault in a circuit run is
-    /// simply never consumed).
+    /// accept stay armed (the DC ladder, which only fails stages by
+    /// divergence, never consumes a zero-pivot fault).
     pub fn take_matching(
         &mut self,
         step: u64,
@@ -201,11 +193,11 @@ mod tests {
     #[test]
     fn engines_skip_kinds_they_do_not_accept() {
         let mut s = FaultSchedule::new(1)
-            .with_fault(0, FaultKind::SaturateOutput)
+            .with_fault(0, FaultKind::ZeroPivot)
             .with_fault(0, FaultKind::NewtonDivergence);
-        // A circuit engine that only accepts solver-level kinds leaves the
-        // scheduler fault armed.
-        let got = s.take_matching(0, |k| k != FaultKind::SaturateOutput);
+        // The DC ladder only accepts divergence: it leaves the zero-pivot
+        // fault armed.
+        let got = s.take_matching(0, |k| k == FaultKind::NewtonDivergence);
         assert_eq!(got, Some(FaultKind::NewtonDivergence));
         assert_eq!(s.armed(), 1);
     }

@@ -1,7 +1,7 @@
 //! # sim-core — the shared numeric and observability substrate
 //!
-//! Both simulation engines of this workspace — the behavioural mixed-signal
-//! kernel (`ams-kernel`, the VHDL-AMS stand-in) and the transistor-level
+//! Both simulation engines of this workspace — the behavioural analog
+//! solver (`ams-kernel`, the VHDL-AMS stand-in) and the transistor-level
 //! circuit simulator (`spice`, the Eldo stand-in) — solve dense linear
 //! systems inside Newton iterations, count the work they do, and record
 //! waveforms on a common time axis. This crate owns that substrate once,

@@ -9,9 +9,9 @@
 //! to a warning) from an *exhausted* one (a real failure), and the golden
 //! fault-matrix tests can pin the exact transcript of a rescue.
 //!
-//! The types are engine-agnostic: the circuit simulator (`spice`) and the
-//! behavioural kernel (`ams-kernel`) both produce them, and the flow layer
-//! (`core`) consumes them without caring which engine struggled.
+//! The types are engine-agnostic: the circuit simulator (`spice`) produces
+//! them, and the flow layer (`core`) consumes them without naming the
+//! engine that struggled.
 
 /// One rung of the rescue ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

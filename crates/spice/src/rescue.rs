@@ -6,15 +6,15 @@
 //! module is that graceful degradation:
 //!
 //! * **Transient**: [`crate::tran::TransientSimulator`] cuts the failing
-//!   timestep (halve, retry, restore) with a bounded backoff governed by
-//!   [`RescuePolicy::max_cut_depth`], recording every cut in a
+//!   timestep (halve, retry, restore) with a backoff bounded at
+//!   [`LADDER_CUT_DEPTH`] halvings, recording every cut in a
 //!   [`RescueReport`].
 //! * **DC**: [`dcop_rescue`] escalates through a homotopy ladder after the
 //!   standard operating-point search gives up — a deeper, more gradual
 //!   gmin ladder; a finer source ramp; and finally a damped
 //!   pseudo-transient towards the operating point.
 //!
-//! Everything sits behind [`RescuePolicy`]; [`RescuePolicy::off`]
+//! Everything sits behind [`RescuePolicy`]; [`RescuePolicy::Off`]
 //! reproduces the pre-rescue behaviour bit-exactly (same arithmetic, same
 //! error taxonomy), which the golden-vector tests pin. The rescue rungs
 //! only run *after* the legacy path has failed, so a converging run is
@@ -31,73 +31,50 @@ use sim_core::faultinject::{FaultKind, FaultSchedule};
 use sim_core::rescue::{RescueReport, RescueRung};
 use sim_core::sparse::SolverKind;
 
+/// Timestep-halving recursion depth of the rescue ladder: a 256× cut
+/// before a transient step gives up.
+pub const LADDER_CUT_DEPTH: usize = 8;
+
 /// Legacy timestep-halving recursion depth (pre-rescue behaviour).
-pub(crate) const LEGACY_CUT_DEPTH: usize = 4;
+pub const LEGACY_CUT_DEPTH: usize = 4;
 
 /// Policy for the convergence-rescue ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RescuePolicy {
-    /// Master switch. `false` reproduces the pre-rescue behaviour
-    /// bit-exactly: the legacy 4-deep timestep halving, the standard DC
-    /// homotopy, the legacy error taxonomy, and no rescue recording.
-    pub enabled: bool,
-    /// Maximum timestep-halving recursion depth during transient rescue
-    /// (the legacy path uses 4; the default ladder allows 8, i.e. a
-    /// 256× cut before giving up).
-    pub max_cut_depth: usize,
-    /// DC rung 1: extended gmin ladder (deeper and more gradual than the
-    /// standard homotopy).
-    pub dc_gmin_ladder: bool,
-    /// DC rung 2: fine-grained source ramp (2 % increments).
-    pub dc_source_ramp: bool,
-    /// DC rung 3: damped pseudo-transient towards the operating point.
-    pub dc_pseudo_transient: bool,
-    /// Scan assembled systems for NaN/Inf and report structured
-    /// [`SpiceError::Numeric`] faults with provenance.
-    pub numeric_guards: bool,
-}
-
-impl Default for RescuePolicy {
-    fn default() -> Self {
-        RescuePolicy {
-            enabled: true,
-            max_cut_depth: 8,
-            dc_gmin_ladder: true,
-            dc_source_ramp: true,
-            dc_pseudo_transient: true,
-            numeric_guards: true,
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RescuePolicy {
+    /// The full ladder: timestep cuts up to [`LADDER_CUT_DEPTH`] deep, each
+    /// recorded; the three DC rungs (extended gmin ladder, 2 % source ramp,
+    /// damped pseudo-transient) after the standard operating-point search
+    /// fails; and NaN/Inf scans of every assembled system, reported as
+    /// structured [`SpiceError::Numeric`] faults with provenance.
+    #[default]
+    Ladder,
+    /// The pre-rescue behaviour, bit-exact: the legacy 4-deep timestep
+    /// halving, the standard DC homotopy, the legacy error taxonomy, and no
+    /// rescue recording. Kept as the reference the golden tests compare
+    /// the ladder against.
+    Off,
 }
 
 impl RescuePolicy {
-    /// The bit-exact legacy mode: no ladder, no recording, no guards.
-    pub fn off() -> Self {
-        RescuePolicy {
-            enabled: false,
-            max_cut_depth: LEGACY_CUT_DEPTH,
-            dc_gmin_ladder: false,
-            dc_source_ramp: false,
-            dc_pseudo_transient: false,
-            numeric_guards: false,
-        }
+    /// True for [`RescuePolicy::Ladder`].
+    pub fn enabled(self) -> bool {
+        self == RescuePolicy::Ladder
     }
 
-    /// Effective timestep-halving depth bound.
-    pub(crate) fn cut_depth(&self) -> usize {
-        if self.enabled {
-            self.max_cut_depth
-        } else {
-            LEGACY_CUT_DEPTH
+    /// Timestep-halving depth bound.
+    pub(crate) fn cut_depth(self) -> usize {
+        match self {
+            RescuePolicy::Ladder => LADDER_CUT_DEPTH,
+            RescuePolicy::Off => LEGACY_CUT_DEPTH,
         }
     }
 }
 
 /// Newton options for the rescue rungs: the standard controls plus the
-/// policy's numeric guard.
-fn rescue_opts(policy: &RescuePolicy) -> NewtonOptions {
+/// ladder's numeric guard.
+fn rescue_opts() -> NewtonOptions {
     NewtonOptions {
-        numeric_guard: policy.enabled && policy.numeric_guards,
+        numeric_guard: true,
         ..Default::default()
     }
 }
@@ -259,8 +236,8 @@ fn pseudo_transient_ramp(
 ///
 /// # Errors
 ///
-/// The standard search's error when the policy is disabled or every
-/// enabled rung fails too.
+/// The standard search's error under [`RescuePolicy::Off`], or when
+/// every rung fails too.
 pub fn dcop_rescue_injected(
     circuit: &Circuit,
     externals: &[f64],
@@ -287,23 +264,20 @@ pub fn dcop_rescue_injected(
             Err(e) => e,
         }
     };
-    if !policy.enabled {
+    if !policy.enabled() {
         return Err(base_err);
     }
 
     let layout = MnaLayout::new(circuit);
-    let opts = rescue_opts(policy);
+    let opts = rescue_opts();
     let mut ws = NewtonWorkspace::for_circuit(circuit, &layout, SolverKind::Dense);
     let mut counters = PerfCounters::new();
-    let rungs: [(bool, RescueRung, u64); 3] = [
-        (policy.dc_gmin_ladder, RescueRung::GminStep, 1),
-        (policy.dc_source_ramp, RescueRung::SourceStep, 2),
-        (policy.dc_pseudo_transient, RescueRung::PseudoTransient, 3),
+    let rungs = [
+        (RescueRung::GminStep, 1),
+        (RescueRung::SourceStep, 2),
+        (RescueRung::PseudoTransient, 3),
     ];
-    for (enabled, rung, stage) in rungs {
-        if !enabled {
-            continue;
-        }
+    for (rung, stage) in rungs {
         counters.rescue_attempts += 1;
         let idx = report.record(rung, 0.0, format!("after: {base_err}"));
         if injected(stage) {
@@ -340,14 +314,14 @@ pub fn dcop_rescue_injected(
 }
 
 /// Operating-point search with the rescue ladder: runs the standard
-/// homotopy first (bit-identical to [`dcop_with`]) and climbs the enabled
+/// homotopy first (bit-identical to [`dcop_with`]) and climbs the three
 /// DC rungs only when it fails. The returned [`RescueReport`] is empty on
 /// a first-try success.
 ///
 /// # Errors
 ///
-/// The standard search's error when every enabled rung fails too (the
-/// ladder never *invents* failures — a disabled policy is exactly
+/// The standard search's error when every rung fails too (the ladder
+/// never *invents* failures — [`RescuePolicy::Off`] is exactly
 /// [`dcop_with`]).
 pub fn dcop_rescue(
     circuit: &Circuit,
@@ -377,7 +351,7 @@ mod tests {
         let (c, b) = divider();
         let plain = dcop_with(&c, &[]).unwrap();
         let (on, rep_on) = dcop_rescue(&c, &[], &RescuePolicy::default()).unwrap();
-        let (off, rep_off) = dcop_rescue(&c, &[], &RescuePolicy::off()).unwrap();
+        let (off, rep_off) = dcop_rescue(&c, &[], &RescuePolicy::Off).unwrap();
         assert_eq!(rep_on.attempts(), 0, "no rescue on a healthy circuit");
         assert_eq!(rep_off.attempts(), 0);
         let bits = |s: &DcSolution| s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -427,7 +401,7 @@ mod tests {
     fn disabled_policy_propagates_the_legacy_error() {
         let (c, _) = divider();
         let mut faults = FaultSchedule::new(4).with_fault(0, FaultKind::NewtonDivergence);
-        let err = dcop_rescue_injected(&c, &[], &RescuePolicy::off(), Some(&mut faults))
+        let err = dcop_rescue_injected(&c, &[], &RescuePolicy::Off, Some(&mut faults))
             .expect_err("off mode must not rescue");
         assert!(matches!(err, SpiceError::DcopDiverged { .. }));
     }
@@ -447,9 +421,10 @@ mod tests {
 
     #[test]
     fn default_and_off_policies() {
-        assert!(RescuePolicy::default().enabled);
-        assert!(!RescuePolicy::off().enabled);
-        assert_eq!(RescuePolicy::off().cut_depth(), LEGACY_CUT_DEPTH);
-        assert_eq!(RescuePolicy::default().cut_depth(), 8);
+        assert_eq!(RescuePolicy::default(), RescuePolicy::Ladder);
+        assert!(RescuePolicy::Ladder.enabled());
+        assert!(!RescuePolicy::Off.enabled());
+        assert_eq!(RescuePolicy::Off.cut_depth(), LEGACY_CUT_DEPTH);
+        assert_eq!(RescuePolicy::default().cut_depth(), LADDER_CUT_DEPTH);
     }
 }

@@ -137,7 +137,7 @@ pub struct TranOptions {
     /// Convergence-rescue policy: timestep-cut backoff for the transient,
     /// the homotopy ladder for the initial operating point, and the
     /// numeric NaN/Inf guards. Defaults to the full ladder; use
-    /// [`RescuePolicy::off`] for the bit-exact legacy behaviour.
+    /// [`RescuePolicy::Off`] for the bit-exact legacy behaviour.
     pub rescue: RescuePolicy,
     /// Adaptive LTE step/order controller, consumed by
     /// [`TransientSimulator::run_adaptive`]. Defaults to
@@ -257,8 +257,8 @@ fn quantize_factor(f: f64) -> f64 {
 ///
 /// Construction computes the DC operating point (with initial external
 /// values); [`step`](Self::step) then advances time. External sources can be
-/// updated between steps — this is how the mixed-signal scheduler drives a
-/// transistor-level block inside a system testbench.
+/// updated between steps — this is how the receiver drives a
+/// transistor-level block inside a system testbench, one call per sample.
 ///
 /// # Examples
 ///
@@ -360,8 +360,8 @@ impl TransientSimulator {
     ) -> Result<Self, SpiceError> {
         // The per-step Newton inherits the policy's numeric guard; with the
         // policy off this is a no-op and the legacy error taxonomy holds.
-        opts.newton.numeric_guard = opts.rescue.enabled && opts.rescue.numeric_guards;
-        let (op, dc_rescue) = if opts.rescue.enabled {
+        opts.newton.numeric_guard = opts.rescue.enabled();
+        let (op, dc_rescue) = if opts.rescue.enabled() {
             dcop_rescue(&circuit, &externals, &opts.rescue)?
         } else {
             // Pass only the backend choice into the DC search — its Newton
@@ -557,8 +557,8 @@ impl TransientSimulator {
 
     /// Arms a deterministic fault-injection schedule: faults fire at the
     /// scheduled top-level step indices (counting `step()` calls from
-    /// construction). Only solver-level kinds are consumed here —
-    /// scheduler kinds stay armed for the mixed-signal kernel.
+    /// construction). Every [`FaultKind`] is a solver-level failure this
+    /// engine synthesises at the error seam the real one would use.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.faults = Some(schedule);
     }
@@ -670,17 +670,12 @@ impl TransientSimulator {
         Ok(())
     }
 
-    /// Consumes a solver-level fault armed for the current macro step, if
-    /// any (only consulted at recursion depth 0 — injection perturbs the
-    /// top-level attempt; the rescue retry then sees a healthy solver).
+    /// Consumes a fault armed for the current macro step, if any (only
+    /// consulted at recursion depth 0 — injection perturbs the top-level
+    /// attempt; the rescue retry then sees a healthy solver).
     fn take_injected_fault(&mut self) -> Option<FaultKind> {
         let step = self.macro_steps;
-        self.faults.as_mut()?.take_matching(step, |k| {
-            matches!(
-                k,
-                FaultKind::NewtonDivergence | FaultKind::ZeroPivot | FaultKind::NonFiniteResidual
-            )
-        })
+        self.faults.as_mut()?.take_matching(step, |_| true)
     }
 
     fn substep(&mut self, h: f64, depth: usize) -> Result<(), SpiceError> {
@@ -712,7 +707,7 @@ impl TransientSimulator {
                     stage: "injected",
                 },
             }),
-            _ => self.try_step(h, t_new),
+            None => self.try_step(h, t_new),
         };
         match result {
             Ok(()) => Ok(()),
@@ -720,7 +715,7 @@ impl TransientSimulator {
                 // Halve the step: two sub-steps at h/2 (local timestep
                 // control around sharp source edges). With rescue enabled
                 // the backoff is deeper and every cut is recorded.
-                let recorded = if policy.enabled {
+                let recorded = if policy.enabled() {
                     self.counters.rescue_attempts += 1;
                     Some(self.rescue_report.record(
                         RescueRung::TimestepCut,
@@ -1612,7 +1607,7 @@ mod tests {
     fn rescue_off_keeps_legacy_halving_without_bookkeeping() {
         let (c, _) = rc_circuit(1e3, 1e-9);
         let opts = TranOptions {
-            rescue: RescuePolicy::off(),
+            rescue: RescuePolicy::Off,
             ..TranOptions::default()
         };
         let mut sim = TransientSimulator::new(c, opts).unwrap();

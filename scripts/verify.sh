@@ -78,6 +78,9 @@ for workload in fig6_circuit tab2_ideal mc_mismatch; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0
 done
 
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --no-deps --workspace (no broken intra-doc link) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

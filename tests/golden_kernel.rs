@@ -176,7 +176,7 @@ fn phase3_cosimulation_is_bit_identical_to_pre_refactor() {
     // routed through sim-core) replays the pre-refactor trace exactly —
     // with the rescue ladder armed (the default) and with it off (the
     // legacy engine), which a clean run must not tell apart.
-    for rescue in [RescuePolicy::default(), RescuePolicy::off()] {
+    for rescue in [RescuePolicy::default(), RescuePolicy::Off] {
         let opts = TranOptions {
             rescue,
             ..TranOptions::default()
