@@ -17,13 +17,12 @@
 //! ```
 //! use ams_kernel::analog::IdealGatedIntegrator;
 //! use ams_kernel::solver::{ImplicitSolver, TransientState};
-//! use ams_kernel::time::SimTime;
 //!
 //! # fn main() {
 //! let model = IdealGatedIntegrator::new(1e9);
 //! let mut solver = ImplicitSolver::default();
 //! let mut state = TransientState::from_model(&model);
-//! let h = SimTime::from_ps(50).as_secs_f64(); // 0.05 ns, as in the paper
+//! let h = 50e-12; // 0.05 ns, as in the paper
 //!
 //! // Integrate 0.1 V for 32 ns (sel high), then dump for 8 ns (sel low).
 //! // The inputs are u = [vin, sel, hold].
@@ -48,14 +47,13 @@
 pub mod analog;
 pub mod solver;
 
-// The numeric substrate (dense matrices + LU), work counters, time axis
-// and waveform probes live in `sim-core`, shared with the circuit
-// simulator; re-exported here so `ams_kernel::linalg` / `::time` /
-// `::trace` paths keep working downstream.
-pub use sim_core::{linalg, perf, time, trace};
+// The numeric substrate (dense matrices + LU), work counters and
+// waveform probes live in `sim-core`, shared with the circuit simulator;
+// re-exported here so `ams_kernel::linalg` / `::trace` paths keep
+// working downstream.
+pub use sim_core::{linalg, perf, trace};
 
 pub use analog::AnalogModel;
 pub use perf::PerfCounters;
 pub use solver::{ImplicitSolver, Method, SolveError, SolverOptions, TransientState};
-pub use time::SimTime;
 pub use trace::Probe;

@@ -1,6 +1,5 @@
 //! Property tests (opt-in, `--features proptests`) for the kernel's
-//! invariants: `SimTime` arithmetic round-trips, LU solves of diagonally
-//! dominant systems, implicit-method stability of the first-order lag,
+//! invariants: LU solves of diagonally dominant systems, implicit-method stability of the first-order lag,
 //! and linearity/dump behaviour of the gated integrator.
 //!
 //! The generator is a deterministic xorshift so failures replay by seed —
@@ -10,7 +9,6 @@
 use ams_kernel::analog::{FirstOrderLag, IdealGatedIntegrator};
 use ams_kernel::linalg::{DMatrix, LuFactors};
 use ams_kernel::solver::{ImplicitSolver, Method, SolverOptions, TransientState};
-use ams_kernel::time::SimTime;
 
 struct XorShift(u64);
 
@@ -34,48 +32,6 @@ impl XorShift {
 
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.unit() * (hi - lo)
-    }
-}
-
-/// Addition/subtraction of times round-trips, and seconds→SimTime→seconds
-/// is tight for simulation-scale values.
-#[test]
-fn time_arithmetic_roundtrips() {
-    let mut rng = XorShift(0x9e3779b97f4a7c15);
-    for case in 0..2000 {
-        let seed = rng.0;
-        let a = rng.below(u64::MAX / 4);
-        let b = rng.below(u64::MAX / 4);
-        let ta = SimTime::from_fs(a);
-        let tb = SimTime::from_fs(b);
-        assert_eq!((ta + tb) - tb, ta, "case {case} (seed {seed:#x})");
-        assert!(ta + tb >= ta.max(tb), "case {case} (seed {seed:#x})");
-
-        let secs = rng.range(-12.0, -3.0);
-        let secs = 10f64.powf(secs);
-        let t = SimTime::from_secs_f64(secs);
-        let back = t.as_secs_f64();
-        assert!(
-            (back - secs).abs() <= 1e-15 + secs * 1e-12,
-            "case {case} (seed {seed:#x}): {back} vs {secs}"
-        );
-    }
-}
-
-/// Division and remainder decompose a duration exactly.
-#[test]
-fn time_div_rem_decompose() {
-    let mut rng = XorShift(0x9e3779b97f4a7c15);
-    for case in 0..2000 {
-        let seed = rng.0;
-        let total = 1 + rng.below(1_000_000_000);
-        let step = 1 + rng.below(1_000_000);
-        let t = SimTime::from_fs(total);
-        let s = SimTime::from_fs(step);
-        let q = t / s;
-        let r = t % s;
-        assert_eq!(s * q + r, t, "case {case} (seed {seed:#x})");
-        assert!(r < s, "case {case} (seed {seed:#x})");
     }
 }
 

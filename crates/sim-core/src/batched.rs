@@ -3,13 +3,16 @@
 //! Monte-Carlo campaign points over a fixed topology share a nonzero
 //! pattern and — after one representative [`SymbolicLu::analyze`] — a
 //! pivot order. [`BatchedLu`] exploits that: it keeps the L/U/diagonal
-//! *values* of `width` independent points ("lanes") in structure-of-arrays
-//! storage, interleaved **lane-major** (the lane index varies fastest:
-//! slot `p` of lane `l` lives at `p * width + l`). The numeric
-//! refactorization and the forward/back substitution then walk the pinned
-//! pattern once with a tight inner loop over lanes — contiguous,
-//! branch-light, SIMD-friendly — instead of re-walking the pattern once
-//! per point.
+//! *values* of `width` independent points ("lanes") in groups of
+//! [`LANE_GROUP`] lanes. Each slot of a group stores one `[f64; 4]`, a
+//! value per lane; the width rounds up to whole groups and the padding
+//! lanes stay masked off. The numeric refactorization and the
+//! forward/back substitution walk the pinned pattern once per group with
+//! one fixed-width, branch-free body: the scalar kernels' zero skips
+//! become per-lane selects, a row update is skipped only when it is zero
+//! in all four lanes, and stores to the factors are masked by the lanes
+//! still live. The body compiles to baseline vector code, whatever the
+//! batch width.
 //!
 //! ## Determinism contract
 //!
@@ -18,7 +21,10 @@
 //! [`BatchedLu::solve`] is *exactly* the sequence the scalar
 //! [`SymbolicLu::refactor`] / [`SymbolicLu::solve`] pair performs on that
 //! lane's values alone — same pattern walk, same summation order, same
-//! zero-skip and pivot-degradation tests. Batched results are therefore
+//! zero-skip and pivot-degradation tests. A select keeps a lane's old
+//! value exactly where the scalar code skips the update, and Rust never
+//! contracts `a − b·c` into one rounding, so the vector arithmetic rounds
+//! as the scalar does. Batched results are therefore
 //! **bit-identical** to per-point scalar solves at any batch width, and a
 //! lane retiring mid-batch (converged, stale, or simply masked off)
 //! cannot perturb any surviving lane. The campaign layers above rely on
@@ -29,9 +35,7 @@
 //! retires it to the scalar path + rescue ladder while the rest of the
 //! batch keeps going.
 
-use crate::sparse::{
-    RefactorOutcome, SparseMatrix, SparseScalar, SymbolicLu, PIVOT_MIN, REFACTOR_PIVOT_RATIO,
-};
+use crate::sparse::{RefactorOutcome, SparseMatrix, SymbolicLu, PIVOT_MIN, REFACTOR_PIVOT_RATIO};
 
 /// Default lane count when [`BatchWidth::Auto`] decides to batch.
 pub const AUTO_BATCH_WIDTH: usize = 8;
@@ -98,27 +102,200 @@ impl From<RefactorOutcome> for LaneOutcome {
     }
 }
 
-/// SoA numeric factors for `width` simultaneous lanes over one pinned
-/// [`SymbolicLu`] pattern (see the module docs for layout and the
-/// bit-exactness contract).
-#[derive(Debug, Clone)]
-pub struct BatchedLu<T = f64> {
-    n: usize,
-    width: usize,
-    /// L values, `l_rows.len() * width`, lane-major interleaved.
-    l_vals: Vec<T>,
-    /// U values, `u_rows.len() * width`, lane-major interleaved.
-    u_vals: Vec<T>,
-    /// Pivots, `n * width`, lane-major interleaved.
-    diag: Vec<T>,
-    /// Elimination scratch, `n * width`.
-    x: Vec<T>,
-    /// Column-open marker (shared across lanes — the pattern is shared).
-    mark: Vec<usize>,
+/// Lanes per group: the fixed vector width of the kernel body.
+pub const LANE_GROUP: usize = 4;
+
+/// One slot of a lane group: a value per lane.
+type Lanes = [f64; LANE_GROUP];
+/// One flag per lane of a group: all ones (on) or all zeros (off), so a
+/// select is a bitwise blend.
+type Mask = [u64; LANE_GROUP];
+
+const ZEROS: Lanes = [0.0; LANE_GROUP];
+const NONE: Mask = [0; LANE_GROUP];
+
+#[inline(always)]
+fn mask(on: bool) -> u64 {
+    u64::from(on).wrapping_neg()
 }
 
-impl<T: SparseScalar> BatchedLu<T> {
-    /// Zeroed factors for `width` lanes over `sym`'s pattern.
+#[inline(always)]
+fn any(m: Mask) -> bool {
+    m.iter().fold(0, |a, &b| a | b) != 0
+}
+
+#[inline(always)]
+fn nonzero(v: Lanes) -> Mask {
+    v.map(|x| mask(x != 0.0))
+}
+
+/// `a` on the lanes where `on`, `b` elsewhere, bit for bit.
+#[inline(always)]
+fn select(on: Mask, a: Lanes, b: Lanes) -> Lanes {
+    std::array::from_fn(|j| f64::from_bits(a[j].to_bits() & on[j] | b[j].to_bits() & !on[j]))
+}
+
+/// `x[r] −= f·s` over one column's `rows` and factors `f`, on the lanes
+/// where `s` is nonzero: the scalar kernels' `if s != 0 { … }` for a
+/// whole group, skipped outright when `s` is zero in every lane.
+#[inline(always)]
+fn eliminate(x: &mut [Lanes], rows: &[usize], f: &[Lanes], s: Lanes) {
+    let nz = nonzero(s);
+    if !any(nz) {
+        return;
+    }
+    for (&r, f) in rows.iter().zip(f) {
+        x[r] = select(nz, std::array::from_fn(|j| x[r][j] - f[j] * s[j]), x[r]);
+    }
+}
+
+/// The L/U/diagonal values of one lane group, slot-aligned with the
+/// [`SymbolicLu`] pattern they were sized for.
+#[derive(Debug, Clone)]
+struct GroupLu {
+    l_vals: Vec<Lanes>,
+    u_vals: Vec<Lanes>,
+    diag: Vec<Lanes>,
+}
+
+impl GroupLu {
+    /// The scalar [`SymbolicLu::refactor`] on every lane of the group at
+    /// once, lane `j` eliminating the values `src[j]` while `live[j]`.
+    /// Stores are masked by the lanes still live, so a skipped lane keeps
+    /// its factors and a lane that goes stale keeps those of the steps it
+    /// had not reached. `miss` is the step whose column leaves the pinned
+    /// pattern ([`first_miss`]). Returns the lanes that refactored.
+    #[inline(never)] // see `solve`
+    fn refactor(
+        &mut self,
+        sym: &SymbolicLu,
+        pattern: &SparseMatrix<f64>,
+        miss: usize,
+        src: [&[f64]; LANE_GROUP],
+        mut live: Mask,
+        x: &mut [Lanes],
+    ) -> Mask {
+        let (col_ptr, row_idx) = (pattern.col_ptr(), pattern.row_idx());
+        for k in 0..sym.order() {
+            if k == miss {
+                return NONE;
+            }
+            if !any(live) {
+                break;
+            }
+            let ur = sym.u_colptr[k]..sym.u_colptr[k + 1];
+            let lr = sym.l_colptr[k]..sym.l_colptr[k + 1];
+            // Open the pinned pattern of this column.
+            for &r in sym.u_rows[ur.clone()].iter().chain(&sym.l_rows[lr.clone()]) {
+                x[r] = ZEROS;
+            }
+            x[k] = ZEROS;
+            // Scatter A(:, q[k]) into pivot positions; a lane that is not
+            // live adds +0.0, so its column stays all-zero.
+            let col = sym.q[k];
+            for p in col_ptr[col]..col_ptr[col + 1] {
+                let pos = sym.pinv[row_idx[p]];
+                let a = select(live, std::array::from_fn(|j| src[j][p]), ZEROS);
+                x[pos] = std::array::from_fn(|j| x[pos][j] + a[j]);
+            }
+            // Eliminate with the already-refactored columns of L; a lane
+            // whose `xi` is zero keeps its column, as the scalar skip does.
+            for (&i, u) in sym.u_rows[ur.clone()].iter().zip(&mut self.u_vals[ur]) {
+                let xi = x[i];
+                *u = select(live, xi, *u);
+                let li = sym.l_colptr[i]..sym.l_colptr[i + 1];
+                eliminate(x, &sym.l_rows[li.clone()], &self.l_vals[li], xi);
+            }
+            // Pivot acceptance, the scalar test on every lane. All three
+            // tests are evaluated; a NaN or infinite pivot is stale by the
+            // first, which is what the scalar short-circuit decides.
+            let pivot = x[k];
+            let mut colmax = pivot.map(f64::abs);
+            for &r in &sym.l_rows[lr.clone()] {
+                colmax = std::array::from_fn(|j| colmax[j].max(x[r][j].abs()));
+            }
+            live = std::array::from_fn(|j| {
+                let mag = pivot[j].abs();
+                let stale = !pivot[j].is_finite()
+                    | (mag < PIVOT_MIN)
+                    | (mag < REFACTOR_PIVOT_RATIO * colmax[j]);
+                live[j] & mask(!stale)
+            });
+            self.diag[k] = select(live, pivot, self.diag[k]);
+            for (&r, l) in sym.l_rows[lr.clone()].iter().zip(&mut self.l_vals[lr]) {
+                *l = select(live, std::array::from_fn(|j| x[r][j] / pivot[j]), *l);
+            }
+        }
+        live
+    }
+
+    /// The scalar [`SymbolicLu::solve`] substitutions on every lane of the
+    /// group at once, in place on `y` (pivot order).
+    ///
+    /// Both group bodies stay out of line: inlined into the caller's
+    /// per-group gather loop, this one vectorised lanes 1 and 2 as a pair
+    /// and left lanes 0 and 3 scalar.
+    #[inline(never)]
+    fn solve(&self, sym: &SymbolicLu, y: &mut [Lanes]) {
+        let n = sym.order();
+        for k in 0..n {
+            let lk = sym.l_colptr[k]..sym.l_colptr[k + 1];
+            eliminate(y, &sym.l_rows[lk.clone()], &self.l_vals[lk], y[k]);
+        }
+        for k in (0..n).rev() {
+            let xk = std::array::from_fn(|j| y[k][j] / self.diag[k][j]);
+            y[k] = xk;
+            let uk = sym.u_colptr[k]..sym.u_colptr[k + 1];
+            eliminate(y, &sym.u_rows[uk.clone()], &self.u_vals[uk], xk);
+        }
+    }
+}
+
+/// The first pivot step whose column of `pattern` has an entry outside
+/// `sym`'s pinned pattern, or the order when there is none: the step at
+/// which the scalar [`SymbolicLu::refactor`] reports the miss. Every lane
+/// shares `pattern`, so this is checked once per entry, not per lane.
+fn first_miss(sym: &SymbolicLu, pattern: &SparseMatrix<f64>, mark: &mut [usize]) -> usize {
+    let (col_ptr, row_idx) = (pattern.col_ptr(), pattern.row_idx());
+    mark.fill(usize::MAX);
+    for k in 0..sym.order() {
+        let ur = sym.u_colptr[k]..sym.u_colptr[k + 1];
+        let lr = sym.l_colptr[k]..sym.l_colptr[k + 1];
+        for &r in sym.u_rows[ur].iter().chain(&sym.l_rows[lr]) {
+            mark[r] = k;
+        }
+        mark[k] = k;
+        let col = sym.q[k];
+        for &row in &row_idx[col_ptr[col]..col_ptr[col + 1]] {
+            let pos = sym.pinv[row];
+            if pos == usize::MAX || mark[pos] != k {
+                return k;
+            }
+        }
+    }
+    sym.order()
+}
+
+/// Numeric factors for `width` simultaneous lanes over one pinned
+/// [`SymbolicLu`] pattern, in lane groups of [`LANE_GROUP`] (see the
+/// module docs for the layout and the bit-exactness contract).
+#[derive(Debug, Clone)]
+pub struct BatchedLu {
+    n: usize,
+    width: usize,
+    /// One set of factors per lane group; lanes past `width` are padding.
+    groups: Vec<GroupLu>,
+    /// Elimination scratch and solve vector of the group in hand, order `n`.
+    x: Vec<Lanes>,
+    /// Column-open marker of the pattern check (shared: the pattern is).
+    mark: Vec<usize>,
+    /// Per-lane outcome of the last [`refactor`](Self::refactor).
+    outcomes: Vec<LaneOutcome>,
+}
+
+impl BatchedLu {
+    /// Factors for `width` lanes over `sym`'s pattern, each lane holding
+    /// the identity (unit pivots, zero L and U) until it is refactored.
     ///
     /// # Panics
     ///
@@ -126,14 +303,18 @@ impl<T: SparseScalar> BatchedLu<T> {
     pub fn new(sym: &SymbolicLu, width: usize) -> Self {
         assert!(width >= 1, "a batch needs at least one lane");
         let n = sym.order();
+        let group = GroupLu {
+            l_vals: vec![ZEROS; sym.l_rows.len()],
+            u_vals: vec![ZEROS; sym.u_rows.len()],
+            diag: vec![[1.0; LANE_GROUP]; n],
+        };
         BatchedLu {
             n,
             width,
-            l_vals: vec![T::ZERO; sym.l_rows.len() * width],
-            u_vals: vec![T::ZERO; sym.u_rows.len() * width],
-            diag: vec![T::ZERO; n * width],
-            x: vec![T::ZERO; n * width],
+            groups: vec![group; width.div_ceil(LANE_GROUP)],
+            x: vec![ZEROS; n],
             mark: vec![usize::MAX; n],
+            outcomes: vec![LaneOutcome::Skipped; width],
         }
     }
 
@@ -150,7 +331,7 @@ impl<T: SparseScalar> BatchedLu<T> {
     /// Multi-lane numeric refactorization on the pinned pattern: lane `l`
     /// eliminates the matrix of `pattern`'s structure holding the values
     /// `values[l]` exactly as `sym.refactor` would, but all active lanes
-    /// advance through the pattern together.
+    /// of a group advance through the pattern together.
     ///
     /// `active[l] == false` skips lane `l` entirely (its factors keep
     /// their previous values). The per-lane outcome distinguishes
@@ -164,129 +345,52 @@ impl<T: SparseScalar> BatchedLu<T> {
     /// Panics if the slice lengths disagree with the batch width, the
     /// pattern's order with the symbolic factorization, or an active
     /// lane's value count with the pattern's.
-    pub fn refactor(
+    pub fn refactor<V: AsRef<[f64]>>(
         &mut self,
         sym: &SymbolicLu,
-        pattern: &SparseMatrix<T>,
-        values: &[&[T]],
+        pattern: &SparseMatrix<f64>,
+        values: &[V],
         active: &[bool],
-    ) -> Vec<LaneOutcome> {
-        let (n, w) = (self.n, self.width);
-        assert_eq!(sym.order(), n, "symbolic order changed under batch");
+    ) -> &[LaneOutcome] {
+        let w = self.width;
+        assert_eq!(sym.order(), self.n, "symbolic order changed under batch");
         assert_eq!(active.len(), w, "one mask entry per lane");
-        assert_eq!(self.l_vals.len(), sym.l_rows.len() * w);
-        assert_eq!(self.u_vals.len(), sym.u_rows.len() * w);
-        assert_eq!(pattern.order(), n, "pattern order changed under batch");
+        assert_eq!(self.groups[0].l_vals.len(), sym.l_rows.len());
+        assert_eq!(self.groups[0].u_vals.len(), sym.u_rows.len());
+        assert_eq!(pattern.order(), self.n, "pattern order changed under batch");
         assert_eq!(values.len(), w, "one value array per lane");
         for (l, v) in values.iter().enumerate() {
             if active[l] {
-                assert_eq!(v.len(), pattern.nnz(), "lane {l}: value count");
+                assert_eq!(v.as_ref().len(), pattern.nnz(), "lane {l}: value count");
             }
         }
-        let (col_ptr, row_idx) = (pattern.col_ptr(), pattern.row_idx());
-        let mut out: Vec<LaneOutcome> = active
-            .iter()
-            .map(|&a| {
-                if a {
-                    LaneOutcome::Refactored
-                } else {
-                    LaneOutcome::Skipped
-                }
-            })
-            .collect();
-        // Lanes still being eliminated (drops out on staleness).
-        let mut live: Vec<bool> = active.to_vec();
-        self.mark.iter_mut().for_each(|m| *m = usize::MAX);
-        for k in 0..n {
-            let ur = sym.u_colptr[k]..sym.u_colptr[k + 1];
-            let lr = sym.l_colptr[k]..sym.l_colptr[k + 1];
-            // Open the pinned pattern of this column (every lane at once).
-            for p in ur.clone() {
-                let r = sym.u_rows[p];
-                self.mark[r] = k;
-                self.x[r * w..(r + 1) * w]
-                    .iter_mut()
-                    .for_each(|v| *v = T::ZERO);
-            }
-            for p in lr.clone() {
-                let r = sym.l_rows[p];
-                self.mark[r] = k;
-                self.x[r * w..(r + 1) * w]
-                    .iter_mut()
-                    .for_each(|v| *v = T::ZERO);
-            }
-            self.mark[k] = k;
-            self.x[k * w..(k + 1) * w]
-                .iter_mut()
-                .for_each(|v| *v = T::ZERO);
-            // Scatter each live lane's A(:, q[k]) into pivot positions; an
-            // entry outside the pinned pattern (a `pattern` that is not
-            // the one `sym` analyzed) stales the lane.
-            let col = sym.q[k];
-            for l in 0..w {
-                if !live[l] {
-                    continue;
-                }
-                for p in col_ptr[col]..col_ptr[col + 1] {
-                    let pos = sym.pinv[row_idx[p]];
-                    if pos == usize::MAX || self.mark[pos] != k {
-                        out[l] = LaneOutcome::Stale;
-                        live[l] = false;
-                        break;
-                    }
-                    self.x[pos * w + l] += values[l][p];
+        let miss = first_miss(sym, pattern, &mut self.mark);
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            let lanes = g * LANE_GROUP..((g + 1) * LANE_GROUP).min(w);
+            // A lane that is not live reads a live lane's values (never
+            // used), so the group body needs no per-lane bounds.
+            let Some(lead) = lanes.clone().find(|&l| active[l]) else {
+                self.outcomes[lanes].fill(LaneOutcome::Skipped);
+                continue;
+            };
+            let mut src = [values[lead].as_ref(); LANE_GROUP];
+            let mut on = NONE;
+            for (j, l) in lanes.clone().enumerate() {
+                if active[l] {
+                    src[j] = values[l].as_ref();
+                    on[j] = mask(true);
                 }
             }
-            // Eliminate with the already-refactored L columns. The inner
-            // subtraction runs lane-major over the shared pattern; a dead
-            // lane's scratch is all-zero for this column (nothing was
-            // scattered), so its `xi != ZERO` guard skips every update and
-            // its stored factors are left untouched. Live lanes see
-            // exactly the scalar refactor's per-lane operation sequence.
-            for p in ur.clone() {
-                let i = sym.u_rows[p];
-                for (l, &lane_live) in live.iter().enumerate().take(w) {
-                    if lane_live {
-                        self.u_vals[p * w + l] = self.x[i * w + l];
-                    }
-                }
-                for pp in sym.l_colptr[i]..sym.l_colptr[i + 1] {
-                    let r = sym.l_rows[pp];
-                    for l in 0..w {
-                        let xi = self.x[i * w + l];
-                        if xi != T::ZERO {
-                            let lv = self.l_vals[pp * w + l];
-                            self.x[r * w + l] -= lv * xi;
-                        }
-                    }
-                }
-            }
-            // Per-lane pivot acceptance, identical to the scalar test
-            // (non-finite short-circuits first, so `<` never sees NaN).
-            for l in 0..w {
-                if !live[l] {
-                    continue;
-                }
-                let pivot = self.x[k * w + l];
-                let mut colmax = pivot.mag();
-                for p in lr.clone() {
-                    colmax = colmax.max(self.x[sym.l_rows[p] * w + l].mag());
-                }
-                if !pivot.finite()
-                    || pivot.mag() < PIVOT_MIN
-                    || pivot.mag() < REFACTOR_PIVOT_RATIO * colmax
-                {
-                    out[l] = LaneOutcome::Stale;
-                    live[l] = false;
-                    continue;
-                }
-                self.diag[k * w + l] = pivot;
-                for p in lr.clone() {
-                    self.l_vals[p * w + l] = self.x[sym.l_rows[p] * w + l] / pivot;
-                }
+            let done = group.refactor(sym, pattern, miss, src, on, &mut self.x);
+            for (j, l) in lanes.enumerate() {
+                self.outcomes[l] = match (on[j] != 0, done[j] != 0) {
+                    (false, _) => LaneOutcome::Skipped,
+                    (true, true) => LaneOutcome::Refactored,
+                    (true, false) => LaneOutcome::Stale,
+                };
             }
         }
-        out
+        &self.outcomes
     }
 
     /// Multi-lane solve: `b` holds `order * width` entries, lane-major
@@ -298,43 +402,22 @@ impl<T: SparseScalar> BatchedLu<T> {
     /// # Panics
     ///
     /// Panics if `b.len() != order * width`.
-    pub fn solve(&self, sym: &SymbolicLu, b: &mut [T]) {
+    pub fn solve(&mut self, sym: &SymbolicLu, b: &mut [f64]) {
         let (n, w) = (self.n, self.width);
         assert_eq!(b.len(), n * w, "batched rhs length mismatch");
-        let mut y = vec![T::ZERO; n * w];
-        for i in 0..n {
-            let pi = sym.pinv[i];
-            y[pi * w..(pi + 1) * w].copy_from_slice(&b[i * w..(i + 1) * w]);
-        }
-        for k in 0..n {
-            for p in sym.l_colptr[k]..sym.l_colptr[k + 1] {
-                let r = sym.l_rows[p];
-                for l in 0..w {
-                    let yk = y[k * w + l];
-                    if yk != T::ZERO {
-                        let lv = self.l_vals[p * w + l];
-                        y[r * w + l] -= lv * yk;
-                    }
-                }
+        let y = &mut self.x;
+        for (g, group) in self.groups.iter().enumerate() {
+            let lanes = g * LANE_GROUP..((g + 1) * LANE_GROUP).min(w);
+            let m = lanes.len();
+            for i in 0..n {
+                let mut v = ZEROS;
+                v[..m].copy_from_slice(&b[i * w + lanes.start..i * w + lanes.end]);
+                y[sym.pinv[i]] = v;
             }
-        }
-        for k in (0..n).rev() {
-            for l in 0..w {
-                y[k * w + l] = y[k * w + l] / self.diag[k * w + l];
+            group.solve(sym, y);
+            for (k, &col) in sym.q.iter().enumerate() {
+                b[col * w + lanes.start..col * w + lanes.end].copy_from_slice(&y[k][..m]);
             }
-            for p in sym.u_colptr[k]..sym.u_colptr[k + 1] {
-                let r = sym.u_rows[p];
-                for l in 0..w {
-                    let xk = y[k * w + l];
-                    if xk != T::ZERO {
-                        let uv = self.u_vals[p * w + l];
-                        y[r * w + l] -= uv * xk;
-                    }
-                }
-            }
-        }
-        for (k, &col) in sym.q.iter().enumerate() {
-            b[col * w..(col + 1) * w].copy_from_slice(&y[k * w..(k + 1) * w]);
         }
     }
 }
@@ -390,7 +473,7 @@ mod tests {
         let n = 17;
         let rep = seeded(n, 1);
         let (sym, template) = SymbolicLu::analyze(&rep).unwrap();
-        for width in [1usize, 2, 4, 8] {
+        for width in [1usize, 2, 3, 4, 5, 7, 8] {
             let mats: Vec<SparseMatrix<f64>> =
                 (0..width).map(|l| seeded(n, 100 + l as u64)).collect();
             let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();

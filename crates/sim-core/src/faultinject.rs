@@ -12,8 +12,8 @@
 //! is exercisable from a test without hunting for a pathological circuit.
 //!
 //! Determinism is the whole point, mirroring the per-point RNG streams of
-//! the campaign executor: the same seed and schedule always perturb the
-//! same steps, so a rescue transcript and the recovered waveform checksum
+//! the campaign executor: the same schedule always perturbs the same
+//! steps, so a rescue transcript and the recovered waveform checksum
 //! can be pinned as golden vectors.
 
 /// What kind of failure to synthesise at an injection point.
@@ -45,11 +45,9 @@ impl std::fmt::Display for FaultKind {
 /// not rescue sub-steps — injection happens before any rescue machinery,
 /// so a fired fault is exactly what the ladder then has to recover from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Macro-step index at which the fault fires.
-    pub step: u64,
-    /// Failure to synthesise.
-    pub kind: FaultKind,
+struct FaultSpec {
+    step: u64,
+    kind: FaultKind,
 }
 
 /// A deterministic, consumable set of planned faults.
@@ -66,7 +64,7 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// An empty schedule carrying `seed` (recorded for reports/replay).
+    /// An empty schedule labelled `seed` (shown in its `Debug` form).
     pub fn new(seed: u64) -> Self {
         FaultSchedule {
             seed,
@@ -83,48 +81,9 @@ impl FaultSchedule {
         self
     }
 
-    /// Draws `count` faults of the given kinds at seed-determined step
-    /// indices in `0..max_step` (SplitMix64 stream, the same generator
-    /// family the parallel campaign executor uses for its per-point
-    /// streams). Same arguments ⇒ same schedule, on every platform.
-    pub fn seeded(seed: u64, count: usize, max_step: u64, kinds: &[FaultKind]) -> Self {
-        assert!(!kinds.is_empty(), "need at least one fault kind to draw");
-        assert!(max_step > 0, "need a non-empty step range");
-        let mut schedule = FaultSchedule::new(seed);
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for _ in 0..count {
-            let step = next() % max_step;
-            let kind = kinds[(next() % kinds.len() as u64) as usize];
-            schedule = schedule.with_fault(step, kind);
-        }
-        schedule
-    }
-
-    /// The seed this schedule was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// All planned faults, in insertion order.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// Number of faults that have fired so far.
     pub fn fired(&self) -> usize {
         self.fired.iter().filter(|f| **f).count()
-    }
-
-    /// Number of faults still armed.
-    pub fn armed(&self) -> usize {
-        self.specs.len() - self.fired()
     }
 
     /// Consumes and returns the first still-armed fault planned for `step`
@@ -143,13 +102,6 @@ impl FaultSchedule {
             }
         }
         None
-    }
-
-    /// Re-arms every fault (for replaying the identical run).
-    pub fn rearm(&mut self) {
-        for f in &mut self.fired {
-            *f = false;
-        }
     }
 }
 
@@ -177,7 +129,7 @@ mod tests {
         let mut s = FaultSchedule::new(7)
             .with_fault(3, FaultKind::NewtonDivergence)
             .with_fault(3, FaultKind::ZeroPivot);
-        assert_eq!(s.armed(), 2);
+        assert_eq!(s.fired(), 0);
         assert_eq!(s.take_matching(2, |_| true), None);
         assert_eq!(
             s.take_matching(3, |_| true),
@@ -186,8 +138,6 @@ mod tests {
         assert_eq!(s.take_matching(3, |_| true), Some(FaultKind::ZeroPivot));
         assert_eq!(s.take_matching(3, |_| true), None);
         assert_eq!(s.fired(), 2);
-        s.rearm();
-        assert_eq!(s.armed(), 2);
     }
 
     #[test]
@@ -199,19 +149,8 @@ mod tests {
         // fault armed.
         let got = s.take_matching(0, |k| k == FaultKind::NewtonDivergence);
         assert_eq!(got, Some(FaultKind::NewtonDivergence));
-        assert_eq!(s.armed(), 1);
-    }
-
-    #[test]
-    fn seeded_schedules_are_reproducible_and_bounded() {
-        let kinds = [FaultKind::NewtonDivergence, FaultKind::ZeroPivot];
-        let a = FaultSchedule::seeded(42, 16, 100, &kinds);
-        let b = FaultSchedule::seeded(42, 16, 100, &kinds);
-        assert_eq!(a, b);
-        assert_eq!(a.specs().len(), 16);
-        assert!(a.specs().iter().all(|s| s.step < 100));
-        let c = FaultSchedule::seeded(43, 16, 100, &kinds);
-        assert_ne!(a.specs(), c.specs(), "different seed, different plan");
+        assert_eq!(s.fired(), 1);
+        assert_eq!(s.take_matching(0, |_| true), Some(FaultKind::ZeroPivot));
     }
 
     #[test]

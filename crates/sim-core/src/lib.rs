@@ -27,13 +27,12 @@
 //!   classification ([`StructureReport`], feeding the static ERC layer),
 //! * [`perf`] — [`PerfCounters`]: steps, Newton iterations, LU
 //!   factorizations vs cached reuses, wall time,
-//! * [`time`] — [`SimTime`], the femtosecond-resolution instant/duration,
 //! * [`trace`] — [`Probe`] waveform recording and VCD/CSV export,
 //! * [`diag`] — [`Severity`] and [`SourceSpan`], the diagnostic vocabulary
 //!   shared with the static-analysis layer (`crates/lint`),
 //! * [`rescue`] — [`RescueReport`]/[`RescueRung`], the engine-agnostic
 //!   transcript of the convergence-rescue ladder,
-//! * [`faultinject`] — [`FaultSchedule`], deterministic seed-driven fault
+//! * [`faultinject`] — [`FaultSchedule`], deterministic step-indexed fault
 //!   injection that makes every rescue rung exercisable from tests.
 //!
 //! The LU elimination here is the single implementation in the workspace;
@@ -53,16 +52,14 @@ pub mod perf;
 pub mod rescue;
 pub mod sparse;
 pub mod structure;
-pub mod time;
 pub mod trace;
 
 pub use batched::{BatchWidth, BatchedLu, LaneOutcome};
 pub use diag::{Severity, SourceSpan};
-pub use faultinject::{waveform_checksum, FaultKind, FaultSchedule, FaultSpec};
+pub use faultinject::{waveform_checksum, FaultKind, FaultSchedule};
 pub use linalg::{CMatrix, DMatrix, LuFactors, LuStats, Matrix, NumericFault, SingularMatrixError};
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
 pub use structure::{DmClass, StructureReport};
-pub use time::SimTime;
 pub use trace::Probe;

@@ -10,7 +10,7 @@
 
 use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::linalg::{DMatrix, LuFactors};
-use sim_core::sparse::{min_degree_order, RefactorOutcome, SparseMatrix, SymbolicLu};
+use sim_core::sparse::{min_degree_order, NumericLu, RefactorOutcome, SparseMatrix, SymbolicLu};
 
 /// `a · x = b` through the dense LU.
 fn dense_solve(a: &DMatrix, b: &[f64]) -> Option<Vec<f64>> {
@@ -222,7 +222,7 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
         stamp(&mut base, &triplets, 1.0);
         let (sym, num_template) = SymbolicLu::analyze(&base).expect("dominant system is solvable");
 
-        for &width in &[1usize, 2, 4, 8] {
+        for &width in &[1usize, 2, 3, 4, 5, 7, 8] {
             // Per-lane value perturbations on the shared pinned pattern.
             let scales: Vec<f64> = (0..width).map(|_| rng.range(0.6, 1.4)).collect();
             let mut mats: Vec<SparseMatrix<f64>> = Vec::with_capacity(width);
@@ -273,21 +273,29 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
                 }
             }
 
-            // Mid-batch retirement: mask lane 0 out, perturb the survivors,
-            // refactor again. Lane 0 must keep its old factors bit-for-bit;
-            // survivors must match a fresh scalar refactor.
+            // Mid-batch retirement: mask lane 0 and one more lane out,
+            // perturb the survivors, refactor again. The masked lanes must
+            // keep their old factors bit-for-bit; survivors must match a
+            // fresh scalar refactor.
             if width < 2 {
                 continue;
             }
             let mut active = vec![true; width];
             active[0] = false;
+            active[1 + rng.below(width as u64 - 1) as usize] = false;
             let bump = rng.range(0.7, 1.3);
-            for (l, m) in mats.iter_mut().enumerate().skip(1) {
-                stamp(m, &triplets, scales[l] * bump);
+            for (l, m) in mats.iter_mut().enumerate() {
+                if active[l] {
+                    stamp(m, &triplets, scales[l] * bump);
+                }
             }
             let vals: Vec<&[f64]> = mats.iter().map(|m| m.values()).collect();
             let outcomes = lu.refactor(&sym, &base, &vals, &active);
-            assert_eq!(outcomes[0], LaneOutcome::Skipped, "seed {seed:#x}");
+            for (l, &on) in active.iter().enumerate() {
+                if !on {
+                    assert_eq!(outcomes[l], LaneOutcome::Skipped, "seed {seed:#x}");
+                }
+            }
             let mut bb = vec![0.0; n * width];
             for l in 0..width {
                 for i in 0..n {
@@ -296,10 +304,10 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
             }
             lu.solve(&sym, &mut bb);
             for (l, m) in mats.iter().enumerate() {
-                let expect = if l == 0 {
+                let expect = if !active[l] {
                     // Retired lane: the solve must still run on the factors
                     // from before the mask, untouched by the survivors.
-                    &scalar_x[0]
+                    &scalar_x[l]
                 } else {
                     let mut num = num_template.clone();
                     assert_eq!(sym.refactor(m, &mut num), RefactorOutcome::Refactored);
@@ -318,6 +326,214 @@ fn batched_lanes_are_bit_exact_vs_scalar_at_all_widths() {
             }
         }
     }
+}
+
+/// One batched refactor of `lanes` (CSC values on `pattern`) under
+/// `active`, then one solve of `rhs`, checked lane by lane against the
+/// scalar kernel: an active lane gets the scalar outcome, a masked lane
+/// is skipped, and every lane whose last refactor succeeded (`factors`,
+/// updated here) solves to the scalar bits of those factors.
+#[allow(clippy::too_many_arguments)]
+fn check_batched_pass(
+    lu: &mut BatchedLu,
+    sym: &SymbolicLu,
+    template: &NumericLu<f64>,
+    pattern: &SparseMatrix<f64>,
+    lanes: &[Vec<f64>],
+    active: &[bool],
+    rhs: &[Vec<f64>],
+    factors: &mut [Option<NumericLu<f64>>],
+    what: &str,
+) {
+    let (n, width) = (sym.order(), lanes.len());
+    let outcomes = lu.refactor(sym, pattern, lanes, active).to_vec();
+    for l in 0..width {
+        if !active[l] {
+            assert_eq!(outcomes[l], LaneOutcome::Skipped, "{what}: lane {l}");
+            continue;
+        }
+        let mut m = pattern.clone();
+        m.values_mut().copy_from_slice(&lanes[l]);
+        let mut num = template.clone();
+        let scalar = sym.refactor(&m, &mut num);
+        assert_eq!(outcomes[l], LaneOutcome::from(scalar), "{what}: lane {l}");
+        factors[l] = (scalar == RefactorOutcome::Refactored).then_some(num);
+    }
+    let mut bb = vec![0.0; n * width];
+    for (l, r) in rhs.iter().enumerate() {
+        for i in 0..n {
+            bb[i * width + l] = r[i];
+        }
+    }
+    lu.solve(sym, &mut bb);
+    for (l, num) in factors.iter().enumerate() {
+        let Some(num) = num else { continue };
+        let mut x = rhs[l].clone();
+        sym.solve(num, &mut x);
+        for i in 0..n {
+            assert_eq!(
+                bb[i * width + l].to_bits(),
+                x[i].to_bits(),
+                "{what}: lane {l} x[{i}]"
+            );
+        }
+    }
+}
+
+/// A signed zero, sign drawn from `rng`.
+fn signed_zero(rng: &mut XorShift) -> f64 {
+    if rng.below(2) == 0 {
+        0.0
+    } else {
+        -0.0
+    }
+}
+
+/// Lane values off `base`: each entry jittered, some off-diagonal ones
+/// (`zero_ok`) signed zeros, the `shared_zero` slots zero in every lane,
+/// and now and then one NaN or infinite entry.
+fn edge_lane(rng: &mut XorShift, base: &[f64], zero_ok: &[bool], shared_zero: &[bool]) -> Vec<f64> {
+    let mut v: Vec<f64> = base
+        .iter()
+        .zip(zero_ok.iter().zip(shared_zero))
+        .map(|(&x, (&zero_ok, &zero))| {
+            if zero_ok && (zero || rng.below(10) == 0) {
+                signed_zero(rng)
+            } else {
+                x * rng.range(0.9, 1.1)
+            }
+        })
+        .collect();
+    if rng.below(5) == 0 {
+        let slot = rng.below(v.len() as u64) as usize;
+        v[slot] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3) as usize];
+    }
+    v
+}
+
+/// A right-hand side off `b` with signed zeros, some shared by every lane.
+fn edge_rhs(rng: &mut XorShift, b: &[f64], shared_zero: &[bool]) -> Vec<f64> {
+    b.iter()
+        .zip(shared_zero)
+        .map(|(&x, &zero)| {
+            if zero || rng.below(4) == 0 {
+                signed_zero(rng)
+            } else {
+                x * rng.range(0.5, 1.5)
+            }
+        })
+        .collect()
+}
+
+/// Batched lanes against the scalar kernel on the values it treats
+/// specially, at widths that are and are not whole lane groups: signed
+/// zeros and entries that are zero in every lane (the zero skips, and a
+/// row update skipped for a whole group), NaN and infinite entries
+/// (non-finite pivots stale a lane), lanes masked between refactors
+/// (they keep their factors bit for bit), and a pattern with an entry
+/// outside the pinned one (every active lane stale, masked lanes kept).
+#[test]
+fn batched_lanes_match_scalar_on_zeros_non_finite_values_and_masks() {
+    let mut rng = XorShift(0xba7c_4ed0_0000_0028);
+    let (mut refactored, mut stale) = (0, 0);
+    for _case in 0..80 {
+        let seed = rng.0;
+        let n = 2 + rng.below(20) as usize;
+        let (triplets, b) = random_system(&mut rng, n);
+        let mut base = SparseMatrix::new(n);
+        stamp(&mut base, &triplets, 1.0);
+        let (sym, template) = SymbolicLu::analyze(&base).expect("dominant system is solvable");
+        // Off-diagonal slots may be zero; a zero pivot would stale the lane.
+        let off_diagonal: Vec<bool> = (0..n)
+            .flat_map(|c| {
+                base.row_idx()[base.col_ptr()[c]..base.col_ptr()[c + 1]]
+                    .iter()
+                    .map(move |&r| r != c)
+            })
+            .collect();
+        let zero_slots: Vec<bool> = (0..base.nnz()).map(|_| rng.below(5) == 0).collect();
+        let zero_rows: Vec<bool> = (0..n).map(|_| rng.below(4) == 0).collect();
+        // The same system with one more entry; the pinned pattern may or
+        // may not hold it.
+        let r = rng.below(n as u64) as usize;
+        let c = (r + 1 + rng.below((n - 1) as u64) as usize) % n;
+        let mut wider = base.clone();
+        wider.begin_assembly();
+        for &(rr, cc, v) in triplets.iter().chain(&[(r, c, 1e-3)]) {
+            wider.add(rr, cc, v);
+        }
+        assert!(wider.finish_assembly() || base.get(r, c) != 0.0);
+
+        for &width in &[1usize, 3, 4, 5, 7, 8] {
+            let what = |pass: &str| format!("seed {seed:#x}: width {width}: {pass}");
+            let mut lu = BatchedLu::new(&sym, width);
+            let mut factors: Vec<Option<NumericLu<f64>>> = vec![None; width];
+            let lanes: Vec<Vec<f64>> = (0..width)
+                .map(|_| edge_lane(&mut rng, base.values(), &off_diagonal, &zero_slots))
+                .collect();
+            let rhs: Vec<Vec<f64>> = (0..width)
+                .map(|_| edge_rhs(&mut rng, &b, &zero_rows))
+                .collect();
+            let all = vec![true; width];
+            check_batched_pass(
+                &mut lu,
+                &sym,
+                &template,
+                &base,
+                &lanes,
+                &all,
+                &rhs,
+                &mut factors,
+                &what("all lanes"),
+            );
+            refactored += factors.iter().filter(|f| f.is_some()).count();
+            stale += factors.iter().filter(|f| f.is_none()).count();
+
+            // Mask about a third of the lanes, refresh the others.
+            let active: Vec<bool> = (0..width).map(|_| rng.below(3) != 0).collect();
+            let lanes: Vec<Vec<f64>> = (0..width)
+                .map(|_| edge_lane(&mut rng, base.values(), &off_diagonal, &zero_slots))
+                .collect();
+            check_batched_pass(
+                &mut lu,
+                &sym,
+                &template,
+                &base,
+                &lanes,
+                &active,
+                &rhs,
+                &mut factors,
+                &what("masked"),
+            );
+
+            // The wider pattern, under the same mask.
+            let lanes: Vec<Vec<f64>> = (0..width)
+                .map(|_| {
+                    wider
+                        .values()
+                        .iter()
+                        .map(|&v| v * rng.range(0.9, 1.1))
+                        .collect()
+                })
+                .collect();
+            check_batched_pass(
+                &mut lu,
+                &sym,
+                &template,
+                &wider,
+                &lanes,
+                &active,
+                &rhs,
+                &mut factors,
+                &what("wider pattern"),
+            );
+        }
+    }
+    // Both outcomes were exercised.
+    assert!(
+        refactored > 100 && stale > 100,
+        "{refactored} refactored, {stale} stale"
+    );
 }
 
 /// The min-degree ordering is always a permutation of 0..n.

@@ -775,7 +775,7 @@ pub struct BatchWorkspace {
     lanes: Vec<CscLane>,
     values: Vec<Vec<f64>>,
     rhs: Vec<Vec<f64>>,
-    lu: BatchedLu<f64>,
+    lu: BatchedLu,
     b: Vec<f64>,
 }
 
@@ -930,8 +930,7 @@ pub fn dcop_batch_with(
             break;
         }
         // One multi-lane numeric refactor + solve for the whole group.
-        let value_refs: Vec<&[f64]> = values.iter().map(Vec::as_slice).collect();
-        let outcomes = lu.refactor(&kernel.sym, &kernel.pattern, &value_refs, &active);
+        let outcomes = lu.refactor(&kernel.sym, &kernel.pattern, values, &active);
         batch_counters.batched_refactors += 1;
         for (l, outcome) in outcomes.iter().enumerate() {
             match outcome {

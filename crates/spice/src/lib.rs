@@ -83,7 +83,7 @@ pub use netlist::{parse_deck, subckt_deck, write_deck};
 pub use perf::PerfCounters;
 pub use rescue::{dcop_rescue, dcop_rescue_injected, RescuePolicy};
 pub use sim_core::batched::BatchWidth;
-pub use sim_core::faultinject::{waveform_checksum, FaultKind, FaultSchedule, FaultSpec};
+pub use sim_core::faultinject::{waveform_checksum, FaultKind, FaultSchedule};
 pub use sim_core::rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sim_core::sparse::SolverKind;
 pub use topology::{DcCoupling, TerminalRole};

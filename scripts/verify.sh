@@ -30,6 +30,8 @@ cargo test -q
 echo "== solver kernels and campaigns in the optimised build (what perfbench measures) =="
 cargo test -q --release -p sim-core -p spice -p uwb-ams-core
 cargo test -q --release --test batched_parity
+# the batched-vs-scalar properties where the lane-group kernel is vectorised
+cargo test -q --release -p sim-core --features proptests --test proptests
 
 echo "== MOSFET bank in the optimised build: each test runs the dispatched kernel and the forced baseline one =="
 cargo test -q --release -p spice --lib -- bank_matches_the_scalar_stencil_bit_for_bit integrate_dump_replay_is_bit_identical_to_the_dense_sweep

@@ -8,7 +8,7 @@
 //!
 //! * [`sim_core`] — the shared numeric/observability kernel both engines
 //!   sit on: the one dense LU (with cached, bit-identical factor reuse),
-//!   solver work counters, the femtosecond time axis and waveform probes,
+//!   solver work counters and waveform probes,
 //! * [`ams_kernel`] — the behavioural analog solver (VHDL-AMS stand-in),
 //! * [`spice`] — the transistor-level circuit simulator (Eldo stand-in),
 //! * [`lint`] — the pre-simulation ERC/lint analyzer: static netlist and

@@ -13,7 +13,7 @@
 
 use rand_chacha::ChaCha8Rng;
 use sim_core::batched::{BatchWidth, BatchedLu, LaneOutcome};
-use sim_core::sparse::{SparseMatrix, SymbolicLu};
+use sim_core::sparse::{NumericLu, RefactorOutcome, SparseMatrix, SymbolicLu};
 use uwb_ams_core::executor::worker_threads;
 use uwb_ams_core::montecarlo::{id_mismatch_sample, McDcCampaign, McDcResult, McSample};
 
@@ -76,7 +76,7 @@ fn batched_lanes_reproduce_the_scalar_golden_solve_bit_for_bit() {
         );
     }
 
-    for width in [1usize, 2, 4, 8] {
+    for width in [1usize, 2, 3, 4, 5, 7, 8] {
         let mut lu = BatchedLu::new(&sym, width);
         let vals: Vec<&[f64]> = (0..width).map(|_| m.values()).collect();
         let outcomes = lu.refactor(&sym, &m, &vals, &vec![true; width]);
@@ -98,6 +98,215 @@ fn batched_lanes_reproduce_the_scalar_golden_solve_bit_for_bit() {
             }
         }
     }
+}
+
+/// A tridiagonal, diagonally dominant order-6 system with every value
+/// set from `vals(row, col)`.
+fn tridiagonal(vals: impl Fn(usize, usize) -> f64) -> SparseMatrix<f64> {
+    let n = 6;
+    let mut m = SparseMatrix::new(n);
+    m.begin_assembly();
+    for r in 0..n {
+        for c in r.saturating_sub(1)..(r + 2).min(n) {
+            m.add(r, c, 1.0);
+        }
+    }
+    m.finish_assembly();
+    // Written in place: stamping adds onto +0.0, which would drop a -0.0.
+    let entries: Vec<(usize, usize)> = (0..n)
+        .flat_map(|c| (m.col_ptr()[c]..m.col_ptr()[c + 1]).map(move |p| (p, c)))
+        .map(|(p, c)| (m.row_idx()[p], c))
+        .collect();
+    for (v, (r, c)) in m.values_mut().iter_mut().zip(entries) {
+        *v = vals(r, c);
+    }
+    m
+}
+
+/// Refactors `lanes` under `active`, solves lane `l` for `rhs[l]` and
+/// checks every lane against the scalar kernel: the expected outcomes,
+/// and the scalar bits of each lane's last good factors (`factors`,
+/// updated here).
+#[allow(clippy::too_many_arguments)]
+fn check_lanes(
+    lu: &mut BatchedLu,
+    sym: &SymbolicLu,
+    template: &NumericLu<f64>,
+    pattern: &SparseMatrix<f64>,
+    lanes: &[SparseMatrix<f64>],
+    active: &[bool],
+    expect: &[LaneOutcome],
+    rhs: &[Vec<f64>],
+    factors: &mut [Option<NumericLu<f64>>],
+) {
+    let (n, width) = (sym.order(), lanes.len());
+    let vals: Vec<&[f64]> = lanes.iter().map(|m| m.values()).collect();
+    assert_eq!(lu.refactor(sym, pattern, &vals, active), expect);
+    for (l, m) in lanes.iter().enumerate() {
+        if active[l] {
+            let mut num = template.clone();
+            let scalar = sym.refactor(m, &mut num);
+            assert_eq!(
+                LaneOutcome::from(scalar),
+                expect[l],
+                "lane {l}: scalar outcome"
+            );
+            factors[l] = (scalar == RefactorOutcome::Refactored).then_some(num);
+        }
+    }
+    let mut bb = vec![0.0; n * width];
+    for (l, r) in rhs.iter().enumerate() {
+        for i in 0..n {
+            bb[i * width + l] = r[i];
+        }
+    }
+    lu.solve(sym, &mut bb);
+    for (l, num) in factors.iter().enumerate() {
+        let Some(num) = num else { continue };
+        let mut x = rhs[l].clone();
+        sym.solve(num, &mut x);
+        for i in 0..n {
+            assert_eq!(
+                bb[i * width + l].to_bits(),
+                x[i].to_bits(),
+                "lane {l} x[{i}]"
+            );
+        }
+    }
+}
+
+/// Five lanes, so one whole lane group and one with three padding lanes,
+/// through the cases the scalar kernel treats specially: signed zeros,
+/// a column whose off-diagonal entries are zero in all four lanes of the
+/// first group, a NaN and an infinite pivot, lanes masked between
+/// refactors (they keep their factors bit for bit), and a pattern with
+/// an entry outside the pinned one.
+#[test]
+fn batched_lanes_match_the_scalar_kernel_on_zero_non_finite_skipped_and_stale_lanes() {
+    let plain = |r: usize, c: usize| {
+        if r == c {
+            4.0 + r as f64 / 8.0
+        } else {
+            -1.0 - c as f64 / 16.0
+        }
+    };
+    let rep = tridiagonal(plain);
+    let (sym, template) = SymbolicLu::analyze(&rep).expect("dominant system");
+    // Columns 2 and 3 have zero off-diagonals in lanes 0–3: whichever is
+    // eliminated second opens with an all-zero `xi` in the whole group.
+    let zero_cols = |r: usize, c: usize| {
+        if r != c && (c == 2 || c == 3) {
+            0.0
+        } else {
+            plain(r, c)
+        }
+    };
+    let lanes = [
+        tridiagonal(zero_cols),
+        tridiagonal(|r, c| {
+            if r > c && c != 2 && c != 3 {
+                -0.0
+            } else {
+                zero_cols(r, c)
+            }
+        }),
+        tridiagonal(|r, c| {
+            if (r, c) == (3, 3) {
+                f64::NAN
+            } else {
+                zero_cols(r, c)
+            }
+        }),
+        tridiagonal(|r, c| {
+            if (r, c) == (4, 4) {
+                f64::INFINITY
+            } else {
+                zero_cols(r, c)
+            }
+        }),
+        tridiagonal(|r, c| plain(r, c) * 1.5),
+    ];
+    // Zeros of both signs in the right-hand sides, the first two in every
+    // lane and the others in all lanes but one: a lane that skips a row
+    // update next to one that does not.
+    let rhs: Vec<Vec<f64>> = (0..5)
+        .map(|l| {
+            (0..6)
+                .map(|i| match i {
+                    _ if i == [2, 5, 3, 4, 2][l] => 1.0 + l as f64,
+                    _ if i % 2 == 0 => 0.0,
+                    _ => -0.0,
+                })
+                .collect()
+        })
+        .collect();
+    use LaneOutcome::{Refactored, Skipped, Stale};
+    let mut lu = BatchedLu::new(&sym, 5);
+    let mut factors = vec![None; 5];
+    let all = [true; 5];
+    let expect = [Refactored, Refactored, Stale, Stale, Refactored];
+    check_lanes(
+        &mut lu,
+        &sym,
+        &template,
+        &rep,
+        &lanes,
+        &all,
+        &expect,
+        &rhs,
+        &mut factors,
+    );
+
+    // Lanes 1 and 4 masked; the stale lanes get good values back.
+    let lanes2 = [
+        tridiagonal(|r, c| plain(r, c) * 0.75),
+        tridiagonal(|_, _| f64::NAN),
+        tridiagonal(plain),
+        tridiagonal(|r, c| plain(r, c) * 2.0),
+        tridiagonal(|_, _| f64::NAN),
+    ];
+    let active = [true, false, true, true, false];
+    let expect = [Refactored, Skipped, Refactored, Refactored, Skipped];
+    check_lanes(
+        &mut lu,
+        &sym,
+        &template,
+        &rep,
+        &lanes2,
+        &active,
+        &expect,
+        &rhs,
+        &mut factors,
+    );
+
+    // A pattern with an entry the pinned one lacks: every active lane goes
+    // stale, the masked lanes keep their factors.
+    let mut wider = rep.clone();
+    wider.begin_assembly();
+    for c in 0..6 {
+        for &r in &rep.row_idx()[rep.col_ptr()[c]..rep.col_ptr()[c + 1]] {
+            wider.add(r, c, plain(r, c));
+        }
+    }
+    wider.add(0, 5, 1e-3);
+    assert!(
+        wider.finish_assembly(),
+        "the extra entry changes the pattern"
+    );
+    let lanes3: Vec<SparseMatrix<f64>> = (0..5).map(|_| wider.clone()).collect();
+    let expect = [Stale, Skipped, Stale, Stale, Skipped];
+    check_lanes(
+        &mut lu,
+        &sym,
+        &template,
+        &wider,
+        &lanes3,
+        &active,
+        &expect,
+        &rhs,
+        &mut factors,
+    );
+    assert!(factors[1].is_some() && factors[4].is_some());
 }
 
 const ID_CAMPAIGN: McDcCampaign = McDcCampaign {
